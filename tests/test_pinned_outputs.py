@@ -1,0 +1,131 @@
+"""Byte-level pins on the rewrite engine's output.
+
+Two digests guard refactors of `steps` and `datagen`: one over a fixed
+generate schedule, one over the traces of a seeded corpus of grammar-shaped
+trees that reaches corners the generator never produces (nested `(`/`[`
+groups, bracketed negative power bases, unary minus on groups, fraction-mode
+sign pairs through brackets). A change to either digest is a change to the
+published trace format, never a refactor.
+"""
+
+import hashlib
+import io
+import random
+
+from stepmath.datagen import default_curriculum, generate_dataset
+from stepmath.errors import StepmathError
+from stepmath.expr import Binary, FractionLit, Group, Lit, Node, Unary, parse, print_expr
+from stepmath.steps import render_trace, trace
+
+GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
+CORPUS_DIGEST = "sha256:be1d2bcc367645f59ef9eac719e577d073e40629716c6e7e05c29267232f5539"
+
+# Hand-picked rows the random corpus might miss.
+FIXED_ROWS = [
+    ("(-7)^2", "standard"),
+    ("((-7))^2", "standard"),
+    ("[(-7)^2+1]*3", "standard"),
+    ("2*[(-7)^3-(-2)^2]", "standard"),
+    ("-(3+4)*-(5-9)", "standard"),
+    ("-[2*(3-8)]/-(4)", "standard"),
+    ("1-(2-(3-(4-9)))", "standard"),
+    ("[(1-3)*(2-5)]^2", "standard"),
+    ("3*-(2/-(4))*-5", "standard"),
+    ("[(-(3/4))*(5/6)]*-(7/8)", "fraction"),
+    ("(-(1/2)*(3/4))/-(5/6)", "fraction"),
+    ("[(1/2)*-(3/4)*(5/6)]/[-(7/8)*(9/10)]", "fraction"),
+    ("-((2/3)*(4/5))*-(6/7)+(1/3)", "fraction"),
+    ("(2/4)*(3/6)-[(1/2)/(-(1/4))]", "fraction"),
+]
+
+
+def _int_lit(rng) -> Lit:
+    v = rng.choice((0, 1, 2, rng.randint(1, 99), rng.randint(100, 99999)))
+    if rng.random() < 0.25 and v:
+        return Lit(-v, f"-{v}", "negative")
+    return Lit(v, str(v), "integer")
+
+
+def _leaf(rng, mode: str) -> Node:
+    roll = rng.random()
+    if mode == "fraction" and roll < 0.7:
+        num, den = rng.randint(1, 99), rng.randint(1, 99)
+        text = f"({num}/{den})"
+        if rng.random() < 0.3:
+            return FractionLit(-num, den, text=f"-{text}", parens=True)
+        return FractionLit(num, den, text=text, parens=True)
+    if roll < 0.8:
+        return _int_lit(rng)
+    if roll < 0.9:
+        text = f"{rng.randint(0, 999)}.{rng.randint(0, 99)}"
+        return Lit(float(text), text, "decimal")
+    v = rng.randint(1, 999)
+    return Lit(v, f"{v}%", "percent")
+
+
+def _tree(rng, mode: str, depth: int = 0) -> Node:
+    kind = rng.randint(0, 11) if depth < 5 else 0
+    if kind <= 2:
+        return _leaf(rng, mode)
+    if kind == 3:
+        return Group(rng.choice("(["), _tree(rng, mode, depth + 1))
+    if kind == 4:
+        inner = _tree(rng, mode, depth + 1)
+        if not isinstance(inner, Group):
+            inner = Group(rng.choice("(["), inner)
+        return Unary("-", inner)
+    if kind == 5:
+        # a power whose base is a literal or a bracket, often a negative one
+        if rng.random() < 0.5:
+            v = rng.randint(1, 30)
+            base: Node = Group(rng.choice("(["), Lit(-v, f"-{v}", "negative"))
+        else:
+            base = _tree(rng, mode, depth + 1)
+            if not isinstance(base, (Lit, Group)) or isinstance(base, Lit) and base.value < 0:
+                base = Group("(", base)
+        v = rng.randint(0, 5)
+        return Binary("^", base, Lit(v, str(v), "integer"))
+    op = rng.choice("*/" if kind >= 9 else "+-*/")
+    return Binary(op, _tree(rng, mode, depth + 1), _tree(rng, mode, depth + 1))
+
+
+def _corpus() -> list[tuple[str, str]]:
+    rng = random.Random(20230906)
+    rows = list(FIXED_ROWS)
+    for i in range(1500):
+        mode = "fraction" if i % 3 == 2 else "standard"
+        rows.append((print_expr(_tree(rng, mode)), mode))
+    return rows
+
+
+def _outcome(text: str, mode: str) -> str:
+    try:
+        t = trace(parse(text, mode), mode)
+    except StepmathError as err:
+        return f"{text}!{type(err).__name__}:{err}"
+    return render_trace(t) + "#" + ",".join(t.rules)
+
+
+def test_generate_digest_is_pinned():
+    buf = io.BytesIO()
+    manifest = generate_dataset(default_curriculum(3000, seed=777, tail_count=500), buf)
+    assert manifest.content_digest == GENERATE_DIGEST
+
+
+def test_grammar_corpus_digest_is_pinned():
+    rows = _corpus()
+    outcomes = [_outcome(text, mode) for text, mode in rows]
+    # the corpus reaches the corners it claims to
+    assert sum("#" in o for o in outcomes) > 1000
+    assert "(-7)^2=49#binop" in outcomes
+    assert sum("[" in text for text, _ in rows) > 300
+    assert sum("-(" in text or "-[" in text for text, _ in rows) > 300
+    # fraction-mode cancellations that marked the chain head with `+`
+    assert sum(mode == "fraction" and "sign" in o.partition("#")[2]
+               and "+" in o.partition("#")[0]
+               for (_, mode), o in zip(rows, outcomes)) > 20
+
+    h = hashlib.sha256()
+    for (_, mode), o in zip(rows, outcomes):
+        h.update(f"{mode}:{o}\n".encode())
+    assert "sha256:" + h.hexdigest() == CORPUS_DIGEST
