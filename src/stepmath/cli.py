@@ -15,15 +15,7 @@ import sys
 from typing import Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
-from .errors import (
-    ExprSyntaxError,
-    MathError,
-    NonTerminating,
-    RecordTooLong,
-    StepmathError,
-    UnknownId,
-    UnknownSymbol,
-)
+from .errors import ExprSyntaxError, MathError, NonTerminating, StepmathError
 from .expr import parse, print_expr
 from .numeric import render
 from .steps import render_trace, trace
@@ -72,7 +64,8 @@ def _cmd_generate(args) -> int:
             schedule = datagen.schedule_from_json(f.read())
     else:
         if args.total is None:
-            raise SystemExit(EXIT_USAGE)
+            print("stepmath: generate needs --total or --schedule", file=sys.stderr)
+            return EXIT_USAGE
         schedule = datagen.default_curriculum(args.total, args.seed)
     with open(args.out, "wb") as out:
         manifest = datagen.generate_dataset(
@@ -258,9 +251,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_PARSE
     except (MathError, NonTerminating) as err:
         print(f"stepmath: math error: {err}", file=sys.stderr)
-        return EXIT_MATH
-    except (RecordTooLong, UnknownSymbol, UnknownId) as err:
-        print(f"stepmath: {err}", file=sys.stderr)
         return EXIT_MATH
     except OSError as err:
         print(f"stepmath: io error: {err}", file=sys.stderr)

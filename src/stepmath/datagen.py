@@ -59,7 +59,6 @@ class GenSpec:
     category: str
     digit_range: tuple[int, int] = (1, 5)
     step_range: tuple[int, int] = (2, 10)
-    count: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -224,11 +223,16 @@ def _cap_float_magnitudes(rng, nodes: list[Node], ops: list[str]) -> None:
     has_float = any(op == "/" for op in ops) or any(
         isinstance(n, Lit) and n.origin in ("decimal", "percent") for n in nodes
     ) or any(isinstance(n, Lit) and "." in n.text for n in nodes)
-    if not has_float:
-        return
-    est = _lit_digit_size(nodes[0])
+    if has_float:
+        _cap_ops(rng, [_lit_digit_size(n) for n in nodes], ops)
+
+
+def _cap_ops(rng, digits: list[int], ops: list[str]) -> None:
+    """Swap a * or / for + or - wherever the running digit estimate of a
+    multiplicative run would leave the binary64 budget."""
+    est = digits[0]
     for i, op in enumerate(ops):
-        d = _lit_digit_size(nodes[i + 1])
+        d = digits[i + 1]
         if op == "*" and est + d > _FLOAT_BUDGET:
             op = ops[i] = rng.choice("+-")
         elif op == "/" and est - d < -_FLOAT_BUDGET:
@@ -269,14 +273,7 @@ def _int_chain_parts(rng, spec: GenSpec, pool: str) -> tuple[list[int], list[str
         digs.append(d)
     ops = [rng.choice(pool) for _ in range(n)]
     if "/" in ops:
-        est = digs[0]
-        for i, op in enumerate(ops):
-            d = digs[i + 1]
-            if op == "*" and est + d > _FLOAT_BUDGET:
-                op = ops[i] = rng.choice("+-")
-            elif op == "/" and est - d < -_FLOAT_BUDGET:
-                op = ops[i] = rng.choice("+-")
-            est = est + d if op == "*" else (est - d if op == "/" else d)
+        _cap_ops(rng, digs, ops)
     return values, texts, ops
 
 
@@ -433,15 +430,7 @@ def _fast_chain_record(values: list, texts: list[str], ops: list[str]) -> tuple[
             idx = 0
         op = opl.pop(idx)
         b = vals.pop(idx + 1)
-        a = vals[idx]
-        if op == "*":
-            v = numeric.mul(a, b)
-        elif op == "/":
-            v = numeric.div(a, b)
-        elif op == "+":
-            v = numeric.add(a, b)
-        else:
-            v = numeric.sub(a, b)
+        v = numeric.apply(op, vals[idx], b)
         if isinstance(v, float) and abs(v) >= _DEC64_TEXT_SAFE:
             raise Dec64RangeError("intermediate too large to re-read unambiguously")
         vals[idx] = v
@@ -460,16 +449,14 @@ def _chain_eval(values: list, ops: list[str]):
     terms = [values[0]]
     addops: list[str] = []
     for op, v in zip(ops, values[1:]):
-        if op == "*":
-            terms[-1] = numeric.mul(terms[-1], v)
-        elif op == "/":
-            terms[-1] = numeric.div(terms[-1], v)
+        if op in "*/":
+            terms[-1] = numeric.apply(op, terms[-1], v)
         else:
             addops.append(op)
             terms.append(v)
     acc = terms[0]
     for op, t in zip(addops, terms[1:]):
-        acc = numeric.add(acc, t) if op == "+" else numeric.sub(acc, t)
+        acc = numeric.apply(op, acc, t)
     return acc
 
 

@@ -154,6 +154,19 @@ def pow_(base: Number, exponent: Number) -> int:
     return base ** exponent
 
 
+def apply(op: str, a: Number, b: Number) -> Number:
+    """The value of ``a op b`` for any binary operator of the expression language."""
+    if op == "+":
+        return add(a, b)
+    if op == "-":
+        return sub(a, b)
+    if op == "*":
+        return mul(a, b)
+    if op == "/":
+        return div(a, b)
+    return pow_(a, b)
+
+
 def reduce_fraction(f: Frac) -> Frac:
     g = math.gcd(abs(f.num), f.den)
     if g <= 1:

@@ -60,30 +60,36 @@ class StepTrace:
 
 # ---------------------------------------------------------------------------
 # tree plumbing
+#
+# A position in a tree is a parent link: None for the root, otherwise the
+# tuple (parent_link, parent, attr) naming the field of `parent` that holds it.
 
 
-def _rebuild(node: Node, edits: dict, prefix: tuple = ()) -> Node:
-    """Replace subtrees at the given paths, folding any sign that a rewrite
-    leaves sitting directly on a literal."""
-    if prefix in edits:
-        return edits[prefix]
-    if not any(p[: len(prefix)] == prefix for p in edits):
-        return node
-    if isinstance(node, Binary):
-        return Binary(
-            node.op,
-            _rebuild(node.lhs, edits, prefix + ("lhs",)),
-            _rebuild(node.rhs, edits, prefix + ("rhs",)),
-        )
-    if isinstance(node, Unary):
-        operand = _rebuild(node.operand, edits, prefix + ("operand",))
-        u = Unary(node.op, operand, transient=node.transient)
-        if not u.transient and isinstance(operand, (Lit, FractionLit)):
-            return fold_signed_literal(u)
-        return u
-    if isinstance(node, Group):
-        return Group(node.kind, _rebuild(node.inner, edits, prefix + ("inner",)))
-    return node
+def _replace(tree: Node, link: Optional[tuple], new: Node) -> Node:
+    """Rebuild the spine above `link` with `new` in its place, folding any sign
+    that the rewrite leaves sitting directly on a literal."""
+    path = []
+    while link is not None:
+        link, _, attr = link
+        path.append(attr)
+    return _descend(tree, path, new)
+
+
+def _descend(node: Node, path: list, new: Node) -> Node:
+    if not path:
+        return new
+    attr = path.pop()
+    child = _descend(getattr(node, attr), path, new)
+    if node.__class__ is Binary:
+        if attr == "lhs":
+            return Binary(node.op, child, node.rhs)
+        return Binary(node.op, node.lhs, child)
+    if node.__class__ is Group:
+        return Group(node.kind, child)
+    u = Unary(node.op, child, transient=node.transient)
+    if not u.transient and isinstance(child, (Lit, FractionLit)):
+        return fold_signed_literal(u)
+    return u
 
 
 def _strip_transient(node: Node) -> Node:
@@ -129,138 +135,96 @@ def _is_negative_literal(node: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# single-pass scan of everything the rules need
+# one walk collects everything the rules need
+
+
+class _Group:
+    """A bracket group: its position, nesting depth, and whether it holds
+    another group."""
+
+    __slots__ = ("node", "link", "offset", "depth", "has_inner")
+
+    def __init__(self, node: Group, link: Optional[tuple], offset: int, depth: int):
+        self.node = node
+        self.link = link
+        self.offset = offset
+        self.depth = depth
+        self.has_inner = False
 
 
 class _Scan:
-    __slots__ = ("percent", "groups", "binops", "red_fracs")
+    __slots__ = ("chains", "percent", "groups", "binops", "red_fracs")
 
     def __init__(self):
-        self.percent: Optional[tuple] = None  # (path, node), leftmost
-        self.groups: list[tuple] = []  # (path, node, offset)
-        self.binops: list[tuple] = []  # (path, node, op_offset)
-        self.red_fracs: list[tuple] = []  # (path, node) print order
+        self.chains: list[list[tuple]] = []  # per mul/div chain: (link, factor), left to right
+        self.percent: Optional[tuple] = None  # (link, node), leftmost
+        self.groups: list[_Group] = []
+        self.binops: list[tuple] = []  # (link, node, op_offset, innermost _Group or None)
+        self.red_fracs: list[tuple] = []  # (link, node, innermost _Group or None), print order
 
 
-def _scan(tree: Node) -> _Scan:
+def _scan(tree: Node, fraction: bool) -> _Scan:
+    """One walk in print order.
+
+    Mul/div chains are flattened to their factors. In fraction mode a chain
+    sees through brackets whose content is itself a mul/div chain, so a sign
+    inside a bracketed product cancels one outside.
+    """
     sc = _Scan()
 
-    def rec(node, path, offset):
+    def rec(node, link, offset, group, chain):
+        # returns the offset just past the node's printed text
         cls = node.__class__
         if cls is Binary:
-            lhs_len = len(print_expr(node.lhs))
-            sc.binops.append((path, node, offset + lhs_len))
-            rec(node.lhs, path + ("lhs",), offset)
-            rec(node.rhs, path + ("rhs",), offset + lhs_len + 1)
-        elif cls is Lit:
+            if node.op in "*/":
+                if chain is None:
+                    chain = []
+                    sc.chains.append(chain)
+            elif chain is not None:
+                chain.append((link, node))
+                chain = None
+            end = rec(node.lhs, (link, node, "lhs"), offset, group, chain)
+            sc.binops.append((link, node, end, group))
+            return rec(node.rhs, (link, node, "rhs"), end + 1, group, chain)
+        if cls is Group:
+            inner = node.inner
+            if chain is not None and not (
+                fraction and inner.__class__ is Binary and inner.op in "*/"
+            ):
+                chain.append((link, node))
+                chain = None
+            g = _Group(node, link, offset, 0 if group is None else group.depth + 1)
+            if group is not None:
+                group.has_inner = True
+            sc.groups.append(g)
+            return rec(inner, (link, node, "inner"), offset + 1, g, chain) + 1
+        if chain is not None:
+            chain.append((link, node))
+        if cls is Unary:
+            return rec(node.operand, (link, node, "operand"), offset + 1, group, None)
+        if cls is Lit:
             if node.origin == "percent" and sc.percent is None:
-                sc.percent = (path, node)
-        elif cls is FractionLit:
-            if node.reducible:
-                sc.red_fracs.append((path, node))
-        elif cls is Group:
-            sc.groups.append((path, node, offset))
-            rec(node.inner, path + ("inner",), offset + 1)
-        else:  # Unary
-            rec(node.operand, path + ("operand",), offset + 1)
+                sc.percent = (link, node)
+            return offset + len(node.text)
+        if node.reducible:
+            sc.red_fracs.append((link, node, group))
+        return offset + len(print_expr(node))
 
-    rec(tree, (), 0)
+    rec(tree, None, 0, None, None)
     return sc
 
 
-def _candidate_regions(groups: list[tuple]) -> list[tuple]:
-    """Bracket groups with no groups inside them, deepest first, leftmost
-    breaking ties. Rules run inside the first region that can make progress."""
-    paths = [g[0] for g in groups]
-    innermost = []
-    for path, node, offset in groups:
-        if any(p != path and p[: len(path)] == path for p in paths):
-            continue  # has an inner group
-        depth = sum(1 for p in paths if p != path and path[: len(p)] == p)
-        innermost.append(((-depth, offset), path, node, offset))
-    innermost.sort(key=lambda item: item[0])
-    return [(path, node, offset) for _, path, node, offset in innermost]
-
-
-def _node_at(tree: Node, path: tuple) -> Node:
-    node = tree
-    for step in path:
-        node = getattr(node, step)
-    return node
-
-
-def _pinned_by_power_base(tree: Node, group_path: tuple, content: Node) -> bool:
+def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
     """Brackets around a negative literal must stay when the bracket is the
     base of a power: printing `(-1)^0` without them re-reads as `-(1^0)`."""
-    if not group_path or not _is_negative_literal(content):
+    if link is None or not _is_negative_literal(content):
         return False
-    parent = _node_at(tree, group_path[:-1])
-    return isinstance(parent, Binary) and parent.op == "^" and group_path[-1] == "lhs"
+    _, parent, attr = link
+    return isinstance(parent, Binary) and parent.op == "^" and attr == "lhs"
 
 
 # ---------------------------------------------------------------------------
 # sign cancellation
-
-
-def _find_sign_cancellation(tree: Node, mode: str) -> Optional[dict]:
-    """Leftmost mul/div chain carrying at least two negative factors.
-
-    In fraction mode the chain sees through brackets whose content is itself a
-    mul/div chain, so a sign inside a bracketed product cancels one outside.
-    """
-    fraction = mode == FRACTION
-    chains: list[list[tuple[tuple, Node]]] = []
-
-    def transparent(node):
-        return (
-            fraction
-            and isinstance(node, Group)
-            and isinstance(node.inner, Binary)
-            and node.inner.op in "*/"
-        )
-
-    def collect(node, path, out):
-        if isinstance(node, Binary) and node.op in "*/":
-            collect(node.lhs, path + ("lhs",), out)
-            collect(node.rhs, path + ("rhs",), out)
-        elif transparent(node):
-            collect(node.inner, path + ("inner",), out)
-        else:
-            out.append((path, node))
-
-    def visit(node, path, in_chain):
-        if isinstance(node, Binary):
-            if node.op in "*/":
-                if not in_chain:
-                    factors: list = []
-                    collect(node, path, factors)
-                    chains.append(factors)
-                visit(node.lhs, path + ("lhs",), True)
-                visit(node.rhs, path + ("rhs",), True)
-            else:
-                visit(node.lhs, path + ("lhs",), False)
-                visit(node.rhs, path + ("rhs",), False)
-        elif isinstance(node, Group):
-            visit(node.inner, path + ("inner",), in_chain and transparent(node))
-        elif isinstance(node, Unary):
-            visit(node.operand, path + ("operand",), False)
-
-    visit(tree, (), False)
-
-    for factors in chains:
-        marked = [i for i, (_, f) in enumerate(factors) if _is_marked(f)]
-        if len(marked) < 2:
-            continue
-        first, second = marked[0], marked[1]
-        edits = {
-            factors[first][0]: _strip_sign(factors[first][1]),
-            factors[second][0]: _strip_sign(factors[second][1]),
-        }
-        if fraction and first != 0:
-            head_path, head = factors[0]
-            edits[head_path] = Unary("+", head, transient=True)
-        return edits
-    return None
 
 
 def _is_marked(node: Node) -> bool:
@@ -285,26 +249,31 @@ def _strip_sign(node: Node) -> Node:
     raise TypeError(f"cannot strip sign from {node!r}")
 
 
+def _cancel_signs(tree: Node, chains: list, fraction: bool) -> Optional[Node]:
+    """Strip the first two negative factors of the leftmost mul/div chain that
+    carries at least two."""
+    for factors in chains:
+        marked = [i for i, (_, f) in enumerate(factors) if _is_marked(f)]
+        if len(marked) < 2:
+            continue
+        # factors are disjoint, so one edit leaves the others' positions intact
+        for i in marked[:2]:
+            link, factor = factors[i]
+            tree = _replace(tree, link, _strip_sign(factor))
+        if fraction and marked[0] != 0:
+            link, head = factors[0]
+            tree = _replace(tree, link, Unary("+", head, transient=True))
+        return tree
+    return None
+
+
 # ---------------------------------------------------------------------------
 # region rules
 
 
-def _in_region(path: tuple, region_path: tuple) -> bool:
-    return path[: len(region_path)] == region_path
-
-
-def _binop_value(op: str, lhs: Node, rhs: Node, node: Binary) -> Number:
-    a, b = literal_value(lhs), literal_value(rhs)
+def _apply(node: Binary, a: Number, b: Number) -> Number:
     try:
-        if op == "+":
-            return numeric.add(a, b)
-        if op == "-":
-            return numeric.sub(a, b)
-        if op == "*":
-            return numeric.mul(a, b)
-        if op == "/":
-            return numeric.div(a, b)
-        return numeric.pow_(a, b)
+        return numeric.apply(node.op, a, b)
     except DivByZero:
         raise DivByZero(f"division by zero in {print_expr(node)}") from None
 
@@ -331,26 +300,27 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str]]:
     if isinstance(tree, FractionLit) and not tree.reducible:
         return None
 
-    edits = _find_sign_cancellation(tree, mode)
-    if edits is not None:
-        return _rebuild(tree, edits), R_SIGN
+    fraction = mode == FRACTION
+    sc = _scan(tree, fraction)
 
-    sc = _scan(tree)
+    cancelled = _cancel_signs(tree, sc.chains, fraction)
+    if cancelled is not None:
+        return cancelled, R_SIGN
 
     if sc.percent is not None:
-        path, node = sc.percent
+        link, node = sc.percent
         value = numeric.percent_value(node.value)
-        return _rebuild(tree, {path: _lit_from_value(value)}), R_PERCENT
+        return _replace(tree, link, _lit_from_value(value)), R_PERCENT
 
-    # Work inside the deepest bracket group first. A region can only fail to
-    # make progress when its brackets are pinned as a power base, in which
-    # case the search cascades outward and the power rule consumes the
-    # bracketed literal directly.
-    regions = [(gp, g, off) for gp, g, off in _candidate_regions(sc.groups)]
-    regions.append(((), None, -1))
-    for group_path, group, group_offset in regions:
-        region_path = group_path + ("inner",) if group is not None else ()
-        step = _region_step(tree, sc, group_path, group, group_offset, region_path)
+    # Work inside the deepest bracket group without inner groups first,
+    # leftmost breaking ties. A region can only fail to make progress when its
+    # brackets are pinned as a power base, in which case the search cascades
+    # outward to the whole tree and the power rule consumes the bracketed
+    # literal directly.
+    regions = sorted((g for g in sc.groups if not g.has_inner),
+                     key=lambda g: (-g.depth, g.offset))
+    for group in regions + [None]:
+        step = _region_step(tree, sc, group)
         if step is not None:
             return step
 
@@ -366,13 +336,15 @@ def _power_base_literal(node: Node) -> Optional[Node]:
     return None
 
 
-def _region_step(tree: Node, sc: _Scan, group_path: tuple, group: Optional[Group],
-                 group_offset: int, region_path: tuple) -> Optional[tuple[Node, str]]:
+def _region_step(tree: Node, sc: _Scan, group: Optional[_Group]) -> Optional[tuple[Node, str]]:
+    """The region rules inside one innermost group, or anywhere when group is None."""
+    binops = [b for b in sc.binops if group is None or b[3] is group]
+
     # reciprocal: division by a fraction literal, both sides already in lowest
     # terms (a computed fraction gets its simplify step first)
     best = None
-    for path, node, op_off in sc.binops:
-        if node.op != "/" or not _in_region(path, region_path):
+    for link, node, op_off, _ in binops:
+        if node.op != "/":
             continue
         lhs, rhs = node.lhs, node.rhs
         if not (isinstance(lhs, FractionLit) and isinstance(rhs, FractionLit)):
@@ -380,18 +352,16 @@ def _region_step(tree: Node, sc: _Scan, group_path: tuple, group: Optional[Group
         if lhs.reducible or rhs.reducible:
             continue
         if best is None or op_off < best[0]:
-            best = (op_off, path, node)
+            best = (op_off, link, node)
     if best is not None:
-        _, path, node = best
+        _, link, node = best
         rhs = node.rhs
         recip = FractionLit(rhs.den if rhs.num > 0 else -rhs.den, abs(rhs.num), parens=True)
-        return _rebuild(tree, {path: Binary("*", node.lhs, recip)}), R_RECIPROCAL
+        return _replace(tree, link, Binary("*", node.lhs, recip)), R_RECIPROCAL
 
     # binop: leftmost of the highest precedence tier with two literal operands
     best = None
-    for path, node, op_off in sc.binops:
-        if not _in_region(path, region_path):
-            continue
+    for link, node, op_off, _ in binops:
         lhs, rhs = node.lhs, node.rhs
         if node.op == "^" and _power_base_literal(lhs) is not None:
             lhs = _power_base_literal(lhs)
@@ -405,41 +375,41 @@ def _region_step(tree: Node, sc: _Scan, group_path: tuple, group: Optional[Group
             continue  # fraction division goes through the reciprocal rule
         key = (-_TIER[node.op], op_off)
         if best is None or key < best[0]:
-            best = (key, path, node, lhs)
+            best = (key, link, node, lhs)
     if best is not None:
-        _, path, node, lhs = best
-        value = _binop_value(node.op, lhs, node.rhs, node)
-        result = _binop_result_node(node.op, value, at_root=(path == ()))
+        _, link, node, lhs = best
+        value = _apply(node, literal_value(lhs), literal_value(node.rhs))
+        result = _binop_result_node(node.op, value, at_root=link is None)
         # A bracket whose content just became a single literal is absorbed in
         # the same step, unless the literal is negative and the bracket either
         # is not at the very start of the expression or is pinned as a power
         # base; those keep their brackets.
-        if group is not None and path == region_path:
+        if group is not None and node is group.node.inner:
             if isinstance(result, FractionLit):
                 result = FractionLit(result.num, result.den, parens=True,
                                      reducible=result.reducible)
-                return _rebuild(tree, {group_path: result}), R_BINOP
+                return _replace(tree, group.link, result), R_BINOP
             if _is_negative_literal(result) and (
-                group_offset != 0 or _pinned_by_power_base(tree, group_path, result)
+                group.offset != 0 or _pinned_by_power_base(group.link, result)
             ):
-                return _rebuild(tree, {region_path: result}), R_BINOP
-            return _rebuild(tree, {group_path: result}), R_BINOP
-        return _rebuild(tree, {path: result}), R_BINOP
+                return _replace(tree, link, result), R_BINOP
+            return _replace(tree, group.link, result), R_BINOP
+        return _replace(tree, link, result), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
-    for path, node in sc.red_fracs:
-        if not _in_region(path, region_path):
+    for link, node, frac_group in sc.red_fracs:
+        if group is not None and frac_group is not group:
             continue
         reduced = numeric.reduce_fraction(Frac(node.num, node.den))
-        parens = False if path == () else node.parens
+        parens = False if link is None else node.parens
         return (
-            _rebuild(tree, {path: FractionLit(reduced.num, reduced.den, parens=parens)}),
+            _replace(tree, link, FractionLit(reduced.num, reduced.den, parens=parens)),
             R_SIMPLIFY,
         )
 
-    if group is not None and _is_plain_literal(group.inner) \
-            and not _pinned_by_power_base(tree, group_path, group.inner):
-        return _rebuild(tree, {group_path: group.inner}), R_UNGROUP
+    if group is not None and _is_plain_literal(group.node.inner) \
+            and not _pinned_by_power_base(group.link, group.node.inner):
+        return _replace(tree, group.link, group.node.inner), R_UNGROUP
 
     return None
 
@@ -462,20 +432,7 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
     if isinstance(e, Group):
         return direct_eval(e.inner, mode)
     if isinstance(e, Binary):
-        a = direct_eval(e.lhs, mode)
-        b = direct_eval(e.rhs, mode)
-        try:
-            if e.op == "+":
-                return numeric.add(a, b)
-            if e.op == "-":
-                return numeric.sub(a, b)
-            if e.op == "*":
-                return numeric.mul(a, b)
-            if e.op == "/":
-                return numeric.div(a, b)
-            return numeric.pow_(a, b)
-        except DivByZero:
-            raise DivByZero(f"division by zero in {print_expr(e)}") from None
+        return _apply(e, direct_eval(e.lhs, mode), direct_eval(e.rhs, mode))
     raise TypeError(f"cannot evaluate {e!r}")
 
 

@@ -111,6 +111,13 @@ class TestGenerate:
                          "--seed", "1", "--total", "10")
         assert rc == 4 and "io error" in err
 
+    def test_missing_total_and_schedule_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "x.txt"
+        rc, _, err = run(capsys, "generate", "--out", str(out), "--seed", "1")
+        assert rc == 64
+        assert "stepmath: " in err and "--total" in err and "--schedule" in err
+        assert not out.exists()
+
     def test_schedule_file(self, capsys, tmp_path):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({
