@@ -9,6 +9,7 @@ from .errors import (
     DivByZero,
     EquationParseError,
     ExprSyntaxError,
+    MalformedInput,
     MathError,
     NonTerminating,
     RecordTooLong,
@@ -31,6 +32,7 @@ __all__ = [
     "ExprSyntaxError",
     "FRACTION",
     "Frac",
+    "MalformedInput",
     "MathError",
     "NonTerminating",
     "Number",

@@ -1,21 +1,22 @@
 """Command-line entry point for every pipeline stage.
 
 Exit codes: 0 success, 2 expression parse error, 3 math error, 4 I/O error,
-64 usage error. Every run prints its effective configuration as one JSON line
-on stderr so it can be reproduced exactly; `--workers` changes throughput
-only, never output bytes.
+64 usage error or malformed input file. Every run prints its effective
+configuration as one JSON line on stderr so it can be reproduced exactly;
+`--workers` changes throughput only, never output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from typing import Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
-from .errors import ExprSyntaxError, MathError, NonTerminating, StepmathError
+from .errors import ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError
 from .expr import parse, print_expr
 from .numeric import render
 from .steps import render_trace, trace
@@ -83,6 +84,11 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# ids come from a vocabulary of a few dozen symbols: look their text up, not
+# rebuild it for every id
+_id_text = functools.lru_cache(maxsize=64)(str)
+
+
 def _cmd_tokenize(args) -> int:
     if args.text is not None:
         lines = [args.text]
@@ -94,7 +100,7 @@ def _cmd_tokenize(args) -> int:
         print(json.dumps([{"text": t, "ids": ids} for t, ids in zip(lines, encoded)]))
     else:
         for ids in encoded:
-            print(" ".join(str(i) for i in ids))
+            print(" ".join(map(_id_text, ids)))
     return EXIT_OK
 
 
@@ -110,6 +116,9 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.infile is None and (args.gold is None or args.pred is None):
+        print("stepmath: eval needs --in, or --gold and --pred", file=sys.stderr)
+        return EXIT_USAGE
     records = metrics.load_prediction_records(
         combined_path=args.infile, gold_path=args.gold, pred_path=args.pred
     )
@@ -152,11 +161,19 @@ def _cmd_score_mwp(args) -> int:
     gold = mwp.load_reconstructed(args.gold)
     preds = {}
     with open(args.pred, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 obj = json.loads(line)
-                preds[str(obj["id"])] = obj["prediction"]
+            except json.JSONDecodeError:
+                obj = None
+            if not (isinstance(obj, dict) and "id" in obj
+                    and isinstance(obj.get("prediction"), str)):
+                raise MalformedInput(f"{args.pred}:{line_no}: expected a JSON object "
+                                     "with an id and a string prediction")
+            preds[str(obj["id"])] = obj["prediction"]
     report = mwp.score_mwp(gold, preds)
     if args.json:
         print(report.to_json())
@@ -240,9 +257,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing keeps no state on it, and
+    help and error output look up sys.stdout and sys.stderr at each call."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _echo_config(args.command, args)
     try:
         return args.func(args)
@@ -255,6 +278,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as err:
         print(f"stepmath: io error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MalformedInput as err:
+        print(f"stepmath: malformed input: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except StepmathError as err:
         print(f"stepmath: {err}", file=sys.stderr)
         return EXIT_MATH

@@ -69,6 +69,11 @@ class RecordTooLong(StepmathError):
         self.block_length = block_length
 
 
+class MalformedInput(StepmathError):
+    """An input file that breaks its documented format. The message starts with
+    where: `path:line` for a text file, the byte offset for a pack file."""
+
+
 class EquationParseError(StepmathError):
     """A word-problem equation did not parse."""
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Union
 
 from . import numeric
 from .expr import Binary, FRACTION, FractionLit, Lit, STANDARD, Unary, iter_nodes, parse
-from .errors import StepmathError
+from .errors import MalformedInput, StepmathError
 from .numeric import Frac, Number
 from .steps import direct_eval
 
@@ -317,10 +317,11 @@ def load_prediction_records(
 ) -> list[PredictionRecord]:
     """Either one combined JSONL ({problem, ground_truth, prediction}) or a gold
     file ({problem, ground_truth}) plus a line-aligned prediction file (JSONL
-    with {prediction} or raw text lines)."""
+    with {prediction} or raw text lines). Files that are not line-aligned
+    raise MalformedInput at the first line without a partner."""
     if combined_path is not None:
         records = []
-        for obj in _read_jsonl(combined_path):
+        for _, obj in _read_jsonl(combined_path):
             if not isinstance(obj, dict) or not {"problem", "ground_truth", "prediction"} <= obj.keys():
                 records.append(PredictionRecord.malformed(repr(obj)))
                 continue
@@ -331,11 +332,14 @@ def load_prediction_records(
     if gold_path is None or pred_path is None:
         raise ValueError("need either a combined file or gold and prediction files")
     golds = list(_read_jsonl(gold_path))
-    preds = _read_predictions(pred_path)
+    preds = list(_read_predictions(pred_path))
     if len(golds) != len(preds):
-        raise ValueError(f"{len(golds)} gold records vs {len(preds)} predictions")
+        n = min(len(golds), len(preds))
+        path, rows = (gold_path, golds) if len(golds) > n else (pred_path, preds)
+        raise MalformedInput(f"{path}:{rows[n][0]}: no partner line "
+                             f"({len(golds)} gold records vs {len(preds)} predictions)")
     records = []
-    for g, p in zip(golds, preds):
+    for (_, g), (_, p) in zip(golds, preds):
         if not isinstance(g, dict) or not {"problem", "ground_truth"} <= g.keys():
             records.append(PredictionRecord.malformed(repr(g)))
         else:
@@ -344,29 +348,30 @@ def load_prediction_records(
 
 
 def _read_jsonl(path: str):
-    """Yields parsed objects; a line that is not valid JSON yields None so the
-    caller can emit an error verdict instead of aborting the whole stream."""
+    """Yields (line number, parsed object); a line that is not valid JSON
+    yields None so the caller can emit an error verdict instead of aborting
+    the whole stream."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield line_no, json.loads(line)
             except json.JSONDecodeError:
-                yield None
+                yield line_no, None
 
 
-def _read_predictions(path: str) -> list[str]:
-    preds = []
+def _read_predictions(path: str):
+    """Yields (line number, prediction text)."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                preds.append(obj["prediction"] if isinstance(obj, dict) else str(obj))
+                pred = obj["prediction"] if isinstance(obj, dict) else str(obj)
             except (json.JSONDecodeError, KeyError):
-                preds.append(line)
-    return preds
+                pred = line
+            yield line_no, pred

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from . import numeric
-from .errors import AnswerMismatch, EquationParseError, MathError, StepmathError
+from .errors import AnswerMismatch, EquationParseError, MalformedInput, MathError, StepmathError
 from .expr import STANDARD, parse
 from .metrics import extract_answer, is_correct, parse_number_text
 from .numeric import Number
@@ -90,6 +90,13 @@ def normalize_answer(text: str) -> tuple[Optional[Number], str, list[str]]:
 
 
 def record_from_obj(obj: dict, field_map: dict = DEFAULT_FIELD_MAP) -> MWPRecord:
+    """Raises MalformedInput when obj is not a dict holding the id, equation
+    and answer fields, EquationParseError when the answer does not parse."""
+    if not isinstance(obj, dict):
+        raise MalformedInput("record is not a JSON object")
+    missing = [field_map[k] for k in ("id", "equation", "answer") if field_map[k] not in obj]
+    if missing:
+        raise MalformedInput(f"record lacks {', '.join(map(repr, missing))}")
     equation, eq_notes = normalize_equation(str(obj[field_map["equation"]]))
     answer, answer_text, ans_notes = normalize_answer(str(obj[field_map["answer"]]))
     if answer is None:
@@ -138,9 +145,10 @@ def reconstruct_stream(
             rec = record_from_obj(obj, field_map)
             yield reconstruct(rec)
         except StepmathError as err:
+            id_ = obj.get(field_map["id"], "?") if isinstance(obj, dict) else "?"
             rejects.write(
                 json.dumps(
-                    {"id": str(obj.get(field_map["id"], "?")), "reason": str(err)},
+                    {"id": str(id_), "reason": str(err)},
                     ensure_ascii=False,
                 )
                 + "\n"
@@ -153,8 +161,9 @@ def reconstruct_file(
     rejects_path: str,
     field_map: dict = DEFAULT_FIELD_MAP,
 ) -> tuple[int, int]:
-    """Returns (reconstructed count, reject count). The rejects file is always
-    created, even when empty."""
+    """Returns (reconstructed count, reject count). A line that is not a JSON
+    object holding the record fields is a reject like any other failure. The
+    rejects file is always created, even when empty."""
     written = 0
     rejected = 0
     with open(in_path, encoding="utf-8") as fin, \
@@ -163,8 +172,13 @@ def reconstruct_file(
         def objs():
             for line in fin:
                 line = line.strip()
-                if line:
-                    yield json.loads(line)
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    obj = None  # rejected as not a JSON object
+                yield obj
 
         for rec in reconstruct_stream(objs(), frej, field_map):
             fout.write(json.dumps(rec.to_json_obj(field_map), ensure_ascii=False) + "\n")
@@ -254,13 +268,23 @@ def score_mwp(
 
 
 def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[ReconstructedRecord]:
+    """Raises MalformedInput at the first line that is not a JSON object holding
+    the record fields and a solution_trace."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            rec = record_from_obj(obj, field_map)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            try:
+                rec = record_from_obj(obj, field_map)
+            except MalformedInput as err:
+                raise MalformedInput(f"{path}:{line_no}: {err}") from None
+            if "solution_trace" not in obj:
+                raise MalformedInput(f"{path}:{line_no}: record lacks 'solution_trace'")
             out.append(ReconstructedRecord(record=rec, solution_trace=obj["solution_trace"]))
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import RecordTooLong
+from .errors import MalformedInput, RecordTooLong
 from .tokenizer import DEFAULT_VOCAB, Vocab
 
 MAGIC = b"SMPK"
@@ -63,32 +63,49 @@ def pack_sequences(
 
 
 def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
+    """The blocks of a pack file as id lists; raises MalformedInput, naming
+    the byte offset, on a short header, a bad magic, version or block length,
+    or a cut-off block."""
+    name = getattr(f, "name", "pack file")
     header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise MalformedInput(f"{name}: header ends at byte offset {len(header)} "
+                             f"of {_HEADER.size}")
     magic, version, block_length, count = _HEADER.unpack(header)
     if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
+        raise MalformedInput(f"{name}: bad magic {magic!r} at byte offset 0")
     if version != PACK_VERSION:
-        raise ValueError(f"unsupported pack version {version}")
-    for _ in range(count):
-        raw = f.read(4 * block_length)
-        yield list(struct.unpack(f"<{block_length}I", raw))
+        raise MalformedInput(f"{name}: unsupported pack version {version} at byte offset 4")
+    if block_length < 2:
+        raise MalformedInput(f"{name}: block length {block_length} at byte offset 8 "
+                             "is below 2")
+    block = struct.Struct(f"<{block_length}I")
+    for k in range(count):
+        raw = f.read(block.size)
+        if len(raw) < block.size:
+            offset = _HEADER.size + k * block.size + len(raw)
+            raise MalformedInput(f"{name}: block {k} of {count} ends at byte offset "
+                                 f"{offset}, {block.size - len(raw)} bytes short")
+        yield list(block.unpack(raw))
+
+
+def _index(block: list[int], tid: int, start: int, end: int) -> int:
+    """Position of the first tid in block[start:end], or end."""
+    try:
+        return block.index(tid, start, end)
+    except ValueError:
+        return end
 
 
 def unpack_sequences(f: BinaryIO, vocab: Vocab = DEFAULT_VOCAB) -> Iterator[str]:
     """Recover the original record stream from a packed block file."""
     marker, pad = vocab.marker_id, vocab.pad_id
     for block in iter_blocks(f):
-        record: list[int] = []
-        started = False
-        for tid in block:
-            if tid == pad:
-                break
-            if tid == marker:
-                if started:
-                    yield vocab.decode(record)
-                record = []
-                started = True
-                continue
-            record.append(tid)
-        if started:
-            yield vocab.decode(record)
+        # records, each led by the marker, then padding; ids before the first
+        # marker belong to no record
+        end = _index(block, pad, 0, len(block))
+        start = _index(block, marker, 0, end)
+        while start < end:
+            nxt = _index(block, marker, start + 1, end)
+            yield vocab.decode(block[start + 1:nxt])
+            start = nxt

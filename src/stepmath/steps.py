@@ -249,9 +249,10 @@ def _strip_sign(node: Node) -> Node:
     raise TypeError(f"cannot strip sign from {node!r}")
 
 
-def _cancel_signs(tree: Node, chains: list, fraction: bool) -> Optional[Node]:
+def _cancel_signs(tree: Node, chains: list, fraction: bool) -> Optional[tuple[Node, Node]]:
     """Strip the first two negative factors of the leftmost mul/div chain that
-    carries at least two."""
+    carries at least two. Returns the snapshot and the tree to rewrite next,
+    which differ when fraction mode marks the chain head with a transient `+`."""
     for factors in chains:
         marked = [i for i, (_, f) in enumerate(factors) if _is_marked(f)]
         if len(marked) < 2:
@@ -262,8 +263,8 @@ def _cancel_signs(tree: Node, chains: list, fraction: bool) -> Optional[Node]:
             tree = _replace(tree, link, _strip_sign(factor))
         if fraction and marked[0] != 0:
             link, head = factors[0]
-            tree = _replace(tree, link, Unary("+", head, transient=True))
-        return tree
+            return _replace(tree, link, Unary("+", head, transient=True)), tree
+        return tree, tree
     return None
 
 
@@ -291,10 +292,13 @@ def _binop_result_node(op: str, value: Number, at_root: bool) -> Node:
 
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     """Apply the single highest-priority rewrite, or None when e is a literal."""
-    return _next_step(_strip_transient(e), mode)
+    step = _next_step(_strip_transient(e), mode)
+    return step and step[:2]
 
 
-def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str]]:
+def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
+    """(snapshot, rule, tree to rewrite next); the last is the snapshot less
+    any transient head marker."""
     if isinstance(tree, Lit) and tree.origin != "percent":
         return None
     if isinstance(tree, FractionLit) and not tree.reducible:
@@ -305,12 +309,14 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str]]:
 
     cancelled = _cancel_signs(tree, sc.chains, fraction)
     if cancelled is not None:
-        return cancelled, R_SIGN
+        snapshot, unmarked = cancelled
+        return snapshot, R_SIGN, unmarked
 
     if sc.percent is not None:
         link, node = sc.percent
         value = numeric.percent_value(node.value)
-        return _replace(tree, link, _lit_from_value(value)), R_PERCENT
+        new = _replace(tree, link, _lit_from_value(value))
+        return new, R_PERCENT, new
 
     # Work inside the deepest bracket group without inner groups first,
     # leftmost breaking ties. A region can only fail to make progress when its
@@ -322,7 +328,7 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str]]:
     for group in regions + [None]:
         step = _region_step(tree, sc, group)
         if step is not None:
-            return step
+            return (*step, step[0])
 
     raise NonTerminating(f"no rule applies to {print_expr(tree)!r}")
 
@@ -451,10 +457,9 @@ def trace(e: Node, mode: str = "standard") -> StepTrace:
             break
         if len(rules) >= bound:
             raise NonTerminating(f"trace of {print_expr(e)!r} exceeded {bound} steps")
-        nxt, rule = step
+        nxt, rule, cur = step
         snapshots.append(nxt)
         rules.append(rule)
-        cur = _strip_transient(nxt) if rule == R_SIGN else nxt
     final = literal_value(cur)
     return StepTrace(original=e, snapshots=snapshots, rules=rules, final=final, mode=mode)
 

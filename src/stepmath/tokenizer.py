@@ -64,6 +64,10 @@ class Vocab:
             self.provenance[sym] = prov
         self.marker_id = self._id_of[MARKER]
         self.pad_id = self._id_of[PAD]
+        # Lookup tables for encode and decode: the marker and pad are never
+        # record text, so encode cannot find them and decode drops them.
+        self._encode_id = {s: t for s, t in self._id_of.items() if s not in (MARKER, PAD)}
+        self._decode_sym = {**self._sym_of, self.marker_id: "", self.pad_id: ""}
 
     def id_of(self, symbol: str) -> int:
         return self._id_of[symbol]
@@ -73,26 +77,19 @@ class Vocab:
 
     def encode(self, text: str) -> list[int]:
         """One id per character, preceded by the record marker."""
-        ids = [self.marker_id]
-        id_of = self._id_of
-        for i, ch in enumerate(text):
-            tid = id_of.get(ch)
-            if tid is None or ch in (MARKER, PAD):
-                raise UnknownSymbol(ch, i)
-            ids.append(tid)
-        return ids
+        try:
+            return [self.marker_id, *map(self._encode_id.__getitem__, text)]
+        except KeyError as err:
+            # map stops at the first unknown symbol, so this is its first offset
+            symbol = err.args[0]
+            raise UnknownSymbol(symbol, text.index(symbol)) from None
 
     def decode(self, ids: Iterable[int]) -> str:
         """Inverse of encode; marker and pad ids contribute nothing."""
-        out = []
-        for tid in ids:
-            if tid == self.marker_id or tid == self.pad_id:
-                continue
-            sym = self._sym_of.get(tid)
-            if sym is None:
-                raise UnknownId(tid)
-            out.append(sym)
-        return "".join(out)
+        try:
+            return "".join(map(self._decode_sym.__getitem__, ids))
+        except KeyError as err:
+            raise UnknownId(err.args[0]) from None
 
     def to_json(self) -> str:
         return json.dumps(

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from stepmath.errors import UnknownId, UnknownSymbol
+from stepmath.tokenizer import MARKER, PAD
+
 # Published step-by-step traces, reproduced byte-for-byte. The bracket example
 # that prints its first snapshot twice in the source table is pinned here in
 # de-duplicated form (the engine never emits identical adjacent snapshots).
@@ -238,6 +241,35 @@ def string_round_2dp(text: str) -> str:
     if rest and int(rest) * 2 >= 10 ** len(rest):
         cents += 1
     return ("-" if neg and cents else "") + f"{cents // 100}.{cents % 100:02d}"
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer references: the per-character and per-id loops that the
+# table-driven Vocab.encode and Vocab.decode must agree with.
+
+
+def reference_encode(vocab, text):
+    ids = [vocab.marker_id]
+    for i, ch in enumerate(text):
+        if ch in (MARKER, PAD):
+            raise UnknownSymbol(ch, i)
+        try:
+            ids.append(vocab.id_of(ch))
+        except KeyError:
+            raise UnknownSymbol(ch, i) from None
+    return ids
+
+
+def reference_decode(vocab, ids):
+    out = []
+    for tid in ids:
+        if tid == vocab.marker_id or tid == vocab.pad_id:
+            continue
+        sym = next((s for s in vocab.provenance if vocab.id_of(s) == tid), None)
+        if sym is None:
+            raise UnknownId(tid)
+        out.append(sym)
+    return "".join(out)
 
 
 @pytest.fixture(scope="session")

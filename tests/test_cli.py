@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -85,6 +86,23 @@ class TestUsageErrors:
         for sub in ("trace", "generate", "tokenize", "pack", "eval",
                     "bigbench", "reconstruct", "score-mwp"):
             assert sub in out
+
+
+class TestRepeatedCalls:
+    def test_each_call_prints_what_a_first_call_prints(self, capsys, monkeypatch):
+        # the parser is built once per process; a fresh interpreter shows
+        # what a first call prints
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "COLUMNS": "80"}
+        for argv in (["trace", "7", "--bogus"], ["--help"], ["trace", "1+2*3"]):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            got = capsys.readouterr()
+            first = subprocess.run([sys.executable, "-m", "stepmath.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (rc, got.out, got.err) == (first.returncode, first.stdout, first.stderr)
 
 
 class TestGenerate:
@@ -181,6 +199,23 @@ class TestEvalCli:
         assert grid.read_text().startswith("task,Int,Dec,Frac,Perc,Neg")
 
 
+    def test_misaligned_gold_and_pred_exit_64(self, capsys, tmp_path):
+        gold = tmp_path / "g.jsonl"
+        pred = tmp_path / "p.txt"
+        gold.write_text('{"problem": "1+1", "ground_truth": "2"}\n\n'
+                        '{"problem": "2+2", "ground_truth": "4"}\n')
+        pred.write_text("1+1=2\n")
+        rc, out, err = run(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
+        assert rc == 64 and out == ""
+        assert f"{gold}:3: no partner line" in err
+
+    def test_no_inputs_exit_64(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "eval")
+        assert rc == 64 and "--gold" in err and "--pred" in err
+        rc, _, _ = run(capsys, "eval", "--gold", str(tmp_path / "g.jsonl"))
+        assert rc == 64
+
+
 class TestBigbenchCli:
     def test_count_and_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "suite.jsonl"
@@ -209,6 +244,26 @@ class TestReconstructCli:
         assert json.loads(out.read_text())["solution_trace"] == "4*7=28"
 
 
+    @pytest.mark.parametrize("bad,reason", [
+        ('{"id": "2", "original_text": "q", "equation": "2+2"}', "'ans'"),
+        ('{"id": "2", "original_text": "q", "ans": "4"}', "'equation'"),
+        ("not json", "not a JSON object"),
+        ('["2+2", "4"]', "not a JSON object"),
+    ])
+    def test_bad_line_is_a_reject_row(self, capsys, tmp_path, bad, reason):
+        src = tmp_path / "ape.jsonl"
+        src.write_text(bad + "\n" + json.dumps(
+            {"id": "1", "original_text": "q", "equation": "1+2", "ans": "3"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        rc, o, _ = run(capsys, "reconstruct", "--in", str(src), "--out", str(out), "--json")
+        assert rc == 0
+        payload = json.loads(o)
+        assert (payload["reconstructed"], payload["rejected"]) == (1, 1)
+        [row] = [json.loads(line) for line in open(payload["rejects_file"])]
+        assert reason in row["reason"]
+        assert json.loads(out.read_text())["id"] == "1"
+
+
 class TestScoreMwpCli:
     def test_end_to_end(self, capsys, tmp_path):
         gold = tmp_path / "gold.jsonl"
@@ -224,3 +279,25 @@ class TestScoreMwpCli:
         payload = json.loads(out)
         assert payload["arithmetic_accuracy"] == 1.0
         assert payload["answer_accuracy"] == 0.0
+
+    @pytest.mark.parametrize("bad", [
+        "not json", '["1", "20-5-8=7"]', '{"prediction": "20-5-8=7"}', '{"id": "1"}',
+        '{"id": "1", "prediction": 7}',
+    ])
+    def test_malformed_prediction_line_exit_64(self, capsys, tmp_path, bad):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"id": "1", "original_text": "q", "equation": "20-5-8",
+                                    "ans": "7", "solution_trace": "20-5-8=15-8=7"}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "1", "prediction": "7"}) + "\n\n" + bad + "\n")
+        rc, out, err = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred))
+        assert rc == 64 and out == ""
+        assert f"{pred}:3: " in err
+
+    def test_malformed_gold_line_exit_64(self, capsys, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"id": "1", "equation": "1+1", "ans": "2"}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "1", "prediction": "1+1=2"}) + "\n")
+        rc, _, err = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred))
+        assert rc == 64 and f"{gold}:1: record lacks 'solution_trace'" in err

@@ -2,11 +2,17 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
-from stepmath.errors import RecordTooLong
+from stepmath.errors import MalformedInput, RecordTooLong, UnknownId
 from stepmath.packing import MAGIC, PACK_VERSION, iter_blocks, pack_sequences, unpack_sequences
-from stepmath.tokenizer import DEFAULT_VOCAB
+from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD
+
+from conftest import reference_decode, reference_encode
+
+MARKER_ID, PAD_ID = DEFAULT_VOCAB.marker_id, DEFAULT_VOCAB.pad_id
 
 
 def _pack(lines, block_length):
@@ -82,3 +88,133 @@ class TestRoundTrip:
         assert blocks == 1
         block = next(iter_blocks(buf))
         assert DEFAULT_VOCAB.pad_id not in block
+
+
+# ---------------------------------------------------------------------------
+# References: greedy packing and the per-id unpack loop, written out plainly.
+
+
+def reference_pack(lines, block_length):
+    blocks, block = [], []
+    for line_no, line in enumerate(lines, start=1):
+        ids = reference_encode(DEFAULT_VOCAB, line)
+        if len(ids) > block_length:
+            raise RecordTooLong(line_no, len(ids), block_length)
+        if len(block) + len(ids) > block_length:
+            blocks.append(block)
+            block = []
+        block.extend(ids)
+    if block:
+        blocks.append(block)
+    out = struct.pack("<4sIII", MAGIC, PACK_VERSION, block_length, len(blocks))
+    for b in blocks:
+        out += struct.pack(f"<{block_length}I", *b, *[PAD_ID] * (block_length - len(b)))
+    return out
+
+
+def reference_unpack(blocks):
+    for block in blocks:
+        record, started = [], False
+        for tid in block:
+            if tid == PAD_ID:
+                break
+            if tid == MARKER_ID:
+                if started:
+                    yield reference_decode(DEFAULT_VOCAB, record)
+                record, started = [], True
+                continue
+            record.append(tid)
+        if started:
+            yield reference_decode(DEFAULT_VOCAB, record)
+
+
+def pack_file(blocks, block_length):
+    """A pack file holding the given blocks verbatim."""
+    raw = struct.pack("<4sIII", MAGIC, PACK_VERSION, block_length, len(blocks))
+    for b in blocks:
+        raw += struct.pack(f"<{block_length}I", *b)
+    return io.BytesIO(raw)
+
+
+def drain(records):
+    """The records an iterator yields, and the id of the UnknownId that ended it."""
+    out = []
+    try:
+        for r in records:
+            out.append(r)
+    except UnknownId as err:
+        return out, err.token_id
+    return out, None
+
+
+RECORD_SYMBOLS = sorted(s for s in DEFAULT_VOCAB.provenance if s not in (MARKER, PAD))
+ALL_IDS = sorted(DEFAULT_VOCAB.id_of(s) for s in DEFAULT_VOCAB.provenance)
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(RECORD_SYMBOLS), max_size=12), max_size=20),
+           st.integers(2, 24))
+    def test_pack_bytes(self, lines, block_length):
+        try:
+            expected = reference_pack(lines, block_length)
+        except RecordTooLong as err:
+            with pytest.raises(RecordTooLong) as exc:
+                _pack(lines, block_length)
+            assert exc.value.line_no == err.line_no
+            return
+        buf, _ = _pack(lines, block_length)
+        assert buf.getvalue() == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 10).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.sampled_from(ALL_IDS), st.just(MARKER_ID), st.just(PAD_ID),
+                           st.integers(19998, 20002)), min_size=n, max_size=n),
+        max_size=5).map(lambda blocks, n=n: (n, blocks))))
+    def test_unpack_hand_built_blocks(self, case):
+        block_length, blocks = case
+        got = drain(unpack_sequences(pack_file(blocks, block_length)))
+        assert got == drain(reference_unpack(blocks))
+
+    @pytest.mark.parametrize("block,records", [
+        ([20009, 20010, MARKER_ID, 20013, PAD_ID, PAD_ID], ["3"]),  # ids before the first marker
+        ([MARKER_ID, 20009, PAD_ID, MARKER_ID, 20010, PAD_ID], ["1"]),  # ids after a pad
+        ([MARKER_ID, MARKER_ID, 20009, MARKER_ID], ["", "1", ""]),  # adjacent markers
+        ([20009, 20010, 20013, 20015], []),  # no marker at all
+        ([PAD_ID, MARKER_ID, 20009, 20010], []),  # pad first
+    ])
+    def test_unpack_edge_blocks(self, block, records):
+        assert list(unpack_sequences(pack_file([block], len(block)))) == records
+        assert list(reference_unpack([block])) == records
+
+
+class TestMalformedPackFiles:
+    def _valid(self):
+        buf, blocks = _pack(["1+2=3", "11+22=33", "111+222=333"], 12)
+        assert blocks == 3
+        return buf.getvalue()
+
+    def test_every_cut_raises_malformed_input(self):
+        raw = self._valid()
+        for cut in range(len(raw)):
+            with pytest.raises(MalformedInput, match="byte offset"):
+                list(unpack_sequences(io.BytesIO(raw[:cut])))
+
+    def test_cut_names_the_offset_where_data_ends(self):
+        raw = self._valid()
+        with pytest.raises(MalformedInput, match=r"block 1 of 3 ends at byte offset 70\b"):
+            list(unpack_sequences(io.BytesIO(raw[:70])))
+        with pytest.raises(MalformedInput, match=r"header ends at byte offset 5 of 16"):
+            list(unpack_sequences(io.BytesIO(raw[:5])))
+
+    @pytest.mark.parametrize("offset,field,match", [
+        (0, b"XXXX", "bad magic"),
+        (4, struct.pack("<I", PACK_VERSION + 1), "unsupported pack version"),
+        (8, struct.pack("<I", 1), "block length 1"),
+        (8, struct.pack("<I", 0), "block length 0"),
+    ])
+    def test_bad_header_fields(self, offset, field, match):
+        raw = bytearray(self._valid())
+        raw[offset:offset + len(field)] = field
+        with pytest.raises(MalformedInput, match=match):
+            list(unpack_sequences(io.BytesIO(bytes(raw))))

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
 from stepmath.errors import UnknownId, UnknownSymbol
-from stepmath.tokenizer import DEFAULT_VOCAB, Vocab, decode, encode
+from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD, Vocab, decode, encode
 
-from conftest import GOLDEN_TOKENIZATION
+from conftest import GOLDEN_TOKENIZATION, reference_decode, reference_encode
 
 # The twenty symbol/id pairs pinned by published examples.
 VERIFIED_IDS = {
@@ -83,3 +85,40 @@ class TestEncodeDecode:
         for i in range(200):
             line = build_record(spec, i)[0]
             assert decode(encode(line)) == line
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and location of the error it raised."""
+    try:
+        return fn(*args)
+    except UnknownSymbol as err:
+        return ("UnknownSymbol", err.symbol, err.offset)
+    except UnknownId as err:
+        return ("UnknownId", err.token_id)
+
+
+RECORD_SYMBOLS = sorted(s for s in DEFAULT_VOCAB.provenance if s not in (MARKER, PAD))
+ALL_IDS = sorted(DEFAULT_VOCAB.id_of(s) for s in DEFAULT_VOCAB.provenance)
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(RECORD_SYMBOLS + [MARKER]),
+                              st.sampled_from(RECORD_SYMBOLS),
+                              st.characters()), max_size=40).map("".join))
+    def test_encode(self, text):
+        assert outcome(DEFAULT_VOCAB.encode, text) == outcome(reference_encode, DEFAULT_VOCAB, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(ALL_IDS), st.sampled_from(ALL_IDS),
+                              st.integers(19990, 20080)), max_size=40))
+    def test_decode(self, ids):
+        assert outcome(DEFAULT_VOCAB.decode, ids) == outcome(reference_decode, DEFAULT_VOCAB, ids)
+
+    def test_unknown_symbol_after_repeats_reports_first_offset(self):
+        with pytest.raises(UnknownSymbol) as exc:
+            encode("1+1=2_x_")
+        assert (exc.value.symbol, exc.value.offset) == ("_", 5)
+
+    def test_decode_consumes_a_generator(self):
+        assert decode(iter(encode("12+3=15"))) == "12+3=15"
