@@ -322,7 +322,8 @@ def load_prediction_records(
     if combined_path is not None:
         records = []
         for _, obj in _read_jsonl(combined_path):
-            if not isinstance(obj, dict) or not {"problem", "ground_truth", "prediction"} <= obj.keys():
+            if not isinstance(obj, dict) or not {"problem", "ground_truth", "prediction"} <= obj.keys() \
+                    or not isinstance(obj["prediction"], str):
                 records.append(PredictionRecord.malformed(repr(obj)))
                 continue
             records.append(
@@ -363,7 +364,8 @@ def _read_jsonl(path: str):
 
 
 def _read_predictions(path: str):
-    """Yields (line number, prediction text)."""
+    """Yields (line number, prediction text); a line that is not JSON, or
+    holds no string prediction, is taken as raw text."""
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -374,4 +376,4 @@ def _read_predictions(path: str):
                 pred = obj["prediction"] if isinstance(obj, dict) else str(obj)
             except (json.JSONDecodeError, KeyError):
                 pred = line
-            yield line_no, pred
+            yield line_no, pred if isinstance(pred, str) else line

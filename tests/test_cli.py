@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +199,13 @@ class TestEvalCli:
         assert rc == 0 and "ACC 1.0000" in out
         assert grid.read_text().startswith("task,Int,Dec,Frac,Perc,Neg")
 
+    def test_non_string_prediction_is_raw_text(self, capsys, tmp_path):
+        gold = tmp_path / "g.jsonl"
+        pred = tmp_path / "p.jsonl"
+        gold.write_text(json.dumps({"problem": "3*3", "ground_truth": 9}) + "\n")
+        pred.write_text(json.dumps({"prediction": 9}) + "\n")
+        rc, out, _ = run(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
+        assert rc == 0 and "ACC 0.0000" in out
 
     def test_misaligned_gold_and_pred_exit_64(self, capsys, tmp_path):
         gold = tmp_path / "g.jsonl"
@@ -243,7 +251,6 @@ class TestReconstructCli:
         assert rejects.exists() and rejects.read_text() == ""
         assert json.loads(out.read_text())["solution_trace"] == "4*7=28"
 
-
     @pytest.mark.parametrize("bad,reason", [
         ('{"id": "2", "original_text": "q", "equation": "2+2"}', "'ans'"),
         ('{"id": "2", "original_text": "q", "ans": "4"}', "'equation'"),
@@ -259,7 +266,8 @@ class TestReconstructCli:
         assert rc == 0
         payload = json.loads(o)
         assert (payload["reconstructed"], payload["rejected"]) == (1, 1)
-        [row] = [json.loads(line) for line in open(payload["rejects_file"])]
+        [row] = [json.loads(line) for line in
+                 Path(payload["rejects_file"]).read_text().splitlines()]
         assert reason in row["reason"]
         assert json.loads(out.read_text())["id"] == "1"
 

@@ -193,16 +193,17 @@ class TestEvaluate:
                     "{this is not json",
                     json.dumps({"problem": "2+2"}),  # missing fields
                     json.dumps({"problem": "3+3", "ground_truth": "six", "prediction": "6"}),
+                    json.dumps({"problem": "4+4", "ground_truth": "8", "prediction": 8}),
                 ]
             )
             + "\n"
         )
         records = load_prediction_records(combined_path=str(path))
         report = evaluate(records, keep_verdicts=True)
-        assert report.total == 4
+        assert report.total == 5
         assert report.correct == 1
-        assert report.errors == 3
-        assert sum(v["error"] for v in report.verdicts) == 3
+        assert report.errors == 4
+        assert sum(v["error"] for v in report.verdicts) == 4
 
     def test_self_consistency_on_held_out_generated_set(self):
         # score the generator's own traces as predictions: a perfect model
