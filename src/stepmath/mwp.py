@@ -269,7 +269,7 @@ def score_mwp(
 
 def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[ReconstructedRecord]:
     """Raises MalformedInput at the first line that is not a JSON object holding
-    the record fields and a solution_trace."""
+    the record fields, a parseable answer and a solution_trace."""
     out = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -282,7 +282,7 @@ def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[R
                 obj = None
             try:
                 rec = record_from_obj(obj, field_map)
-            except MalformedInput as err:
+            except (MalformedInput, EquationParseError) as err:
                 raise MalformedInput(f"{path}:{line_no}: {err}") from None
             if "solution_trace" not in obj:
                 raise MalformedInput(f"{path}:{line_no}: record lacks 'solution_trace'")

@@ -302,10 +302,15 @@ class TestScoreMwpCli:
         assert rc == 64 and out == ""
         assert f"{pred}:3: " in err
 
-    def test_malformed_gold_line_exit_64(self, capsys, tmp_path):
+    @pytest.mark.parametrize("record,reason", [
+        ({"id": "1", "equation": "1+1", "ans": "2"}, "record lacks 'solution_trace'"),
+        ({"id": "1", "equation": "1+1", "ans": "two", "solution_trace": "1+1=2"},
+         "unparseable answer 'two'"),
+    ])
+    def test_malformed_gold_line_exit_64(self, capsys, tmp_path, record, reason):
         gold = tmp_path / "gold.jsonl"
-        gold.write_text(json.dumps({"id": "1", "equation": "1+1", "ans": "2"}) + "\n")
+        gold.write_text(json.dumps(record) + "\n")
         pred = tmp_path / "pred.jsonl"
         pred.write_text(json.dumps({"id": "1", "prediction": "1+1=2"}) + "\n")
         rc, _, err = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred))
-        assert rc == 64 and f"{gold}:1: record lacks 'solution_trace'" in err
+        assert rc == 64 and f"{gold}:1: {reason}" in err
