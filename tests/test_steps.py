@@ -27,6 +27,18 @@ class TestGoldenTraces:
     def test_byte_exact(self, src, mode, expected):
         assert render_trace(trace(parse(src, mode), mode)) == expected
 
+    # A power result that lands directly under one or more signs folds them
+    # in; the snapshot text must show the folded literal, never `--8`.
+    @pytest.mark.parametrize("src,mode,expected", [
+        ("-(-2)^3", "standard", "-(-2)^3=8"),
+        ("3*-(-2)^3", "standard", "3*-(-2)^3=3*8=24"),
+        ("--(-2)^3", "standard", "--(-2)^3=-8"),
+        ("-(-3)^2-1", "standard", "-(-3)^2-1=-9-1=-10"),
+        ("-[(1/2)*(1/3)]", "fraction", "-[(1/2)*(1/3)]=(-1/6)"),
+    ])
+    def test_sign_folds_into_rewritten_literal(self, src, mode, expected):
+        assert render_trace(trace(parse(src, mode), mode)) == expected
+
     def test_error_table_first_rewrite_is_sign_cancellation(self):
         t = trace(parse("7499-5747.91007/-5438*-439"))
         assert print_expr(t.snapshots[1]) == "7499-5747.91007/5438*439"
