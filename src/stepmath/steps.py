@@ -13,13 +13,23 @@ Exactly one rule fires per step, chosen deterministically:
 
 Contents of the deepest bracket group are fully reduced before anything
 outside it fires. Within the active region the rules are tried in the order
-reciprocal, binop, simplify, ungroup. All trees are immutable; each step
-rebuilds only the spine above the rewritten nodes.
+reciprocal, binop, simplify, ungroup.
+
+A step costs about what it changes. One walk records only what a rule can
+fire on: the binops whose operands are both plain literals, the fraction
+divisions and the reducible fractions, each filed under its innermost bracket
+group, plus the leftmost percent and the negative factors of each mul/div
+chain. The rewrite then rebuilds the ancestors of the changed nodes bottom-up
+along parent links, in one routine for every rule. Trees are immutable and
+share every subtree a step did not touch. Each new snapshot's text is the
+previous one with the changed span spliced, so interior nodes print only on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from . import numeric
@@ -65,31 +75,48 @@ class StepTrace:
 # tuple (parent_link, parent, attr) naming the field of `parent` that holds it.
 
 
-def _replace(tree: Node, link: Optional[tuple], new: Node) -> Node:
-    """Rebuild the spine above `link` with `new` in its place, folding any sign
-    that the rewrite leaves sitting directly on a literal."""
-    path = []
+def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> tuple:
+    """Put `new` where the node at `link` is and rebuild its ancestors in one
+    walk up the parent links. A sign the rewrite leaves directly on a literal
+    folds into it. Returns (root, top, folded): `top` is `new` or the literal
+    it folded into, whose text starts `folded` characters left of the old
+    node's.
+
+    Edits to one tree share `done`, which maps each rebuilt binop (by id) to
+    its latest version, so that each edit builds on the ones before it."""
+    top = new
+    folded = 0
     while link is not None:
-        link, _, attr = link
-        path.append(attr)
-    return _descend(tree, path, new)
+        link, parent, attr = link
+        cls = parent.__class__
+        if cls is Binary:
+            if done is None:
+                lhs, rhs = parent.lhs, parent.rhs
+            else:
+                key = id(parent)
+                latest = done.get(key, parent)
+                lhs, rhs = latest.lhs, latest.rhs
+            if attr == "lhs":
+                new = Binary(parent.op, new, rhs)
+            else:
+                new = Binary(parent.op, lhs, new)
+            if done is not None:
+                done[key] = new
+        elif cls is Group:
+            new = Group(parent.kind, new)
+        elif parent.transient or not (new.__class__ is Lit or new.__class__ is FractionLit):
+            new = Unary(parent.op, new, transient=parent.transient)
+        else:
+            new = top = fold_signed_literal(Unary(parent.op, new))
+            folded += 1
+    return new, top, folded
 
 
-def _descend(node: Node, path: list, new: Node) -> Node:
-    if not path:
-        return new
-    attr = path.pop()
-    child = _descend(getattr(node, attr), path, new)
-    if node.__class__ is Binary:
-        if attr == "lhs":
-            return Binary(node.op, child, node.rhs)
-        return Binary(node.op, node.lhs, child)
-    if node.__class__ is Group:
-        return Group(node.kind, child)
-    u = Unary(node.op, child, transient=node.transient)
-    if not u.transient and isinstance(child, (Lit, FractionLit)):
-        return fold_signed_literal(u)
-    return u
+def _edit(text: str, link: Optional[tuple], new: Node, start: int, end: int) -> Node:
+    """The tree with `new` at `link`, whose old node printed as text[start:end]."""
+    root, top, folded = _replace(link, new)
+    root._text = text[:start - folded] + print_expr(top) + text[end:]
+    return root
 
 
 def _strip_transient(node: Node) -> Node:
@@ -120,10 +147,12 @@ def _lit_from_value(v: Number) -> Lit:
     return Lit(v, text, origin)
 
 
-def _is_plain_literal(node: Node) -> bool:
-    if isinstance(node, Lit):
+def _is_operand(node: Node) -> bool:
+    """A literal a binop may consume: not a percent, not awaiting reduction."""
+    cls = node.__class__
+    if cls is Lit:
         return node.origin != "percent"
-    return isinstance(node, FractionLit)
+    return cls is FractionLit and not node.reducible
 
 
 def _is_negative_literal(node: Node) -> bool:
@@ -135,32 +164,46 @@ def _is_negative_literal(node: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# one walk collects everything the rules need
+# one walk records what the rules can fire on
 
 
-class _Group:
-    """A bracket group: its position, nesting depth, and whether it holds
-    another group."""
+class _Region:
+    """The whole tree (node None) or one bracket group, with the first
+    candidate of each region rule inside it."""
 
-    __slots__ = ("node", "link", "offset", "depth", "has_inner")
+    __slots__ = ("node", "link", "start", "end", "depth", "has_inner",
+                 "recip", "binop", "frac")
 
-    def __init__(self, node: Group, link: Optional[tuple], offset: int, depth: int):
+    def __init__(self, node: Optional[Group], link: Optional[tuple], start: int, depth: int):
         self.node = node
         self.link = link
-        self.offset = offset
+        self.start = start
+        self.end = 0
         self.depth = depth
         self.has_inner = False
+        self.recip = None  # (link, node, start, end): leftmost fraction/fraction
+        self.binop = None  # (link, node, start, end, tier, base): leftmost of the top tier
+        self.frac = None  # (link, node, start, end): leftmost reducible fraction
 
 
 class _Scan:
-    __slots__ = ("chains", "percent", "groups", "binops", "red_fracs")
+    __slots__ = ("chains", "percent", "leaves", "whole")
 
     def __init__(self):
-        self.chains: list[list[tuple]] = []  # per mul/div chain: (link, factor), left to right
-        self.percent: Optional[tuple] = None  # (link, node), leftmost
-        self.groups: list[_Group] = []
-        self.binops: list[tuple] = []  # (link, node, op_offset, innermost _Group or None)
-        self.red_fracs: list[tuple] = []  # (link, node, innermost _Group or None), print order
+        # per mul/div chain: its head factor, then its negative factors in
+        # print order (the head twice when it is negative); each factor is
+        # (link, node, start, end)
+        self.chains: list[list[tuple]] = []
+        self.percent: Optional[tuple] = None  # (link, node, start, end), leftmost
+        self.leaves: list[_Region] = []  # groups that hold no group, in print order
+        self.whole = _Region(None, None, 0, -1)
+
+
+def _add_factor(chain: list, factor: tuple, negative: bool) -> None:
+    if not chain:
+        chain.append(factor)
+    if negative:
+        chain.append(factor)
 
 
 def _scan(tree: Node, fraction: bool) -> _Scan:
@@ -171,44 +214,103 @@ def _scan(tree: Node, fraction: bool) -> _Scan:
     inside a bracketed product cancels one outside.
     """
     sc = _Scan()
+    chains, leaves, whole = sc.chains, sc.leaves, sc.whole
 
     def rec(node, link, offset, group, chain):
-        # returns the offset just past the node's printed text
+        # returns the offset just past the node's printed text; `chain` is
+        # the mul/div chain the node is a factor of, if any
         cls = node.__class__
         if cls is Binary:
-            if node.op in "*/":
-                if chain is None:
-                    chain = []
-                    sc.chains.append(chain)
-            elif chain is not None:
-                chain.append((link, node))
-                chain = None
-            end = rec(node.lhs, (link, node, "lhs"), offset, group, chain)
-            sc.binops.append((link, node, end, group))
-            return rec(node.rhs, (link, node, "rhs"), end + 1, group, chain)
+            op = node.op
+            sub = None
+            if op == "*" or op == "/":
+                sub = chain
+                if sub is None:
+                    sub = []
+                    chains.append(sub)
+            # literal operands inline: they are half the nodes of a chain
+            lhs = node.lhs
+            if lhs.__class__ is Lit:
+                mid = offset + len(lhs.text)
+                if lhs.origin == "percent" and sc.percent is None:
+                    sc.percent = ((link, node, "lhs"), lhs, offset, mid)
+                if sub is not None and (not sub or lhs.text[0] == "-"):
+                    _add_factor(sub, ((link, node, "lhs"), lhs, offset, mid), lhs.text[0] == "-")
+            else:
+                mid = rec(lhs, (link, node, "lhs"), offset, group, sub)
+            rhs = node.rhs
+            if rhs.__class__ is Lit:
+                end = mid + 1 + len(rhs.text)
+                if rhs.origin == "percent" and sc.percent is None:
+                    sc.percent = ((link, node, "rhs"), rhs, mid + 1, end)
+                if sub is not None and (not sub or rhs.text[0] == "-"):
+                    _add_factor(sub, ((link, node, "rhs"), rhs, mid + 1, end), rhs.text[0] == "-")
+            else:
+                end = rec(rhs, (link, node, "rhs"), mid + 1, group, sub)
+            if sub is None and chain is not None and not chain:
+                chain.append((link, node, offset, end))
+
+            # a power reads its base through a bracket around a literal
+            base = lhs
+            if op == "^" and lhs.__class__ is Group and _is_operand(lhs.inner):
+                base = lhs.inner
+            bcls, rcls = base.__class__, rhs.__class__
+            if not (bcls is Lit and base.origin != "percent"
+                    or bcls is FractionLit and not base.reducible):
+                return end
+            if not (rcls is Lit and rhs.origin != "percent"
+                    or rcls is FractionLit and not rhs.reducible):
+                return end
+            if op == "/" and bcls is FractionLit and rcls is FractionLit:
+                found = (link, node, offset, end)
+                if group is not None and group.recip is None:
+                    group.recip = found
+                if whole.recip is None:
+                    whole.recip = found
+                return end
+            tier = _TIER[op]
+            found = (link, node, offset, end, tier, base)
+            if group is not None and (group.binop is None or tier > group.binop[4]):
+                group.binop = found
+            if whole.binop is None or tier > whole.binop[4]:
+                whole.binop = found
+            return end
         if cls is Group:
             inner = node.inner
-            if chain is not None and not (
-                fraction and inner.__class__ is Binary and inner.op in "*/"
-            ):
-                chain.append((link, node))
-                chain = None
-            g = _Group(node, link, offset, 0 if group is None else group.depth + 1)
+            g = _Region(node, link, offset, 0 if group is None else group.depth + 1)
             if group is not None:
                 group.has_inner = True
-            sc.groups.append(g)
-            return rec(inner, (link, node, "inner"), offset + 1, g, chain) + 1
-        if chain is not None:
-            chain.append((link, node))
+            sub = None
+            if fraction and inner.__class__ is Binary and inner.op in "*/":
+                sub = chain
+            end = g.end = rec(inner, (link, node, "inner"), offset + 1, g, sub) + 1
+            if not g.has_inner:
+                leaves.append(g)
+            if sub is None and chain is not None and not chain:
+                chain.append((link, node, offset, end))
+            return end
         if cls is Unary:
-            return rec(node.operand, (link, node, "operand"), offset + 1, group, None)
-        if cls is Lit:
+            end = rec(node.operand, (link, node, "operand"), offset + 1, group, None)
+            if chain is not None:
+                negative = node.op == "-" and not node.transient
+                if negative or not chain:
+                    _add_factor(chain, (link, node, offset, end), negative)
+            return end
+        if cls is Lit:  # never a factor: those are read inline above
+            end = offset + len(node.text)
             if node.origin == "percent" and sc.percent is None:
-                sc.percent = (link, node)
-            return offset + len(node.text)
+                sc.percent = (link, node, offset, end)
+            return end
+        end = offset + len(print_expr(node))
         if node.reducible:
-            sc.red_fracs.append((link, node, group))
-        return offset + len(print_expr(node))
+            found = (link, node, offset, end)
+            if group is not None and group.frac is None:
+                group.frac = found
+            if whole.frac is None:
+                whole.frac = found
+        if chain is not None and (node.num < 0 or not chain):
+            _add_factor(chain, (link, node, offset, end), node.num < 0)
+        return end
 
     rec(tree, None, 0, None, None)
     return sc
@@ -227,12 +329,6 @@ def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
 # sign cancellation
 
 
-def _is_marked(node: Node) -> bool:
-    if isinstance(node, Unary):
-        return node.op == "-" and not node.transient
-    return _is_negative_literal(node)
-
-
 def _strip_sign(node: Node) -> Node:
     if isinstance(node, Unary):
         return node.operand
@@ -249,23 +345,29 @@ def _strip_sign(node: Node) -> Node:
     raise TypeError(f"cannot strip sign from {node!r}")
 
 
-def _cancel_signs(tree: Node, chains: list, fraction: bool) -> Optional[tuple[Node, Node]]:
-    """Strip the first two negative factors of the leftmost mul/div chain that
-    carries at least two. Returns the snapshot and the tree to rewrite next,
-    which differ when fraction mode marks the chain head with a transient `+`."""
-    for factors in chains:
-        marked = [i for i, (_, f) in enumerate(factors) if _is_marked(f)]
-        if len(marked) < 2:
-            continue
-        # factors are disjoint, so one edit leaves the others' positions intact
-        for i in marked[:2]:
-            link, factor = factors[i]
-            tree = _replace(tree, link, _strip_sign(factor))
-        if fraction and marked[0] != 0:
-            link, head = factors[0]
-            return _replace(tree, link, Unary("+", head, transient=True)), tree
+def _cancel_signs(text: str, chain: list, fraction: bool) -> tuple[Node, Node]:
+    """Strip the first two negative factors of `chain`. Returns the snapshot
+    and the tree to rewrite next, which differ when fraction mode marks the
+    chain head with a transient `+`."""
+    head, first, second = chain[:3]
+    done: dict = {}
+    pieces = []
+    pos = 0
+    for link, node, start, end in (first, second):
+        stripped = _strip_sign(node)
+        tree = _replace(link, stripped, done)[0]
+        # a factor's parent is a mul/div binop, so nothing folds
+        pieces.append(text[pos:start])
+        pieces.append(text[start + 1:end] if node.__class__ is Unary else print_expr(stripped))
+        pos = end
+    pieces.append(text[pos:])
+    tree._text = unmarked = "".join(pieces)
+    if not fraction or first is head:
         return tree, tree
-    return None
+    link, node, start, _ = head
+    snapshot = _replace(link, Unary("+", node, transient=True), done)[0]
+    snapshot._text = unmarked[:start] + "+" + unmarked[start:]
+    return snapshot, tree
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +398,9 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     return step and step[:2]
 
 
+_DEPTH = attrgetter("depth")
+
+
 def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     """(snapshot, rule, tree to rewrite next); the last is the snapshot less
     any transient head marker."""
@@ -306,16 +411,17 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
 
     fraction = mode == FRACTION
     sc = _scan(tree, fraction)
+    text = print_expr(tree)
 
-    cancelled = _cancel_signs(tree, sc.chains, fraction)
-    if cancelled is not None:
-        snapshot, unmarked = cancelled
-        return snapshot, R_SIGN, unmarked
+    for chain in sc.chains:
+        if len(chain) > 2:
+            snapshot, unmarked = _cancel_signs(text, chain, fraction)
+            return snapshot, R_SIGN, unmarked
 
     if sc.percent is not None:
-        link, node = sc.percent
+        link, node, start, end = sc.percent
         value = numeric.percent_value(node.value)
-        new = _replace(tree, link, _lit_from_value(value))
+        new = _edit(text, link, _lit_from_value(value), start, end)
         return new, R_PERCENT, new
 
     # Work inside the deepest bracket group without inner groups first,
@@ -323,99 +429,57 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     # brackets are pinned as a power base, in which case the search cascades
     # outward to the whole tree and the power rule consumes the bracketed
     # literal directly.
-    regions = sorted((g for g in sc.groups if not g.has_inner),
-                     key=lambda g: (-g.depth, g.offset))
-    for group in regions + [None]:
-        step = _region_step(tree, sc, group)
+    for region in sorted(sc.leaves, key=_DEPTH, reverse=True) + [sc.whole]:
+        step = _region_step(text, region)
         if step is not None:
             return (*step, step[0])
 
-    raise NonTerminating(f"no rule applies to {print_expr(tree)!r}")
+    raise NonTerminating(f"no rule applies to {text!r}")
 
 
-def _power_base_literal(node: Node) -> Optional[Node]:
-    """The literal a power may read through its base bracket, if any."""
-    if isinstance(node, Group) and _is_plain_literal(node.inner):
-        inner = node.inner
-        if not (isinstance(inner, FractionLit) and inner.reducible):
-            return inner
-    return None
-
-
-def _region_step(tree: Node, sc: _Scan, group: Optional[_Group]) -> Optional[tuple[Node, str]]:
-    """The region rules inside one innermost group, or anywhere when group is None."""
-    binops = [b for b in sc.binops if group is None or b[3] is group]
+def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str]]:
+    """The region rules inside one innermost group, or anywhere in the whole tree."""
+    group = region.node
 
     # reciprocal: division by a fraction literal, both sides already in lowest
     # terms (a computed fraction gets its simplify step first)
-    best = None
-    for link, node, op_off, _ in binops:
-        if node.op != "/":
-            continue
-        lhs, rhs = node.lhs, node.rhs
-        if not (isinstance(lhs, FractionLit) and isinstance(rhs, FractionLit)):
-            continue
-        if lhs.reducible or rhs.reducible:
-            continue
-        if best is None or op_off < best[0]:
-            best = (op_off, link, node)
-    if best is not None:
-        _, link, node = best
+    if region.recip is not None:
+        link, node, start, end = region.recip
         rhs = node.rhs
         recip = FractionLit(rhs.den if rhs.num > 0 else -rhs.den, abs(rhs.num), parens=True)
-        return _replace(tree, link, Binary("*", node.lhs, recip)), R_RECIPROCAL
+        return _edit(text, link, Binary("*", node.lhs, recip), start, end), R_RECIPROCAL
 
     # binop: leftmost of the highest precedence tier with two literal operands
-    best = None
-    for link, node, op_off, _ in binops:
-        lhs, rhs = node.lhs, node.rhs
-        if node.op == "^" and _power_base_literal(lhs) is not None:
-            lhs = _power_base_literal(lhs)
-        if not (_is_plain_literal(lhs) and _is_plain_literal(rhs)):
-            continue
-        lhs_frac = isinstance(lhs, FractionLit)
-        rhs_frac = isinstance(rhs, FractionLit)
-        if (lhs_frac and lhs.reducible) or (rhs_frac and rhs.reducible):
-            continue
-        if node.op == "/" and lhs_frac and rhs_frac:
-            continue  # fraction division goes through the reciprocal rule
-        key = (-_TIER[node.op], op_off)
-        if best is None or key < best[0]:
-            best = (key, link, node, lhs)
-    if best is not None:
-        _, link, node, lhs = best
-        value = _apply(node, literal_value(lhs), literal_value(node.rhs))
+    if region.binop is not None:
+        link, node, start, end, _, base = region.binop
+        value = _apply(node, literal_value(base), literal_value(node.rhs))
         result = _binop_result_node(node.op, value, at_root=link is None)
         # A bracket whose content just became a single literal is absorbed in
         # the same step, unless the literal is negative and the bracket either
         # is not at the very start of the expression or is pinned as a power
         # base; those keep their brackets.
-        if group is not None and node is group.node.inner:
+        if group is not None and node is group.inner:
             if isinstance(result, FractionLit):
                 result = FractionLit(result.num, result.den, parens=True,
                                      reducible=result.reducible)
-                return _replace(tree, group.link, result), R_BINOP
-            if _is_negative_literal(result) and (
-                group.offset != 0 or _pinned_by_power_base(group.link, result)
+            elif _is_negative_literal(result) and (
+                region.start != 0 or _pinned_by_power_base(region.link, result)
             ):
-                return _replace(tree, link, result), R_BINOP
-            return _replace(tree, group.link, result), R_BINOP
-        return _replace(tree, link, result), R_BINOP
+                return _edit(text, link, result, start, end), R_BINOP
+            return _edit(text, region.link, result, region.start, region.end), R_BINOP
+        return _edit(text, link, result, start, end), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
-    for link, node, frac_group in sc.red_fracs:
-        if group is not None and frac_group is not group:
-            continue
+    if region.frac is not None:
+        link, node, start, end = region.frac
         reduced = numeric.reduce_fraction(Frac(node.num, node.den))
         parens = False if link is None else node.parens
-        return (
-            _replace(tree, link, FractionLit(reduced.num, reduced.den, parens=parens)),
-            R_SIMPLIFY,
-        )
+        new = FractionLit(reduced.num, reduced.den, parens=parens)
+        return _edit(text, link, new, start, end), R_SIMPLIFY
 
-    if group is not None and _is_plain_literal(group.node.inner) \
-            and not _pinned_by_power_base(group.link, group.node.inner):
-        return _replace(tree, group.link, group.node.inner), R_UNGROUP
+    if group is not None and _is_operand(group.inner) \
+            and not _pinned_by_power_base(region.link, group.inner):
+        return _edit(text, region.link, group.inner, region.start, region.end), R_UNGROUP
 
     return None
 
