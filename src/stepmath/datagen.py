@@ -29,7 +29,7 @@ from typing import IO, Iterator, Optional
 
 from . import numeric
 from .errors import Dec64RangeError, DivByZero, MathError, RenderOverflow
-from .expr import Binary, FRACTION, FractionLit, Group, Lit, Node, STANDARD, iter_nodes
+from .expr import Binary, FRACTION, FractionLit, Group, Lit, Node, STANDARD, Unary, iter_nodes
 from .numeric import values_equal
 from .steps import direct_eval, render_trace, trace
 
@@ -380,10 +380,26 @@ def sample_expression(spec: GenSpec, index: int) -> Node:
 
 
 def _has_ambiguous_float(t) -> bool:
-    for snap in t.snapshots[1:]:
-        for n in iter_nodes(snap):
-            if isinstance(n, Lit) and isinstance(n.value, float) and abs(n.value) >= _DEC64_TEXT_SAFE:
+    """Whether a rewritten snapshot holds a binary64 literal of 1e16 or more,
+    which prints without a decimal point. Snapshots share every subtree a step
+    left alone, so a subtree already walked is skipped."""
+    seen = set()
+    stack = t.snapshots[1:]
+    while stack:
+        n = stack.pop()
+        cls = n.__class__
+        if cls is Lit:
+            if isinstance(n.value, float) and abs(n.value) >= _DEC64_TEXT_SAFE:
                 return True
+        elif cls is not FractionLit and id(n) not in seen:
+            seen.add(id(n))
+            if cls is Binary:
+                stack.append(n.lhs)
+                stack.append(n.rhs)
+            elif cls is Unary:
+                stack.append(n.operand)
+            else:
+                stack.append(n.inner)
     return False
 
 

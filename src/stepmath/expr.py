@@ -75,10 +75,13 @@ def lex(src: str) -> list[Token]:
 
 
 class Node:
-    __slots__ = ("_text",)
+    """Base of the immutable tree nodes. ``_text`` caches the printed text:
+    `print_expr` fills it, and the rewrite engine sets it on each snapshot
+    root it builds, splicing it from the previous root's text. Subclasses
+    clear it themselves rather than call this constructor; trees are rebuilt
+    on every rewrite step."""
 
-    def __init__(self):
-        self._text = None
+    __slots__ = ("_text",)
 
 
 class Lit(Node):
@@ -88,7 +91,7 @@ class Lit(Node):
     __slots__ = ("value", "text", "origin")
 
     def __init__(self, value: Union[int, float], text: str, origin: str):
-        super().__init__()
+        self._text = None
         self.value = value
         self.text = text
         self.origin = origin  # integer | decimal | percent | negative
@@ -113,7 +116,7 @@ class FractionLit(Node):
 
     def __init__(self, num: int, den: int, text: Optional[str] = None,
                  parens: bool = True, reducible: bool = False):
-        super().__init__()
+        self._text = None
         self.num = num
         self.den = den
         self.text = text
@@ -136,7 +139,7 @@ class Unary(Node):
     __slots__ = ("op", "operand", "transient")
 
     def __init__(self, op: str, operand: Node, transient: bool = False):
-        super().__init__()
+        self._text = None
         self.op = op
         self.operand = operand
         self.transient = transient
@@ -152,7 +155,7 @@ class Binary(Node):
     __slots__ = ("op", "lhs", "rhs")
 
     def __init__(self, op: str, lhs: Node, rhs: Node):
-        super().__init__()
+        self._text = None
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -173,7 +176,7 @@ class Group(Node):
     __slots__ = ("kind", "inner")
 
     def __init__(self, kind: str, inner: Node):
-        super().__init__()
+        self._text = None
         self.kind = kind  # '(' or '['
         self.inner = inner
 

@@ -22,6 +22,11 @@ from .errors import Dec64RangeError, DivByZero, RenderOverflow, UnsupportedExpon
 # exponent notation.
 RENDER_LIMIT = 1e21
 
+# Most decimal digits an integer power may have: Python's default limit on
+# int-to-str conversion, so every power the engine computes can be printed.
+POWER_DIGIT_LIMIT = 4300
+_POWER_BOUND = 10 ** POWER_DIGIT_LIMIT
+
 
 class Frac:
     """An unreduced rational. Denominator is always positive; sign lives in num."""
@@ -84,8 +89,8 @@ def to_float(v: Number) -> float:
 
 
 def add(a: Number, b: Number) -> Number:
-    fa, fb = _as_frac(a), _as_frac(b)
     if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = _as_frac(a), _as_frac(b)
         if fa is None or fb is None:  # fraction mixed with a decimal
             return _checked(to_float(a) + to_float(b))
         if fa.den == fb.den:  # common denominator: add numerators directly
@@ -97,8 +102,8 @@ def add(a: Number, b: Number) -> Number:
 
 
 def sub(a: Number, b: Number) -> Number:
-    fa, fb = _as_frac(a), _as_frac(b)
     if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = _as_frac(a), _as_frac(b)
         if fa is None or fb is None:
             return _checked(to_float(a) - to_float(b))
         if fa.den == fb.den:
@@ -110,8 +115,8 @@ def sub(a: Number, b: Number) -> Number:
 
 
 def mul(a: Number, b: Number) -> Number:
-    fa, fb = _as_frac(a), _as_frac(b)
     if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = _as_frac(a), _as_frac(b)
         if fa is None or fb is None:
             return _checked(to_float(a) * to_float(b))
         return Frac(fa.num * fb.num, fa.den * fb.den)
@@ -150,8 +155,16 @@ def pow_(base: Number, exponent: Number) -> int:
         raise UnsupportedExponent("exponentiation takes integer operands only")
     if exponent < 0:
         raise UnsupportedExponent(f"negative exponent {exponent}")
-    # 0**0 == 1, consistent with n**0 == 1 for every other base.
-    return base ** exponent
+    # Estimate the digits first: `9^99999999` must fail, not run for hours.
+    # The estimate is good to far better than one digit, so the exact test
+    # below decides only results that are at most two digits too long.
+    if abs(base) < 2 or exponent * math.log10(abs(base)) <= POWER_DIGIT_LIMIT + 1:
+        # 0**0 == 1, consistent with n**0 == 1 for every other base.
+        result = base ** exponent
+        if -_POWER_BOUND < result < _POWER_BOUND:
+            return result
+    shown = f"({base})" if base < 0 else base
+    raise RenderOverflow(f"{shown}^{exponent} has more than {POWER_DIGIT_LIMIT} digits")
 
 
 def apply(op: str, a: Number, b: Number) -> Number:

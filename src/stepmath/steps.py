@@ -112,11 +112,23 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
     return new, top, folded
 
 
-def _edit(text: str, link: Optional[tuple], new: Node, start: int, end: int) -> Node:
-    """The tree with `new` at `link`, whose old node printed as text[start:end]."""
+def _edit(tree: Node, link: Optional[tuple], new: Node, start: int, end: int) -> Node:
+    """`tree` with `new` in place of the node at `link`, which printed as the
+    span [start, end) of the tree's text. The new root's text is that text with
+    the span swapped; the rebuilt nodes between stay unprinted."""
     root, top, folded = _replace(link, new)
-    root._text = text[:start - folded] + print_expr(top) + text[end:]
+    text = top.text if top.__class__ is Lit else print_expr(top)
+    if root is not top:
+        old = _text_of(tree)
+        text = old[:start - folded] + text + old[end:]
+    root._text = text
     return root
+
+
+def _text_of(tree: Node) -> str:
+    # Every snapshot root this engine builds carries its text, so only the
+    # first tree of a trace is printed here, and only if a step needs it.
+    return tree._text or print_expr(tree)
 
 
 def _strip_transient(node: Node) -> Node:
@@ -197,6 +209,9 @@ class _Scan:
         self.percent: Optional[tuple] = None  # (link, node, start, end), leftmost
         self.leaves: list[_Region] = []  # groups that hold no group, in print order
         self.whole = _Region(None, None, 0, -1)
+
+
+_DEPTH = attrgetter("depth")
 
 
 def _add_factor(chain: list, factor: tuple, negative: bool) -> None:
@@ -345,29 +360,30 @@ def _strip_sign(node: Node) -> Node:
     raise TypeError(f"cannot strip sign from {node!r}")
 
 
-def _cancel_signs(text: str, chain: list, fraction: bool) -> tuple[Node, Node]:
-    """Strip the first two negative factors of `chain`. Returns the snapshot
-    and the tree to rewrite next, which differ when fraction mode marks the
-    chain head with a transient `+`."""
+def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, Node]:
+    """Strip the first two negative factors of `chain` in `tree`. Returns the
+    snapshot and the tree to rewrite next, which differ when fraction mode
+    marks the chain head with a transient `+`."""
     head, first, second = chain[:3]
+    text = _text_of(tree)
     done: dict = {}
     pieces = []
     pos = 0
     for link, node, start, end in (first, second):
         stripped = _strip_sign(node)
-        tree = _replace(link, stripped, done)[0]
+        unmarked = _replace(link, stripped, done)[0]
         # a factor's parent is a mul/div binop, so nothing folds
         pieces.append(text[pos:start])
         pieces.append(text[start + 1:end] if node.__class__ is Unary else print_expr(stripped))
         pos = end
     pieces.append(text[pos:])
-    tree._text = unmarked = "".join(pieces)
+    unmarked._text = text = "".join(pieces)
     if not fraction or first is head:
-        return tree, tree
+        return unmarked, unmarked
     link, node, start, _ = head
     snapshot = _replace(link, Unary("+", node, transient=True), done)[0]
-    snapshot._text = unmarked[:start] + "+" + unmarked[start:]
-    return snapshot, tree
+    snapshot._text = text[:start] + "+" + text[start:]
+    return snapshot, unmarked
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +414,6 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     return step and step[:2]
 
 
-_DEPTH = attrgetter("depth")
-
-
 def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     """(snapshot, rule, tree to rewrite next); the last is the snapshot less
     any transient head marker."""
@@ -411,33 +424,33 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
 
     fraction = mode == FRACTION
     sc = _scan(tree, fraction)
-    text = print_expr(tree)
 
     for chain in sc.chains:
         if len(chain) > 2:
-            snapshot, unmarked = _cancel_signs(text, chain, fraction)
+            snapshot, unmarked = _cancel_signs(tree, chain, fraction)
             return snapshot, R_SIGN, unmarked
 
     if sc.percent is not None:
         link, node, start, end = sc.percent
         value = numeric.percent_value(node.value)
-        new = _edit(text, link, _lit_from_value(value), start, end)
+        new = _edit(tree, link, _lit_from_value(value), start, end)
         return new, R_PERCENT, new
 
     # Work inside the deepest bracket group without inner groups first,
-    # leftmost breaking ties. A region can only fail to make progress when its
+    # leftmost breaking ties (the leaves are in print order and the sort is
+    # stable). A region can only fail to make progress when its
     # brackets are pinned as a power base, in which case the search cascades
     # outward to the whole tree and the power rule consumes the bracketed
     # literal directly.
     for region in sorted(sc.leaves, key=_DEPTH, reverse=True) + [sc.whole]:
-        step = _region_step(text, region)
+        step = _region_step(tree, region)
         if step is not None:
             return (*step, step[0])
 
-    raise NonTerminating(f"no rule applies to {text!r}")
+    raise NonTerminating(f"no rule applies to {_text_of(tree)!r}")
 
 
-def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str]]:
+def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
     """The region rules inside one innermost group, or anywhere in the whole tree."""
     group = region.node
 
@@ -447,7 +460,7 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str]]:
         link, node, start, end = region.recip
         rhs = node.rhs
         recip = FractionLit(rhs.den if rhs.num > 0 else -rhs.den, abs(rhs.num), parens=True)
-        return _edit(text, link, Binary("*", node.lhs, recip), start, end), R_RECIPROCAL
+        return _edit(tree, link, Binary("*", node.lhs, recip), start, end), R_RECIPROCAL
 
     # binop: leftmost of the highest precedence tier with two literal operands
     if region.binop is not None:
@@ -465,9 +478,9 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str]]:
             elif _is_negative_literal(result) and (
                 region.start != 0 or _pinned_by_power_base(region.link, result)
             ):
-                return _edit(text, link, result, start, end), R_BINOP
-            return _edit(text, region.link, result, region.start, region.end), R_BINOP
-        return _edit(text, link, result, start, end), R_BINOP
+                return _edit(tree, link, result, start, end), R_BINOP
+            return _edit(tree, region.link, result, region.start, region.end), R_BINOP
+        return _edit(tree, link, result, start, end), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
     if region.frac is not None:
@@ -475,11 +488,11 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str]]:
         reduced = numeric.reduce_fraction(Frac(node.num, node.den))
         parens = False if link is None else node.parens
         new = FractionLit(reduced.num, reduced.den, parens=parens)
-        return _edit(text, link, new, start, end), R_SIMPLIFY
+        return _edit(tree, link, new, start, end), R_SIMPLIFY
 
     if group is not None and _is_operand(group.inner) \
             and not _pinned_by_power_base(region.link, group.inner):
-        return _edit(text, region.link, group.inner, region.start, region.end), R_UNGROUP
+        return _edit(tree, region.link, group.inner, region.start, region.end), R_UNGROUP
 
     return None
 

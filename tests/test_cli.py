@@ -44,6 +44,14 @@ class TestTrace:
         rc, _, err = run(capsys, "trace", "1/0")
         assert rc == 3 and "1/0" in err
 
+    @pytest.mark.parametrize("src", ["9999^2000", "9^99999999"])
+    def test_oversized_power_exit_3_before_computing(self, capsys, src):
+        # 8,000 and 95 million digits: past the 4300-digit print limit, so
+        # the power is refused up front instead of raising or never ending
+        rc, out, err = run(capsys, "trace", src)
+        assert rc == 3 and out == ""
+        assert f"{src} has more than 4300 digits" in err
+
     def test_effective_config_line_on_stderr(self, capsys):
         _, _, err = run(capsys, "trace", "7")
         cfg = json.loads(err.splitlines()[0])

@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepmath import numeric
 from stepmath.errors import (
@@ -57,6 +59,78 @@ class TestIntegerArithmetic:
             numeric.div(Frac(1, 2), Frac(0, 3))
 
 
+# add/sub/mul as they were before they tested operand kinds first: each
+# converted both operands with `_as_frac` up front. Kept as the reference the
+# current functions must match result for result and error for error.
+
+
+def _ref_add(a, b):
+    fa, fb = numeric._as_frac(a), numeric._as_frac(b)
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        if fa is None or fb is None:
+            return numeric._checked(numeric.to_float(a) + numeric.to_float(b))
+        if fa.den == fb.den:
+            return Frac(fa.num + fb.num, fa.den)
+        return Frac(fa.num * fb.den + fb.num * fa.den, fa.den * fb.den)
+    if isinstance(a, float) or isinstance(b, float):
+        return numeric._checked(numeric.to_float(a) + numeric.to_float(b))
+    return a + b
+
+
+def _ref_sub(a, b):
+    fa, fb = numeric._as_frac(a), numeric._as_frac(b)
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        if fa is None or fb is None:
+            return numeric._checked(numeric.to_float(a) - numeric.to_float(b))
+        if fa.den == fb.den:
+            return Frac(fa.num - fb.num, fa.den)
+        return Frac(fa.num * fb.den - fb.num * fa.den, fa.den * fb.den)
+    if isinstance(a, float) or isinstance(b, float):
+        return numeric._checked(numeric.to_float(a) - numeric.to_float(b))
+    return a - b
+
+
+def _ref_mul(a, b):
+    fa, fb = numeric._as_frac(a), numeric._as_frac(b)
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        if fa is None or fb is None:
+            return numeric._checked(numeric.to_float(a) * numeric.to_float(b))
+        return Frac(fa.num * fb.num, fa.den * fb.den)
+    if isinstance(a, float) or isinstance(b, float):
+        return numeric._checked(numeric.to_float(a) * numeric.to_float(b))
+    return a * b
+
+
+def _outcome(fn, a, b):
+    """Kind and exact value of fn(a, b), or the error it raised."""
+    try:
+        v = fn(a, b)
+    except Exception as err:
+        return ("error", type(err).__name__, str(err))
+    if isinstance(v, Frac):
+        return ("frac", v.num, v.den)
+    if isinstance(v, float):
+        return ("float", v.hex())
+    return (type(v).__name__, v)
+
+
+_INTS = st.integers(-(10**400), 10**400) | st.integers(-1000, 1000)
+_VALUES = st.one_of(
+    _INTS,
+    st.builds(Frac, st.integers(-(10**30), 10**30),
+              st.integers(1, 10**30) | st.integers(-(10**30), -1)),
+    st.floats(width=64),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_VALUES, _VALUES)
+def test_add_sub_mul_match_the_convert_first_reference(a, b):
+    for fn, ref in ((numeric.add, _ref_add), (numeric.sub, _ref_sub),
+                    (numeric.mul, _ref_mul)):
+        assert _outcome(fn, a, b) == _outcome(ref, a, b)
+
+
 class TestPow:
     def test_published_values(self):
         assert numeric.pow_(3, 9) == 19683
@@ -74,6 +148,17 @@ class TestPow:
             m = rng.randint(0, 20)
             n = rng.randint(0, 20)
             assert numeric.pow_(a, m + n) == numeric.mul(numeric.pow_(a, m), numeric.pow_(a, n))
+
+    def test_results_past_the_print_limit_are_refused(self):
+        assert len(str(numeric.pow_(10, 4299))) == 4300
+        assert len(str(numeric.pow_(-(10**100 - 1), 43))) == 4301  # sign plus 4300 digits
+        assert numeric.pow_(10000, 100) == 10**400  # the largest generated power
+        assert numeric.pow_(-1, 10**12 + 1) == -1
+        assert numeric.pow_(0, 10**12) == 0
+        for base, exponent in [(10, 4300), (-10, 4301), (2, 14285), (10**100, 43),
+                               (9999, 2000), (9, 99999999)]:
+            with pytest.raises(RenderOverflow):
+                numeric.pow_(base, exponent)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(UnsupportedExponent):

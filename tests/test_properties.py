@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stepmath import numeric
 from stepmath.errors import MathError, StepmathError
-from stepmath.expr import Binary, Group, Lit, Node, Unary, parse, print_expr
+from stepmath.expr import Binary, FractionLit, Group, Lit, Node, Unary, parse, print_expr
 from stepmath.steps import direct_eval, render_trace, trace
 
 from conftest import string_round_2dp
@@ -92,6 +92,33 @@ def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
     # the rendered trace re-parses to the same chain of values
     for snapshot in render_trace(t).split("="):
         assert numeric.values_equal(direct_eval(parse(snapshot)), want)
+
+
+def _uncached_copy(node: Node) -> Node:
+    """The same tree built from fresh nodes, none of which has printed yet."""
+    if isinstance(node, Binary):
+        return Binary(node.op, _uncached_copy(node.lhs), _uncached_copy(node.rhs))
+    if isinstance(node, Unary):
+        return Unary(node.op, _uncached_copy(node.operand), transient=node.transient)
+    if isinstance(node, Group):
+        return Group(node.kind, _uncached_copy(node.inner))
+    if isinstance(node, Lit):
+        return Lit(node.value, node.text, node.origin)
+    return FractionLit(node.num, node.den, text=node.text, parens=node.parens,
+                       reducible=node.reducible)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions())
+def test_snapshot_text_equals_a_fresh_print(tree):
+    # the engine splices each snapshot's text out of the previous one's
+    try:
+        t = trace(tree)
+    except MathError:
+        assume(False)
+    fresh = [print_expr(_uncached_copy(s)) for s in t.snapshots]
+    assert [print_expr(s) for s in t.snapshots] == fresh
+    assert render_trace(t) == "=".join(fresh)
 
 
 @settings(max_examples=1000, deadline=None)
