@@ -24,7 +24,8 @@ class Dec64RangeError(MathError):
 
 
 class RenderOverflow(MathError):
-    """A binary64 value too large to print in plain positional notation (|x| >= 1e21)."""
+    """A value too large to print: a binary64 with no plain positional form
+    (|x| >= 1e21), or an integer power of more than 4300 digits."""
 
 
 class ExprSyntaxError(StepmathError):

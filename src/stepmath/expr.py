@@ -77,9 +77,9 @@ def lex(src: str) -> list[Token]:
 class Node:
     """Base of the immutable tree nodes. ``_text`` caches the printed text:
     `print_expr` fills it, and the rewrite engine sets it on each snapshot
-    root it builds, splicing it from the previous root's text. Subclasses
-    clear it themselves rather than call this constructor; trees are rebuilt
-    on every rewrite step."""
+    root it builds, splicing it from the previous root's text. Each subclass
+    clears it in its own constructor, without a base-class call, because every
+    rewrite step builds a spine of new nodes."""
 
     __slots__ = ("_text",)
 
