@@ -269,6 +269,7 @@ def _scan(tree: Node, fraction: bool) -> _Scan:
             base = lhs
             if op == "^" and lhs.__class__ is Group and _is_operand(lhs.inner):
                 base = lhs.inner
+            # both operands `_is_operand`, tested inline: this runs on every binop
             bcls, rcls = base.__class__, rhs.__class__
             if not (bcls is Lit and base.origin != "percent"
                     or bcls is FractionLit and not base.reducible):
