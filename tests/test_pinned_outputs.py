@@ -1,24 +1,32 @@
 """Byte-level pins on the rewrite engine's output.
 
-Two digests guard refactors of `steps` and `datagen`: one over a fixed
-generate schedule, one over the traces of a seeded corpus of grammar-shaped
-trees that reaches corners the generator never produces (nested `(`/`[`
-groups, bracketed negative power bases, unary minus on groups, fraction-mode
-sign pairs through brackets). A change to either digest is a change to the
-published trace format, never a refactor.
+Digests guard refactors of `steps` and `datagen`: one over a fixed generate
+schedule, one over the traces of a seeded corpus of grammar-shaped trees that
+reaches corners the generator never produces (nested `(`/`[` groups,
+bracketed negative power bases, unary minus on groups, fraction-mode sign
+pairs through brackets), and one per digit phase over int-mixed records,
+which take their own string tracer in `datagen`. A change to any digest is a
+change to the published trace format, never a refactor.
 """
 
 import hashlib
 import io
 import random
 
-from stepmath.datagen import default_curriculum, generate_dataset
+import pytest
+
+from stepmath.datagen import GenSpec, build_record, default_curriculum, generate_dataset
 from stepmath.errors import StepmathError
 from stepmath.expr import Binary, FractionLit, Group, Lit, Node, Unary, parse, print_expr
 from stepmath.steps import render_trace, trace
 
 GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
 CORPUS_DIGEST = "sha256:be1d2bcc367645f59ef9eac719e577d073e40629716c6e7e05c29267232f5539"
+# 2,000 int-mixed records per digit phase: line, op count and digit count
+INT_MIXED_DIGESTS = {
+    (1, 5): "sha256:b489962fc9da973323c3b35d0c9970ad6751cdd3572831e911c23c7878bb1abe",
+    (5, 12): "sha256:8eae71381d9258e1153a38ffe4f2eb6dfe3c527bc594b895cd63dd8ae3816504",
+}
 
 # Hand-picked rows the random corpus might miss.
 FIXED_ROWS = [
@@ -110,6 +118,16 @@ def test_generate_digest_is_pinned():
     buf = io.BytesIO()
     manifest = generate_dataset(default_curriculum(3000, seed=777, tail_count=500), buf)
     assert manifest.content_digest == GENERATE_DIGEST
+
+
+@pytest.mark.parametrize("digits", sorted(INT_MIXED_DIGESTS))
+def test_int_mixed_digest_is_pinned(digits):
+    spec = GenSpec("int-mixed", digit_range=digits, seed=20230906)
+    h = hashlib.sha256()
+    for i in range(2000):
+        line, ops, width = build_record(spec, i)
+        h.update(f"{line}#{ops}#{width}\n".encode())
+    assert "sha256:" + h.hexdigest() == INT_MIXED_DIGESTS[digits]
 
 
 def test_grammar_corpus_digest_is_pinned():
