@@ -62,7 +62,7 @@ def _cmd_trace(args) -> int:
 def _cmd_generate(args) -> int:
     if args.schedule:
         with open(args.schedule, encoding="utf-8") as f:
-            schedule = datagen.schedule_from_json(f.read())
+            schedule = datagen.schedule_from_json(f.read(), args.schedule)
     else:
         if args.total is None:
             print("stepmath: generate needs --total or --schedule", file=sys.stderr)
@@ -159,21 +159,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_score_mwp(args) -> int:
     gold = mwp.load_reconstructed(args.gold)
-    preds = {}
-    with open(args.pred, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = None
-            if not (isinstance(obj, dict) and "id" in obj
-                    and isinstance(obj.get("prediction"), str)):
-                raise MalformedInput(f"{args.pred}:{line_no}: expected a JSON object "
-                                     "with an id and a string prediction")
-            preds[str(obj["id"])] = obj["prediction"]
+    preds = mwp.load_predictions(args.pred)
     report = mwp.score_mwp(gold, preds)
     if args.json:
         print(report.to_json())
@@ -264,26 +250,27 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+# Each error a subcommand may raise, mapped to its exit code and the label
+# its stderr line carries; the first class that matches wins.
+_EXITS = (
+    (ExprSyntaxError, EXIT_PARSE, "parse error: "),
+    (MathError, EXIT_MATH, "math error: "),
+    (NonTerminating, EXIT_MATH, "math error: "),
+    (OSError, EXIT_IO, "io error: "),
+    (MalformedInput, EXIT_USAGE, "malformed input: "),
+    (StepmathError, EXIT_MATH, ""),
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     _echo_config(args.command, args)
     try:
         return args.func(args)
-    except ExprSyntaxError as err:
-        print(f"stepmath: parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MathError, NonTerminating) as err:
-        print(f"stepmath: math error: {err}", file=sys.stderr)
-        return EXIT_MATH
-    except OSError as err:
-        print(f"stepmath: io error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except MalformedInput as err:
-        print(f"stepmath: malformed input: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except StepmathError as err:
-        print(f"stepmath: {err}", file=sys.stderr)
-        return EXIT_MATH
+    except tuple(cls for cls, _, _ in _EXITS) as err:
+        code, label = next((code, label) for cls, code, label in _EXITS if isinstance(err, cls))
+        print(f"stepmath: {label}{err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
 
 from . import numeric
-from .errors import Dec64RangeError, DivByZero, MathError, RenderOverflow
+from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
 from .expr import Binary, FRACTION, FractionLit, Group, Lit, Node, STANDARD, Unary, iter_nodes
 from .numeric import values_equal
 from .steps import direct_eval, render_trace, trace
@@ -64,19 +64,24 @@ class GenSpec:
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        lo, hi = self.digit_range
-        if not (1 <= lo <= hi <= MAX_DIGITS):
-            raise ValueError(f"digit range {self.digit_range} outside [1, {MAX_DIGITS}]")
-        slo, shi = self.step_range
+        if type(self.seed) is not int:
+            raise ValueError(f"seed {self.seed!r} is not an integer")
+        if not _is_range(self.digit_range, 1, MAX_DIGITS):
+            raise ValueError(f"digit range {self.digit_range} is not lo <= hi in [1, {MAX_DIGITS}]")
         if self.category == "exponentiation":
-            if (slo, shi) != (1, 1):
+            if self.step_range != (1, 1):
                 object.__setattr__(self, "step_range", (1, 1))
-        elif not (2 <= slo <= shi <= MAX_STEPS):
-            raise ValueError(f"step range {self.step_range} outside [2, {MAX_STEPS}]")
+        elif not _is_range(self.step_range, 2, MAX_STEPS):
+            raise ValueError(f"step range {self.step_range} is not lo <= hi in [2, {MAX_STEPS}]")
 
     @property
     def mode(self) -> str:
         return FRACTION if self.category == "fraction" else STANDARD
+
+
+def _is_range(r: tuple, lo: int, hi: int) -> bool:
+    """Whether r holds two integers a, b with lo <= a <= b <= hi."""
+    return len(r) == 2 and type(r[0]) is int and type(r[1]) is int and lo <= r[0] <= r[1] <= hi
 
 
 @dataclass(frozen=True)
@@ -277,10 +282,12 @@ def _int_chain_parts(rng, spec: GenSpec, pool: str) -> tuple[list[int], list[str
     return values, texts, ops
 
 
+def _int_chain(values: list[int], texts: list[str], ops: list[str]) -> Node:
+    return _chain([Lit(v, t, "integer") for v, t in zip(values, texts)], ops)
+
+
 def _sample_int_mixed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    values, texts, ops = _int_chain_parts(rng, spec, pool)
-    nodes: list[Node] = [Lit(v, t, "integer") for v, t in zip(values, texts)]
-    return _chain(nodes, ops)
+    return _int_chain(*_int_chain_parts(rng, spec, pool))
 
 
 def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> Node:
@@ -460,22 +467,6 @@ def _fast_chain_record(values: list, texts: list[str], ops: list[str]) -> tuple[
     return "=".join(snapshots), vals[0]
 
 
-def _chain_eval(values: list, ops: list[str]):
-    """Precedence-aware evaluation of a flat chain, independent of the tracer."""
-    terms = [values[0]]
-    addops: list[str] = []
-    for op, v in zip(ops, values[1:]):
-        if op in "*/":
-            terms[-1] = numeric.apply(op, terms[-1], v)
-        else:
-            addops.append(op)
-            terms.append(v)
-    acc = terms[0]
-    for op, t in zip(addops, terms[1:]):
-        acc = numeric.apply(op, acc, t)
-    return acc
-
-
 def build_record(spec: GenSpec, index: int) -> tuple[str, int, int]:
     """Returns (trace line, atomic op count, max operand digit count)."""
     if spec.category == "int-mixed":
@@ -487,7 +478,7 @@ def build_record(spec: GenSpec, index: int) -> tuple[str, int, int]:
                 line, final = _fast_chain_record(values, texts, ops)
             except (DivByZero, Dec64RangeError, RenderOverflow):
                 continue
-            if not values_equal(final, _chain_eval(values, ops)):
+            if not values_equal(final, direct_eval(_int_chain(values, texts, ops))):
                 raise MathError(f"trace/eval mismatch for {line!r}")
             return line, len(ops), max(len(t) for t in texts)
         raise MathError("fallback chain failed")  # pragma: no cover
@@ -614,29 +605,55 @@ def generate_dataset(
     )
 
 
-def schedule_from_json(text: str) -> CurriculumSchedule:
+def _field(obj, path: str, key: str, kind: type):
+    """obj[key] if it is a `kind` (int or list); MalformedInput names `path.key`
+    otherwise."""
+    if obj.__class__ is not dict:
+        raise MalformedInput(f"{path or 'top level'}: expected a JSON object, got {obj!r}")
+    value = obj.get(key)
+    if value.__class__ is not kind:
+        name = f"{path}.{key}" if path else key
+        if key not in obj:
+            raise MalformedInput(f"{name}: missing")
+        raise MalformedInput(f"{name}: expected {'an integer' if kind is int else 'a list'}, "
+                             f"got {value!r}")
+    return value
+
+
+def schedule_from_json(text: str, where: str = "schedule") -> CurriculumSchedule:
     """Schedule file format: {"seed": int, "phases": [{"count": int, "specs":
-    [{"category", "digits": [lo, hi], "steps": [lo, hi], "seed"?}, ...]}, ...]}"""
-    data = json.loads(text)
-    seed = int(data["seed"])
-    phases = []
-    for p_idx, p in enumerate(data["phases"]):
-        specs = []
-        for s_idx, s in enumerate(p["specs"]):
-            category = s["category"]
-            spec_seed = s.get("seed")
-            if spec_seed is None:
-                spec_seed = (seed * 1_000_003 + p_idx * 101 + s_idx * 7919) & _MASK
-            steps = s.get("steps")
-            if steps is None:
-                steps = [1, 1] if category == "exponentiation" else [2, 10]
-            specs.append(
-                GenSpec(
-                    category=category,
-                    digit_range=tuple(s.get("digits", [1, 5])),
-                    step_range=tuple(steps),
-                    seed=spec_seed,
-                )
-            )
-        phases.append(Phase(tuple(specs), int(p["count"])))
+    [{"category", "digits": [lo, hi], "steps": [lo, hi], "seed"?}, ...]}, ...]}.
+    Raises MalformedInput, its message starting with `where`, at the first
+    field that breaks the format."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise MalformedInput(f"{where}: not JSON: {err}") from None
+    try:
+        seed = _field(data, "", "seed", int)
+        phases = []
+        for p_idx, p in enumerate(_field(data, "", "phases", list)):
+            at = f"phases[{p_idx}]"
+            count = _field(p, at, "count", int)
+            if count < 0:
+                raise MalformedInput(f"{at}.count: expected 0 or more, got {count}")
+            specs = []
+            for s_idx, s in enumerate(_field(p, at, "specs", list)):
+                if s.__class__ is not dict:
+                    raise MalformedInput(f"{at}.specs[{s_idx}]: expected a JSON object, got {s!r}")
+                category = s.get("category")
+                spec_seed = s.get("seed")
+                if spec_seed is None:
+                    spec_seed = (seed * 1_000_003 + p_idx * 101 + s_idx * 7919) & _MASK
+                steps = (1, 1) if category == "exponentiation" else (2, 10)
+                try:
+                    specs.append(GenSpec(category, tuple(s.get("digits", (1, 5))),
+                                         tuple(s.get("steps", steps)), spec_seed))
+                except (TypeError, ValueError) as err:  # GenSpec checks each field
+                    raise MalformedInput(f"{at}.specs[{s_idx}]: {err}") from None
+            if not specs:
+                raise MalformedInput(f"{at}.specs: expected at least one spec")
+            phases.append(Phase(tuple(specs), count))
+    except MalformedInput as err:
+        raise MalformedInput(f"{where}: {err}") from None
     return CurriculumSchedule(tuple(phases), seed)

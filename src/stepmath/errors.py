@@ -25,7 +25,7 @@ class Dec64RangeError(MathError):
 
 class RenderOverflow(MathError):
     """A value too large to print: a binary64 with no plain positional form
-    (|x| >= 1e21), or an integer power of more than 4300 digits."""
+    (|x| >= 1e21), or an integer of more than 4300 digits."""
 
 
 class ExprSyntaxError(StepmathError):

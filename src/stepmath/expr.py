@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .errors import DepthExceeded, ExprSyntaxError
-from .numeric import Frac, Number, render
+from .numeric import DIGIT_LIMIT, Frac, Number, render
 
 MAX_DEPTH = 16
 
@@ -63,6 +63,8 @@ def lex(src: str) -> list[Token]:
             j = i + 1
             while j < n and "0" <= src[j] <= "9":
                 j += 1
+            if j - i > DIGIT_LIMIT:
+                raise ExprSyntaxError(f"number of more than {DIGIT_LIMIT} digits", i)
             tokens.append(Token("digits", src[i:j], i))
             i = j
             continue
@@ -201,7 +203,7 @@ def print_expr(e: Node) -> str:
         if e.text is not None:
             s = e.text
         else:
-            body = f"{e.num}/{e.den}"
+            body = render(Frac(e.num, e.den))
             s = f"({body})" if e.parens else body
     elif isinstance(e, Unary):
         s = e.op + print_expr(e.operand)

@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import numeric
 from .expr import Binary, FRACTION, FractionLit, Lit, STANDARD, Unary, iter_nodes, parse
@@ -31,22 +31,26 @@ _PCT_RE = re.compile(r"([+-]?\d+(?:\.\d+)?)%\Z")
 
 
 def parse_number_text(text: str) -> Optional[Number]:
-    """Integer, decimal, fraction, or percent text to a value; None otherwise."""
+    """Integer, decimal, fraction, or percent text to a value; None otherwise,
+    also for an integer past Python's 4300-digit conversion limit."""
     t = text.strip()
-    if _INT_RE.fullmatch(t):
-        return int(t)
-    if _DEC_RE.fullmatch(t):
-        return float(t)
-    m = _FRAC_RE.fullmatch(t)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            return None
-        return Frac(int(m.group(1)), den)
-    m = _PCT_RE.fullmatch(t)
-    if m:
-        payload = m.group(1)
-        return numeric.percent_value(int(payload) if "." not in payload else float(payload))
+    try:
+        if _INT_RE.fullmatch(t):
+            return int(t)
+        if _DEC_RE.fullmatch(t):
+            return float(t)
+        m = _FRAC_RE.fullmatch(t)
+        if m:
+            den = int(m.group(2))
+            if den == 0:
+                return None
+            return Frac(int(m.group(1)), den)
+        m = _PCT_RE.fullmatch(t)
+        if m:
+            payload = m.group(1)
+            return numeric.percent_value(int(payload) if "." not in payload else float(payload))
+    except ValueError:  # the digit limit
+        return None
     return None
 
 
@@ -320,47 +324,46 @@ def load_prediction_records(
     with {prediction} or raw text lines). Files that are not line-aligned
     raise MalformedInput at the first line without a partner."""
     if combined_path is not None:
-        records = []
-        for _, obj in _read_jsonl(combined_path):
-            if not isinstance(obj, dict) or not {"problem", "ground_truth", "prediction"} <= obj.keys() \
-                    or not isinstance(obj["prediction"], str):
-                records.append(PredictionRecord.malformed(repr(obj)))
-                continue
-            records.append(
-                PredictionRecord.from_raw(obj["problem"], obj["ground_truth"], obj["prediction"])
-            )
-        return records
+        with open(combined_path, encoding="utf-8") as f:
+            return [_prediction_record(obj, isinstance(obj, dict) and obj.get("prediction"))
+                    for _, obj in read_jsonl(f)]
     if gold_path is None or pred_path is None:
         raise ValueError("need either a combined file or gold and prediction files")
-    golds = list(_read_jsonl(gold_path))
+    with open(gold_path, encoding="utf-8") as f:
+        golds = list(read_jsonl(f))
     preds = list(_read_predictions(pred_path))
     if len(golds) != len(preds):
         n = min(len(golds), len(preds))
         path, rows = (gold_path, golds) if len(golds) > n else (pred_path, preds)
         raise MalformedInput(f"{path}:{rows[n][0]}: no partner line "
                              f"({len(golds)} gold records vs {len(preds)} predictions)")
-    records = []
-    for (_, g), (_, p) in zip(golds, preds):
-        if not isinstance(g, dict) or not {"problem", "ground_truth"} <= g.keys():
-            records.append(PredictionRecord.malformed(repr(g)))
-        else:
-            records.append(PredictionRecord.from_raw(g["problem"], g["ground_truth"], p))
-    return records
+    return [_prediction_record(g, p) for (_, g), (_, p) in zip(golds, preds)]
 
 
-def _read_jsonl(path: str):
-    """Yields (line number, parsed object); a line that is not valid JSON
-    yields None so the caller can emit an error verdict instead of aborting
-    the whole stream."""
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError:
-                yield line_no, None
+def _prediction_record(gold, prediction) -> PredictionRecord:
+    """A malformed record unless `gold` is an object with a string problem and
+    a ground truth, and `prediction` is a string."""
+    if isinstance(gold, dict) and isinstance(gold.get("problem"), str) \
+            and "ground_truth" in gold and isinstance(prediction, str):
+        return PredictionRecord.from_raw(gold["problem"], gold["ground_truth"], prediction)
+    return PredictionRecord.malformed(repr(gold))
+
+
+def read_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """The one reader of JSONL input: yields (line number, parsed value) for
+    each line that is not blank. Blank lines count toward the numbering. A
+    line that is not JSON, or not JSON this program can hold (an integer past
+    the 4300-digit limit, nesting past the recursion limit), yields None, so
+    each caller decides between a reject, an error verdict and an error."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            obj = None
+        yield line_no, obj
 
 
 def _read_predictions(path: str):
@@ -374,6 +377,6 @@ def _read_predictions(path: str):
             try:
                 obj = json.loads(line)
                 pred = obj["prediction"] if isinstance(obj, dict) else str(obj)
-            except (json.JSONDecodeError, KeyError):
+            except (ValueError, RecursionError, KeyError):
                 pred = line
             yield line_no, pred if isinstance(pred, str) else line

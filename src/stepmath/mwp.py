@@ -5,7 +5,7 @@ Records arrive as JSONL with Ape210K-style field names ({id, original_text,
 equation, ans}); a field map handles variants. Question text is carried
 verbatim (it is usually Chinese); only the equation is parsed. Records that
 fail (equation does not parse, stored answer disagrees with evaluation) go to
-a rejects file with a reason, never silently dropped.
+a rejects file with their line number and a reason, never silently dropped.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import numeric
 from .errors import AnswerMismatch, EquationParseError, MalformedInput, MathError, StepmathError
 from .expr import STANDARD, parse
-from .metrics import extract_answer, is_correct, parse_number_text
+from .metrics import extract_answer, is_correct, parse_number_text, read_jsonl
 from .numeric import Number
 from .steps import direct_eval, render_trace, trace
 
@@ -134,58 +134,31 @@ def reconstruct(record: MWPRecord) -> ReconstructedRecord:
     return ReconstructedRecord(record=record, solution_trace=solution)
 
 
-def reconstruct_stream(
-    objs: Iterable[dict],
-    rejects: IO[str],
-    field_map: dict = DEFAULT_FIELD_MAP,
-) -> Iterator[ReconstructedRecord]:
-    """Reconstruct each record; failures land in the rejects sink as JSONL."""
-    for obj in objs:
-        try:
-            rec = record_from_obj(obj, field_map)
-            yield reconstruct(rec)
-        except StepmathError as err:
-            id_ = obj.get(field_map["id"], "?") if isinstance(obj, dict) else "?"
-            rejects.write(
-                json.dumps(
-                    {"id": str(id_), "reason": str(err)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
 def reconstruct_file(
     in_path: str,
     out_path: str,
     rejects_path: str,
     field_map: dict = DEFAULT_FIELD_MAP,
 ) -> tuple[int, int]:
-    """Returns (reconstructed count, reject count). A line that is not a JSON
-    object holding the record fields is a reject like any other failure. The
-    rejects file is always created, even when empty."""
-    written = 0
-    rejected = 0
+    """Returns (reconstructed count, reject count). Each record that fails,
+    including a line that is not a JSON object holding the record fields,
+    becomes a rejects row {id, line, reason}. The rejects file is always
+    created, even when empty."""
+    written = rejected = 0
     with open(in_path, encoding="utf-8") as fin, \
             open(out_path, "w", encoding="utf-8") as fout, \
             open(rejects_path, "w", encoding="utf-8") as frej:
-        def objs():
-            for line in fin:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    obj = None  # rejected as not a JSON object
-                yield obj
-
-        for rec in reconstruct_stream(objs(), frej, field_map):
-            fout.write(json.dumps(rec.to_json_obj(field_map), ensure_ascii=False) + "\n")
-            written += 1
-        frej.flush()
-    with open(rejects_path, encoding="utf-8") as frej:
-        rejected = sum(1 for line in frej if line.strip())
+        for line_no, obj in read_jsonl(fin):
+            try:
+                rec = reconstruct(record_from_obj(obj, field_map))
+            except StepmathError as err:
+                id_ = obj.get(field_map["id"], "?") if isinstance(obj, dict) else "?"
+                row = {"id": str(id_), "line": line_no, "reason": str(err)}
+                frej.write(json.dumps(row, ensure_ascii=False) + "\n")
+                rejected += 1
+            else:
+                fout.write(json.dumps(rec.to_json_obj(field_map), ensure_ascii=False) + "\n")
+                written += 1
     return written, rejected
 
 
@@ -272,14 +245,7 @@ def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[R
     the record fields, a parseable answer and a solution_trace."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = None
+        for line_no, obj in read_jsonl(f):
             try:
                 rec = record_from_obj(obj, field_map)
             except (MalformedInput, EquationParseError) as err:
@@ -288,3 +254,17 @@ def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[R
                 raise MalformedInput(f"{path}:{line_no}: record lacks 'solution_trace'")
             out.append(ReconstructedRecord(record=rec, solution_trace=obj["solution_trace"]))
     return out
+
+
+def load_predictions(path: str) -> dict[str, str]:
+    """{id: prediction} from JSONL {id, prediction} lines; raises MalformedInput
+    at the first line that is not an object with an id and a string prediction."""
+    preds = {}
+    with open(path, encoding="utf-8") as f:
+        for line_no, obj in read_jsonl(f):
+            if not (isinstance(obj, dict) and "id" in obj
+                    and isinstance(obj.get("prediction"), str)):
+                raise MalformedInput(f"{path}:{line_no}: expected a JSON object "
+                                     "with an id and a string prediction")
+            preds[str(obj["id"])] = obj["prediction"]
+    return preds

@@ -22,10 +22,11 @@ from .errors import Dec64RangeError, DivByZero, RenderOverflow, UnsupportedExpon
 # exponent notation.
 RENDER_LIMIT = 1e21
 
-# Most decimal digits an integer power may have: Python's default limit on
-# int-to-str conversion, so every power the engine computes can be printed.
-POWER_DIGIT_LIMIT = 4300
-_POWER_BOUND = 10 ** POWER_DIGIT_LIMIT
+# Most decimal digits an integer may have: Python's default limit on
+# int-to-str conversion. The lexer refuses longer literals, powers are refused
+# before they are computed, and `render` refuses any other longer result.
+DIGIT_LIMIT = 4300
+_POWER_BOUND = 10 ** DIGIT_LIMIT
 
 
 class Frac:
@@ -158,13 +159,13 @@ def pow_(base: Number, exponent: Number) -> int:
     # Estimate the digits first: `9^99999999` must fail, not run for hours.
     # The estimate is good to far better than one digit, so the exact test
     # below decides only results that are at most two digits too long.
-    if abs(base) < 2 or exponent * math.log10(abs(base)) <= POWER_DIGIT_LIMIT + 1:
+    if abs(base) < 2 or exponent * math.log10(abs(base)) <= DIGIT_LIMIT + 1:
         # 0**0 == 1, consistent with n**0 == 1 for every other base.
         result = base ** exponent
         if -_POWER_BOUND < result < _POWER_BOUND:
             return result
     shown = f"({base})" if base < 0 else base
-    raise RenderOverflow(f"{shown}^{exponent} has more than {POWER_DIGIT_LIMIT} digits")
+    raise RenderOverflow(f"{shown}^{exponent} has more than {DIGIT_LIMIT} digits")
 
 
 def apply(op: str, a: Number, b: Number) -> Number:
@@ -224,11 +225,14 @@ def render_dec64(x: float) -> str:
 
 
 def render(v: Number) -> str:
-    if isinstance(v, Frac):
-        return f"{v.num}/{v.den}"
     if isinstance(v, float):
         return render_dec64(v)
-    return str(v)
+    try:
+        if isinstance(v, Frac):
+            return f"{v.num}/{v.den}"
+        return str(v)
+    except ValueError:  # past the int-to-str limit
+        raise RenderOverflow(f"a result of more than {DIGIT_LIMIT} digits cannot be printed") from None
 
 
 def parse_dec64(text: str) -> float:

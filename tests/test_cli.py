@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stepmath import cli
 from stepmath.cli import main
+from stepmath.errors import (
+    DivByZero,
+    ExprSyntaxError,
+    MalformedInput,
+    NonTerminating,
+    StepmathError,
+    UnknownId,
+)
 
 from conftest import GOLDEN_TRACES
 
@@ -51,6 +65,19 @@ class TestTrace:
         rc, out, err = run(capsys, "trace", src)
         assert rc == 3 and out == ""
         assert f"{src} has more than 4300 digits" in err
+
+    @pytest.mark.parametrize("src,mode,code,message", [
+        ("7" * 5000, "standard", 2, "parse error: number of more than 4300 digits (offset 0)"),
+        ("9999^400*9999^400*9999^400", "standard", 3,
+         "math error: a result of more than 4300 digits cannot be printed"),
+        (f"({'9' * 4000}/7)*({'9' * 4000}/7)", "fraction", 3,
+         "math error: a result of more than 4300 digits cannot be printed"),
+    ], ids=["5000-digit literal", "4800-digit product", "8000-digit fraction"])
+    def test_oversized_integer_is_a_typed_error(self, capsys, src, mode, code, message):
+        # past Python's 4300-digit int/str limit, which would raise ValueError
+        rc, out, err = run(capsys, "trace", src, "--mode", mode)
+        assert rc == code and out == ""
+        assert err.splitlines()[1] == "stepmath: " + message
 
     def test_effective_config_line_on_stderr(self, capsys):
         _, _, err = run(capsys, "trace", "7")
@@ -159,6 +186,31 @@ class TestGenerate:
         assert json.loads(o)["category_histogram"] == {"int-mixed": 20}
 
 
+    @pytest.mark.parametrize("text,where", [
+        ("{", "not JSON"),
+        ('{"seed": 1}', "phases: missing"),
+        ("[1,2]", "top level: expected a JSON object"),
+        ('{"seed": 1, "phases": [{"count": "x", "specs": [{"category": "int-mixed"}]}]}',
+         "phases[0].count: expected an integer, got 'x'"),
+        ('{"seed": 1, "phases": [{"count": 5, "specs": [{"category": "addition"}]}]}',
+         "phases[0].specs[0]: unknown category 'addition'"),
+        ('{"seed": 1, "phases": [{"count": 5, "specs": '
+         '[{"category": "int-mixed", "digits": [0, 99]}]}]}',
+         "phases[0].specs[0]: digit range (0, 99) is not lo <= hi in [1, 12]"),
+        ('{"seed": 1, "phases": [{"count": 5, "specs": []}]}',
+         "phases[0].specs: expected at least one spec"),
+    ], ids=["cut", "no phases", "array", "count text", "category", "digits", "no specs"])
+    def test_malformed_schedule_exit_64(self, capsys, tmp_path, text, where):
+        sched = tmp_path / "sched.json"
+        sched.write_text(text)
+        out = tmp_path / "d.txt"
+        rc, o, err = run(capsys, "generate", "--out", str(out), "--seed", "1",
+                         "--schedule", str(sched))
+        assert rc == 64 and o == ""
+        assert err.splitlines()[1].startswith(f"stepmath: malformed input: {sched}: {where}")
+        assert not out.exists()
+
+
 class TestTokenizePack:
     def test_tokenize_text(self, capsys):
         rc, out, _ = run(capsys, "tokenize", "--text", "34*678=")
@@ -225,6 +277,15 @@ class TestEvalCli:
         assert rc == 64 and out == ""
         assert f"{gold}:3: no partner line" in err
 
+    def test_oversized_prediction_tail_is_an_extraction_failure(self, capsys, tmp_path):
+        records = tmp_path / "r.jsonl"
+        records.write_text(json.dumps({"problem": "1+1", "ground_truth": "2",
+                                       "prediction": "1+1=" + "2" * 5000}) + "\n")
+        rc, out, _ = run(capsys, "eval", "--in", str(records), "--json")
+        payload = json.loads(out)
+        assert rc == 0 and payload["total"] == 1 and payload["correct"] == 0
+        assert payload["errors"] == 0 and payload["re_defined"] == 1
+
     def test_no_inputs_exit_64(self, capsys, tmp_path):
         rc, _, err = run(capsys, "eval")
         assert rc == 64 and "--gold" in err and "--pred" in err
@@ -277,7 +338,22 @@ class TestReconstructCli:
         [row] = [json.loads(line) for line in
                  Path(payload["rejects_file"]).read_text().splitlines()]
         assert reason in row["reason"]
+        assert row["line"] == 1
         assert json.loads(out.read_text())["id"] == "1"
+
+    @pytest.mark.parametrize("ans", ['"' + "9" * 5000 + '"', "9" * 5000],
+                             ids=["text", "JSON number"])
+    def test_oversized_answer_is_a_reject_row(self, capsys, tmp_path, ans):
+        src = tmp_path / "ape.jsonl"
+        src.write_text('\n{"id": "2", "equation": "1+2", "ans": ' + ans + "}\n")
+        out = tmp_path / "out.jsonl"
+        rc, o, _ = run(capsys, "reconstruct", "--in", str(src), "--out", str(out), "--json")
+        assert rc == 0
+        payload = json.loads(o)
+        assert (payload["reconstructed"], payload["rejected"]) == (0, 1)
+        [row] = [json.loads(line) for line in
+                 Path(payload["rejects_file"]).read_text().splitlines()]
+        assert row["line"] == 2
 
 
 class TestScoreMwpCli:
@@ -322,3 +398,150 @@ class TestScoreMwpCli:
         pred.write_text(json.dumps({"id": "1", "prediction": "1+1=2"}) + "\n")
         rc, _, err = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred))
         assert rc == 64 and f"{gold}:1: {reason}" in err
+
+
+class TestExitTable:
+    ROWS = [
+        (ExprSyntaxError("unexpected '+'", 3), 2, "stepmath: parse error: "),
+        (DivByZero(), 3, "stepmath: math error: "),
+        (NonTerminating("no rule applies"), 3, "stepmath: math error: "),
+        (OSError("disk full"), 4, "stepmath: io error: "),
+        (MalformedInput("x.jsonl:3: bad line"), 64, "stepmath: malformed input: "),
+        (UnknownId(99), 3, "stepmath: "),
+    ]
+
+    def test_every_row_through_main(self, capsys, monkeypatch):
+        for error, code, prefix in self.ROWS:
+            def fail(*_, error=error):
+                raise error
+            monkeypatch.setattr(cli, "trace", fail)
+            rc, out, err = run(capsys, "trace", "7")
+            assert (rc, out) == (code, "")
+            assert err.splitlines()[1:] == [prefix + str(error)]
+        # every row of the table, the fallback included, was reached above
+        driven = {type(error) for error, _, _ in self.ROWS}
+        assert all(any(issubclass(t, cls) for t in driven) for cls, _, _ in cli._EXITS)
+        assert cli._EXITS[-1][0] is StepmathError
+
+
+# ---------------------------------------------------------------------------
+# every JSONL input through the one reader: arbitrary lines end in exit 0, or
+# in 64 naming the first bad line by its number, blank lines counted
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=12)
+_JSON_JUNK = st.sampled_from(["0", "-1.5", "null", "true", '"x"', "[]", '["1", "2"]', "{}",
+                              "[{}]", '{"id": {}}', "1" * 5000])
+
+
+def _lines(good: dict, breaks: list):
+    """Tagged lines: blank, a good record, a record with one field broken
+    (deleted, or set to a value of the wrong kind), or junk text and JSON."""
+    def broken(edit):
+        key, value = edit
+        obj = {k: v for k, v in good.items() if k != key}
+        if value is not None:
+            obj[key] = value[0]
+        return json.dumps(obj)
+
+    line = st.one_of(
+        st.sampled_from(["", " ", "\t  "]),
+        _TEXT,
+        _JSON_JUNK,
+        st.just(json.dumps(good)),
+        st.sampled_from(breaks).map(broken),
+    )
+    return st.lists(line.map(lambda t: (t, json.dumps(good) == t)), max_size=8)
+
+
+def _write(path: Path, lines) -> list[int]:
+    """Writes the lines; returns the line numbers of the non-blank ones."""
+    path.write_text("".join(t + "\n" for t, _ in lines), encoding="utf-8")
+    return [n for n, (t, _) in enumerate(lines, start=1) if t.strip()]
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _first_bad(lines) -> int:
+    return next((n for n, (t, good) in enumerate(lines, start=1) if t.strip() and not good), 0)
+
+
+_EVAL = {"problem": "1+1", "ground_truth": "2", "prediction": "1+1=2"}
+_EVAL_BREAKS = [("problem", None), ("problem", (5,)), ("ground_truth", None),
+                ("prediction", (2,))]
+_GOLD = {"problem": "3*3", "ground_truth": 9}
+_APE = {"id": "1", "equation": "1+2", "ans": "3"}
+_APE_BREAKS = [("id", None), ("equation", None), ("ans", None), ("ans", (None,)),
+               ("ans", ({},)), ("ans", ("x",)), ("equation", ("1+",))]
+_MWP = {"id": "1", "equation": "1+2", "ans": "3", "solution_trace": "1+2=3"}
+_MWP_BREAKS = [("id", None), ("equation", None), ("ans", None), ("solution_trace", None),
+               ("ans", (None,)), ("ans", ("x",))]
+_PRED = {"id": "1", "prediction": "1+2=3"}
+_PRED_BREAKS = [("id", None), ("prediction", None), ("prediction", (7,)),
+                ("prediction", (["x"],))]
+
+
+class TestArbitraryJsonlLines:
+    @settings(max_examples=80, deadline=None)
+    @given(_lines(_EVAL, _EVAL_BREAKS))
+    def test_eval_combined(self, lines):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.jsonl"
+            numbers = _write(path, lines)
+            rc, out, _ = _main("eval", "--in", str(path), "--json")
+        assert rc == 0 and json.loads(out)["total"] == len(numbers)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lines(_GOLD, [("problem", None), ("ground_truth", None)]),
+           st.lists(_TEXT.map(lambda t: (t, False)), max_size=8))
+    def test_eval_gold_and_pred(self, gold_lines, pred_lines):
+        with tempfile.TemporaryDirectory() as d:
+            gold, pred = Path(d) / "g.jsonl", Path(d) / "p.txt"
+            golds, preds = _write(gold, gold_lines), _write(pred, pred_lines)
+            rc, _, err = _main("eval", "--gold", str(gold), "--pred", str(pred))
+        if len(golds) == len(preds):
+            assert rc == 0
+        else:
+            n = min(len(golds), len(preds))
+            path, numbers = (gold, golds) if len(golds) > n else (pred, preds)
+            assert rc == 64 and f"malformed input: {path}:{numbers[n]}: no partner" in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lines(_APE, _APE_BREAKS))
+    def test_reconstruct(self, lines):
+        with tempfile.TemporaryDirectory() as d:
+            path, out = Path(d) / "in.jsonl", Path(d) / "out.jsonl"
+            numbers = _write(path, lines)
+            rc, o, _ = _main("reconstruct", "--in", str(path), "--out", str(out), "--json")
+            rows = [json.loads(r) for r in Path(d, "out.jsonl.rejects.jsonl").read_text().splitlines()]
+        bad = [n for n in numbers if not lines[n - 1][1]]
+        assert rc == 0 and [row["line"] for row in rows] == bad
+        assert json.loads(o)["reconstructed"] == len(numbers) - len(bad)
+
+    @pytest.mark.parametrize("arbitrary", ["gold", "pred"])
+    def test_score_mwp(self, arbitrary):
+        # arbitrary lines in one file, one good record in the other
+        good = {"gold": _MWP, "pred": _PRED}
+        breaks = {"gold": _MWP_BREAKS, "pred": _PRED_BREAKS}[arbitrary]
+
+        @settings(max_examples=80, deadline=None)
+        @given(_lines(good[arbitrary], breaks))
+        def check(lines):
+            with tempfile.TemporaryDirectory() as d:
+                files = {name: Path(d) / f"{name}.jsonl" for name in good}
+                for name, path in files.items():
+                    _write(path, lines if name == arbitrary else [(json.dumps(good[name]), True)])
+                rc, _, err = _main("score-mwp", "--gold", str(files["gold"]),
+                                   "--pred", str(files["pred"]))
+            bad = _first_bad(lines)
+            if bad:
+                assert rc == 64 and f"malformed input: {files[arbitrary]}:{bad}: " in err
+            else:
+                assert rc == 0
+
+        check()

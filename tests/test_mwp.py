@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -10,7 +9,6 @@ from stepmath.mwp import (
     normalize_equation,
     reconstruct,
     reconstruct_file,
-    reconstruct_stream,
     record_from_obj,
     score_mwp,
 )
@@ -88,17 +86,18 @@ class TestReconstruct:
 
 
 class TestRejectsStream:
-    def test_failures_go_to_rejects_with_reasons(self):
+    def test_failures_go_to_rejects_with_reasons(self, tmp_path):
         objs = [
             {"id": "a", "original_text": "q", "equation": "1+1", "ans": "2"},
             {"id": "b", "original_text": "q", "equation": "1+", "ans": "2"},
             {"id": "c", "original_text": "q", "equation": "1+1", "ans": "3"},
         ]
-        rejects = io.StringIO()
-        good = list(reconstruct_stream(objs, rejects))
-        assert [g.record.id for g in good] == ["a"]
-        lines = [json.loads(l) for l in rejects.getvalue().splitlines()]
-        assert {l["id"] for l in lines} == {"b", "c"}
+        src, out, rej = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "rej.jsonl"
+        src.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+        assert reconstruct_file(str(src), str(out), str(rej)) == (1, 2)
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["a"]
+        lines = [json.loads(l) for l in rej.read_text().splitlines()]
+        assert [(l["id"], l["line"]) for l in lines] == [("b", 2), ("c", 3)]
         assert all(l["reason"] for l in lines)
 
     def test_reconstruct_file_creates_empty_rejects(self, tmp_path):
