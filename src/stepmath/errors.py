@@ -37,8 +37,8 @@ class ExprSyntaxError(StepmathError):
 
 
 class DepthExceeded(ExprSyntaxError):
-    def __init__(self, offset: int, limit: int):
-        super().__init__(f"bracket nesting deeper than {limit}", offset)
+    def __init__(self, offset: int, limit: int, what: str = "bracket nesting"):
+        super().__init__(f"{what} deeper than {limit}", offset)
         self.limit = limit
 
 

@@ -8,8 +8,10 @@ The printer is lossless: every literal keeps its source text, so
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary sign < ``^``,
 with ``^`` binding tighter than a unary sign on its left and taking a signed
-exponent on its right. Equal precedence associates left. Square brackets are
-interchangeable with parentheses; the kind is preserved for printing only.
+exponent on its right. Equal precedence associates left: a run of ``+ -``
+or of ``* /`` parses to one `Chain`, the left fold of its operands. Square
+brackets are interchangeable with parentheses; the kind is preserved for
+printing only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import DepthExceeded, ExprSyntaxError
 from .numeric import DIGIT_LIMIT, Frac, Number, render
 
 MAX_DEPTH = 16
+# Signs and `^` exponents nested in one another, counted across brackets: with
+# MAX_DEPTH groups around them, every walk of a tree fits the recursion limit.
+MAX_RUN = 100
 
 STANDARD = "standard"
 FRACTION = "fraction"
@@ -153,25 +158,29 @@ class Unary(Node):
         return f"Unary({self.op!r}, {self.operand!r})"
 
 
-class Binary(Node):
-    __slots__ = ("op", "lhs", "rhs")
+class Chain(Node):
+    """A run of same-tier binary operators, ``operands[0] ops[0] operands[1]
+    ...``, the left fold of its operands. ``ops`` is a string with one
+    character per operator. A ``+ -`` or ``* /`` chain holds any number of
+    operands (at least two); a ``^`` chain holds exactly two, since ``^``
+    associates right and ``2^3^2`` is a power whose exponent is one."""
 
-    def __init__(self, op: str, lhs: Node, rhs: Node):
+    __slots__ = ("ops", "operands")
+
+    def __init__(self, ops: str, operands: tuple):
         self._text = None
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
+        self.ops = ops
+        self.operands = operands
 
     def __eq__(self, other):
         return (
-            isinstance(other, Binary)
-            and self.op == other.op
-            and self.lhs == other.lhs
-            and self.rhs == other.rhs
+            isinstance(other, Chain)
+            and self.ops == other.ops
+            and self.operands == other.operands
         )
 
     def __repr__(self):
-        return f"Binary({self.op!r}, {self.lhs!r}, {self.rhs!r})"
+        return f"Chain({self.ops!r}, {self.operands!r})"
 
 
 class Group(Node):
@@ -207,8 +216,12 @@ def print_expr(e: Node) -> str:
             s = f"({body})" if e.parens else body
     elif isinstance(e, Unary):
         s = e.op + print_expr(e.operand)
-    elif isinstance(e, Binary):
-        s = print_expr(e.lhs) + e.op + print_expr(e.rhs)
+    elif isinstance(e, Chain):
+        parts = [print_expr(e.operands[0])]
+        for op, x in zip(e.ops, e.operands[1:]):
+            parts.append(op)
+            parts.append(x.text if x.__class__ is Lit else print_expr(x))
+        s = "".join(parts)
     elif isinstance(e, Group):
         s = e.kind + print_expr(e.inner) + _CLOSERS[e.kind]
     else:  # pragma: no cover
@@ -217,16 +230,20 @@ def print_expr(e: Node) -> str:
     return s
 
 
+def chain(ops: str, operands) -> Node:
+    """`operands` joined by `ops` as one chain; a lone operand is itself."""
+    return Chain(ops, tuple(operands)) if ops else operands[0]
+
+
 def count_atomic_ops(e: Node) -> int:
     """Number of binary operations; unary signs and literals do not count."""
     total = 0
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Binary):
-            total += 1
-            stack.append(node.lhs)
-            stack.append(node.rhs)
+        if isinstance(node, Chain):
+            total += len(node.ops)
+            stack.extend(node.operands)
         elif isinstance(node, Unary):
             stack.append(node.operand)
         elif isinstance(node, Group):
@@ -267,6 +284,7 @@ class _Parser:
         self.mode = mode
         self.pos = 0
         self.depth = 0
+        self.run = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -293,31 +311,30 @@ class _Parser:
         return e
 
     def parse_sum(self) -> Node:
-        e = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("plus", "minus"):
-                return e
-            self.take()
-            rhs = self.parse_term()
-            e = Binary(tok.text, e, rhs)
+        return self.parse_chain(("plus", "minus"), self.parse_term)
 
     def parse_term(self) -> Node:
-        e = self.parse_unary()
-        while True:
+        return self.parse_chain(("star", "slash"), self.parse_unary)
+
+    def parse_chain(self, kinds: tuple, parse_operand) -> Node:
+        """Operands joined by operators of `kinds`: one chain, or the lone
+        operand when no such operator follows it."""
+        ops = ""
+        operands = [parse_operand()]
+        tok = self.peek()
+        while tok is not None and tok.kind in kinds:
+            self.pos += 1
+            ops += tok.text
+            operands.append(parse_operand())
             tok = self.peek()
-            if tok is None or tok.kind not in ("star", "slash"):
-                return e
-            self.take()
-            rhs = self.parse_unary()
-            e = Binary(tok.text, e, rhs)
+        return chain(ops, operands)
 
     def parse_unary(self) -> Node:
         tok = self.peek()
         if tok is not None and tok.kind in ("plus", "minus"):
             start = tok.offset
             self.take()
-            operand = self.parse_unary()
+            operand = self.parse_nested(tok)
             u = Unary(tok.text, operand)
             end = start + 1 + len(print_expr(operand))
             return fold_signed_literal(u, source_text=self.src[start:end])
@@ -328,9 +345,18 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "caret":
             self.take()
-            exponent = self.parse_unary()  # signed exponents parse; evaluation rejects them
-            return Binary("^", base, exponent)
+            # signed exponents parse; evaluation rejects them
+            return chain("^", (base, self.parse_nested(tok)))
         return base
+
+    def parse_nested(self, tok: Token) -> Node:
+        """The operand of the sign or `^` token `tok`, one level deeper."""
+        self.run += 1
+        if self.run > MAX_RUN:
+            raise DepthExceeded(tok.offset, MAX_RUN, "sign and exponent nesting")
+        operand = self.parse_unary()
+        self.run -= 1
+        return operand
 
     def parse_atom(self) -> Node:
         tok = self.peek()
@@ -422,9 +448,8 @@ def iter_nodes(e: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Binary):
-            stack.append(node.rhs)
-            stack.append(node.lhs)
+        if isinstance(node, Chain):
+            stack.extend(reversed(node.operands))
         elif isinstance(node, Unary):
             stack.append(node.operand)
         elif isinstance(node, Group):

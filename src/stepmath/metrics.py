@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from . import numeric
-from .expr import Binary, FRACTION, FractionLit, Lit, STANDARD, Unary, iter_nodes, parse
+from .expr import FRACTION, Chain, FractionLit, Lit, STANDARD, Unary, iter_nodes, parse
 from .errors import MalformedInput, StepmathError
 from .numeric import Frac, Number
 from .steps import direct_eval
@@ -113,7 +113,7 @@ def classify_problem(problem: str) -> Optional[tuple[str, str]]:
         tree = parse(problem, mode)
     except StepmathError:
         return None
-    ops = [n.op for n in iter_nodes(tree) if isinstance(n, Binary)]
+    ops = [op for n in iter_nodes(tree) if isinstance(n, Chain) for op in n.ops]
     if not ops:
         return None
     op_label = _OP_LABEL[ops[0]] if len(ops) == 1 else "MIX"

@@ -15,38 +15,28 @@ Contents of the deepest bracket group are fully reduced before anything
 outside it fires. Within the active region the rules are tried in the order
 reciprocal, binop, simplify, ungroup.
 
-A step costs about what it changes. One walk records only what a rule can
-fire on: the binops whose operands are both plain literals, the fraction
-divisions and the reducible fractions, each filed under its innermost bracket
-group, plus the leftmost percent and the negative factors of each mul/div
-chain. The rewrite then rebuilds the ancestors of the changed nodes bottom-up
-along parent links, in one routine for every rule. Trees are immutable and
-share every subtree a step did not touch. Each new snapshot's text is the
-previous one with the changed span spliced, so interior nodes print only on
-demand.
+A run of same-tier operators is one `Chain` node, the left fold of its
+operands, so only its head pair can be a binop: `1+2+3` steps to `3+3` by
+splicing the pair into one literal. A step costs about what it changes. One
+walk records only what a rule can fire on (ready head pairs, fraction
+divisions and reducible fractions, each filed under its innermost bracket
+group, the leftmost percent, the negative factors of each mul/div chain);
+a flat chain of plain literals needs none. The rewrite then rebuilds the
+changed nodes' ancestors bottom-up along parent links, in one routine for
+every rule, sharing every subtree a step did not touch. Each snapshot's text
+is the previous one with the changed span spliced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import numeric
 from .errors import DivByZero, NonTerminating
-from .expr import (
-    Binary,
-    FRACTION,
-    FractionLit,
-    Group,
-    Lit,
-    Node,
-    Unary,
-    count_atomic_ops,
-    fold_signed_literal,
-    literal_value,
-    print_expr,
-)
+from .expr import (FRACTION, Chain, FractionLit, Group, Lit, Node, Unary, fold_signed_literal,
+                   literal_value, print_expr)
 from .numeric import Frac, Number
 
 R_SIGN = "sign"
@@ -72,7 +62,8 @@ class StepTrace:
 # tree plumbing
 #
 # A position in a tree is a parent link: None for the root, otherwise the
-# tuple (parent_link, parent, attr) naming the field of `parent` that holds it.
+# tuple (parent_link, parent, index); index is the node's place among the
+# operands of a parent chain, and 0 under a group or a sign.
 
 
 def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> tuple:
@@ -82,24 +73,20 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
     it folded into, whose text starts `folded` characters left of the old
     node's.
 
-    Edits to one tree share `done`, which maps each rebuilt binop (by id) to
+    Edits to one tree share `done`, which maps each rebuilt chain (by id) to
     its latest version, so that each edit builds on the ones before it."""
     top = new
     folded = 0
     while link is not None:
-        link, parent, attr = link
+        link, parent, i = link
         cls = parent.__class__
-        if cls is Binary:
+        if cls is Chain:
             if done is None:
-                lhs, rhs = parent.lhs, parent.rhs
+                operands = parent.operands
             else:
                 key = id(parent)
-                latest = done.get(key, parent)
-                lhs, rhs = latest.lhs, latest.rhs
-            if attr == "lhs":
-                new = Binary(parent.op, new, rhs)
-            else:
-                new = Binary(parent.op, lhs, new)
+                operands = done.get(key, parent).operands
+            new = Chain(parent.ops, operands[:i] + (new,) + operands[i + 1:])
             if done is not None:
                 done[key] = new
         elif cls is Group:
@@ -112,16 +99,21 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
     return new, top, folded
 
 
-def _edit(tree: Node, link: Optional[tuple], new: Node, start: int, end: int) -> Node:
+def _edit(tree: Node, link: Optional[tuple], new: Node, start: int, end: int,
+          piece: Optional[str] = None) -> Node:
     """`tree` with `new` in place of the node at `link`, which printed as the
     span [start, end) of the tree's text. The new root's text is that text with
-    the span swapped; the rebuilt nodes between stay unprinted."""
+    the span swapped for `piece`, by default the text of `new`; the rebuilt
+    nodes between stay unprinted. A chain whose head pair is rewritten passes
+    the pair's span and new text."""
     root, top, folded = _replace(link, new)
-    text = top.text if top.__class__ is Lit else print_expr(top)
-    if root is not top:
-        old = _text_of(tree)
-        text = old[:start - folded] + text + old[end:]
-    root._text = text
+    if piece is None:
+        piece = top.text if top.__class__ is Lit else print_expr(top)
+        if root is top:
+            root._text = piece
+            return root
+    old = _text_of(tree)
+    root._text = old[:start - folded] + piece + old[end:]
     return root
 
 
@@ -132,15 +124,19 @@ def _text_of(tree: Node) -> str:
 
 
 def _strip_transient(node: Node) -> Node:
-    if isinstance(node, Binary):
-        lhs, rhs = _strip_transient(node.lhs), _strip_transient(node.rhs)
-        if lhs is node.lhs and rhs is node.rhs:
-            return node
-        return Binary(node.op, lhs, rhs)
-    if isinstance(node, Group):
+    cls = node.__class__
+    if cls is Chain:
+        operands = node.operands
+        for i, x in enumerate(node.operands):
+            if x.__class__ is not Lit:
+                y = _strip_transient(x)
+                if y is not x:
+                    operands = operands[:i] + (y,) + operands[i + 1:]
+        return node if operands is node.operands else Chain(node.ops, operands)
+    if cls is Group:
         inner = _strip_transient(node.inner)
         return node if inner is node.inner else Group(node.kind, inner)
-    if isinstance(node, Unary):
+    if cls is Unary:
         operand = _strip_transient(node.operand)
         if node.transient:
             return operand
@@ -150,13 +146,7 @@ def _strip_transient(node: Node) -> Node:
 
 def _lit_from_value(v: Number) -> Lit:
     text = numeric.render(v)
-    if text.startswith("-"):
-        origin = "negative"
-    elif "." in text:
-        origin = "decimal"
-    else:
-        origin = "integer"
-    return Lit(v, text, origin)
+    return Lit(v, text, "negative" if text[0] == "-" else "decimal" if "." in text else "integer")
 
 
 def _is_operand(node: Node) -> bool:
@@ -193,103 +183,83 @@ class _Region:
         self.end = 0
         self.depth = depth
         self.has_inner = False
+        # recip and binop are chain head pairs spanning [start, end)
         self.recip = None  # (link, node, start, end): leftmost fraction/fraction
         self.binop = None  # (link, node, start, end, tier, base): leftmost of the top tier
         self.frac = None  # (link, node, start, end): leftmost reducible fraction
 
 
-class _Scan:
-    __slots__ = ("chains", "percent", "leaves", "whole")
-
-    def __init__(self):
-        # per mul/div chain: its head factor, then its negative factors in
-        # print order (the head twice when it is negative); each factor is
-        # (link, node, start, end)
-        self.chains: list[list[tuple]] = []
-        self.percent: Optional[tuple] = None  # (link, node, start, end), leftmost
-        self.leaves: list[_Region] = []  # groups that hold no group, in print order
-        self.whole = _Region(None, None, 0, -1)
-
-
 _DEPTH = attrgetter("depth")
 
 
-def _add_factor(chain: list, factor: tuple, negative: bool) -> None:
-    if not chain:
-        chain.append(factor)
-    if negative:
-        chain.append(factor)
-
-
-def _scan(tree: Node, fraction: bool) -> _Scan:
-    """One walk in print order.
-
-    Mul/div chains are flattened to their factors. In fraction mode a chain
-    sees through brackets whose content is itself a mul/div chain, so a sign
-    inside a bracketed product cancels one outside.
-    """
-    sc = _Scan()
-    chains, leaves, whole = sc.chains, sc.leaves, sc.whole
+def _scan(tree: Node, fraction: bool) -> tuple:
+    """One walk in print order. Returns (chains, percent, leaves, whole):
+    per mul/div chain, (link, node, start) of the chain and then its negative
+    factors, each (link, node, start, end); the leftmost percent literal, as
+    (link, node, start, end); the regions of the groups that hold no group;
+    and the region of the whole tree. A mul/div chain takes in the factors of
+    a `*/` chain among them and, in fraction mode, of a bracketed one, so a
+    sign inside a bracketed product cancels one outside."""
+    chains = []
+    leaves = []
+    whole = _Region(None, None, 0, -1)
+    percent = None
 
     def rec(node, link, offset, group, chain):
         # returns the offset just past the node's printed text; `chain` is
         # the mul/div chain the node is a factor of, if any
+        nonlocal percent
         cls = node.__class__
-        if cls is Binary:
-            op = node.op
+        if cls is Chain:
+            op = node.ops[0]
             sub = None
             if op == "*" or op == "/":
                 sub = chain
                 if sub is None:
-                    sub = []
+                    sub = [(link, node, offset)]
                     chains.append(sub)
-            # literal operands inline: they are half the nodes of a chain
-            lhs = node.lhs
-            if lhs.__class__ is Lit:
-                mid = offset + len(lhs.text)
-                if lhs.origin == "percent" and sc.percent is None:
-                    sc.percent = ((link, node, "lhs"), lhs, offset, mid)
-                if sub is not None and (not sub or lhs.text[0] == "-"):
-                    _add_factor(sub, ((link, node, "lhs"), lhs, offset, mid), lhs.text[0] == "-")
-            else:
-                mid = rec(lhs, (link, node, "lhs"), offset, group, sub)
-            rhs = node.rhs
-            if rhs.__class__ is Lit:
-                end = mid + 1 + len(rhs.text)
-                if rhs.origin == "percent" and sc.percent is None:
-                    sc.percent = ((link, node, "rhs"), rhs, mid + 1, end)
-                if sub is not None and (not sub or rhs.text[0] == "-"):
-                    _add_factor(sub, ((link, node, "rhs"), rhs, mid + 1, end), rhs.text[0] == "-")
-            else:
-                end = rec(rhs, (link, node, "rhs"), mid + 1, group, sub)
-            if sub is None and chain is not None and not chain:
-                chain.append((link, node, offset, end))
-
-            # a power reads its base through a bracket around a literal
-            base = lhs
-            if op == "^" and lhs.__class__ is Group and _is_operand(lhs.inner):
-                base = lhs.inner
-            # both operands `_is_operand`, tested inline: this runs on every binop
-            bcls, rcls = base.__class__, rhs.__class__
-            if not (bcls is Lit and base.origin != "percent"
-                    or bcls is FractionLit and not base.reducible):
-                return end
-            if not (rcls is Lit and rhs.origin != "percent"
-                    or rcls is FractionLit and not rhs.reducible):
-                return end
-            if op == "/" and bcls is FractionLit and rcls is FractionLit:
-                found = (link, node, offset, end)
-                if group is not None and group.recip is None:
-                    group.recip = found
-                if whole.recip is None:
-                    whole.recip = found
-                return end
-            tier = _TIER[op]
-            found = (link, node, offset, end, tier, base)
-            if group is not None and (group.binop is None or tier > group.binop[4]):
-                group.binop = found
-            if whole.binop is None or tier > whole.binop[4]:
-                whole.binop = found
+            operands = node.operands
+            end = offset - 1
+            i = 0
+            for x in operands:
+                start = end + 1
+                xcls = x.__class__
+                if xcls is Lit:  # inline: literals are most operands
+                    text = x.text
+                    end = start + len(text)
+                    if x.origin == "percent" and percent is None:
+                        percent = ((link, node, i), x, start, end)
+                    if sub is not None and text[0] == "-":
+                        sub.append(((link, node, i), x, start, end))
+                else:
+                    end = rec(x, (link, node, i), start, group, sub)
+                if i == 1:
+                    # The head pair is the only pair that can be ready: both
+                    # operands `_is_operand`, tested inline. A power reads its
+                    # base through a bracket around a literal.
+                    base = operands[0]
+                    if op == "^" and base.__class__ is Group and _is_operand(base.inner):
+                        base = base.inner
+                    bcls = base.__class__
+                    if ((bcls is Lit and base.origin != "percent"
+                         or bcls is FractionLit and not base.reducible)
+                            and (xcls is Lit and x.origin != "percent"
+                                 or xcls is FractionLit and not x.reducible)):
+                        if op == "/" and bcls is FractionLit and xcls is FractionLit:
+                            found = (link, node, offset, end)
+                            if group is not None and group.recip is None:
+                                group.recip = found
+                            if whole.recip is None:
+                                whole.recip = found
+                        else:
+                            tier = _TIER[op]
+                            found = (link, node, offset, end, tier, base)
+                            if group is not None and (group.binop is None
+                                                      or tier > group.binop[4]):
+                                group.binop = found
+                            if whole.binop is None or tier > whole.binop[4]:
+                                whole.binop = found
+                i += 1
             return end
         if cls is Group:
             inner = node.inner
@@ -297,39 +267,35 @@ def _scan(tree: Node, fraction: bool) -> _Scan:
             if group is not None:
                 group.has_inner = True
             sub = None
-            if fraction and inner.__class__ is Binary and inner.op in "*/":
+            if fraction and inner.__class__ is Chain and inner.ops[0] in "*/":
                 sub = chain
-            end = g.end = rec(inner, (link, node, "inner"), offset + 1, g, sub) + 1
+            end = g.end = rec(inner, (link, node, 0), offset + 1, g, sub) + 1
             if not g.has_inner:
                 leaves.append(g)
-            if sub is None and chain is not None and not chain:
-                chain.append((link, node, offset, end))
             return end
         if cls is Unary:
-            end = rec(node.operand, (link, node, "operand"), offset + 1, group, None)
-            if chain is not None:
-                negative = node.op == "-" and not node.transient
-                if negative or not chain:
-                    _add_factor(chain, (link, node, offset, end), negative)
+            end = rec(node.operand, (link, node, 0), offset + 1, group, None)
+            if chain is not None and node.op == "-" and not node.transient:
+                chain.append((link, node, offset, end))
             return end
-        if cls is Lit:  # never a factor: those are read inline above
+        if cls is Lit:  # no operand of a chain, so no factor
             end = offset + len(node.text)
-            if node.origin == "percent" and sc.percent is None:
-                sc.percent = (link, node, offset, end)
+            if node.origin == "percent" and percent is None:
+                percent = (link, node, offset, end)
             return end
-        end = offset + len(print_expr(node))
+        end = offset + len(node._text or print_expr(node))
         if node.reducible:
             found = (link, node, offset, end)
             if group is not None and group.frac is None:
                 group.frac = found
             if whole.frac is None:
                 whole.frac = found
-        if chain is not None and (node.num < 0 or not chain):
-            _add_factor(chain, (link, node, offset, end), node.num < 0)
+        if chain is not None and node.num < 0:
+            chain.append((link, node, offset, end))
         return end
 
     rec(tree, None, 0, None, None)
-    return sc
+    return chains, percent, leaves, whole
 
 
 def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
@@ -337,8 +303,8 @@ def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
     base of a power: printing `(-1)^0` without them re-reads as `-(1^0)`."""
     if link is None or not _is_negative_literal(content):
         return False
-    _, parent, attr = link
-    return isinstance(parent, Binary) and parent.op == "^" and attr == "lhs"
+    _, parent, i = link
+    return parent.__class__ is Chain and parent.ops[0] == "^" and i == 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +331,31 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, Node]:
     """Strip the first two negative factors of `chain` in `tree`. Returns the
     snapshot and the tree to rewrite next, which differ when fraction mode
     marks the chain head with a transient `+`."""
-    head, first, second = chain[:3]
+    (link, node, start), first, second = chain[:3]
     text = _text_of(tree)
     done: dict = {}
     pieces = []
     pos = 0
-    for link, node, start, end in (first, second):
-        stripped = _strip_sign(node)
-        unmarked = _replace(link, stripped, done)[0]
-        # a factor's parent is a mul/div binop, so nothing folds
-        pieces.append(text[pos:start])
-        pieces.append(text[start + 1:end] if node.__class__ is Unary else print_expr(stripped))
-        pos = end
+    for factor_link, factor, factor_start, factor_end in (first, second):
+        stripped = _strip_sign(factor)
+        unmarked = _replace(factor_link, stripped, done)[0]
+        # a factor's parent is a mul/div chain, so nothing folds
+        pieces.append(text[pos:factor_start])
+        pieces.append(text[factor_start + 1:factor_end] if factor.__class__ is Unary
+                      else print_expr(stripped))
+        pos = factor_end
     pieces.append(text[pos:])
     unmarked._text = text = "".join(pieces)
-    if not fraction or first is head:
+    if not fraction:
         return unmarked, unmarked
-    link, node, start, _ = head
+    # the head factor: the first operand, through nested mul/div chains and
+    # the brackets the scan sees through
+    while node.__class__ is Chain and node.ops[0] in "*/":
+        link, node = (link, node, 0), node.operands[0]
+        if node.__class__ is Group and node.inner.__class__ is Chain and node.inner.ops[0] in "*/":
+            link, node, start = (link, node, 0), node.inner, start + 1
+    if first[2] == start:  # the head is the first negative factor
+        return unmarked, unmarked
     snapshot = _replace(link, Unary("+", node, transient=True), done)[0]
     snapshot._text = text[:start] + "+" + text[start:]
     return snapshot, unmarked
@@ -391,16 +365,17 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, Node]:
 # region rules
 
 
-def _apply(node: Binary, a: Number, b: Number) -> Number:
+def _apply(op: str, a: Number, b: Number, chain: Chain, n: int) -> Number:
+    """`a op b`, the fold of the first `n` operands of `chain`, which a
+    division by zero names."""
     try:
-        return numeric.apply(node.op, a, b)
+        return numeric.apply(op, a, b)
     except DivByZero:
-        raise DivByZero(f"division by zero in {print_expr(node)}") from None
+        prefix = Chain(chain.ops[:n - 1], chain.operands[:n])
+        raise DivByZero(f"division by zero in {print_expr(prefix)}") from None
 
 
-def _binop_result_node(op: str, value: Number, at_root: bool) -> Node:
-    if not isinstance(value, Frac):
-        return _lit_from_value(value)
+def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
     flag = not value.is_canonical
     if op in "+-":
         parens = not at_root
@@ -418,21 +393,24 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     """(snapshot, rule, tree to rewrite next); the last is the snapshot less
     any transient head marker."""
-    if isinstance(tree, Lit) and tree.origin != "percent":
-        return None
-    if isinstance(tree, FractionLit) and not tree.reducible:
+    cls = tree.__class__
+    if cls is Lit and tree.origin != "percent" or cls is FractionLit and not tree.reducible:
         return None
 
+    found = _flat_binop(tree)
+    if found is not None:
+        snapshot = _binop(tree, found, None)
+        return snapshot, R_BINOP, snapshot
     fraction = mode == FRACTION
-    sc = _scan(tree, fraction)
+    chains, percent, leaves, whole = _scan(tree, fraction)
 
-    for chain in sc.chains:
+    for chain in chains:
         if len(chain) > 2:
             snapshot, unmarked = _cancel_signs(tree, chain, fraction)
             return snapshot, R_SIGN, unmarked
 
-    if sc.percent is not None:
-        link, node, start, end = sc.percent
+    if percent is not None:
+        link, node, start, end = percent
         value = numeric.percent_value(node.value)
         new = _edit(tree, link, _lit_from_value(value), start, end)
         return new, R_PERCENT, new
@@ -443,12 +421,40 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     # brackets are pinned as a power base, in which case the search cascades
     # outward to the whole tree and the power rule consumes the bracketed
     # literal directly.
-    for region in sorted(sc.leaves, key=_DEPTH, reverse=True) + [sc.whole]:
+    for region in sorted(leaves, key=_DEPTH, reverse=True) + [whole] if leaves else (whole,):
         step = _region_step(tree, region)
         if step is not None:
             return (*step, step[0])
 
     raise NonTerminating(f"no rule applies to {_text_of(tree)!r}")
+
+
+def _flat_binop(tree: Node) -> Optional[tuple]:
+    """The binop candidate of a flat tree, found without a scan; None for any
+    other tree. A flat tree is a `*/` chain of plain positive literals, or a
+    `+-` chain of plain literals and such chains: no rule but binop can fire
+    in it, and its binop is the head pair of its first `*/` chain, else its
+    own head pair."""
+    if tree.__class__ is not Chain or tree.ops == "^":
+        return None
+    sums = tree.ops[0] in "+-"
+    found = None
+    offset = 0
+    for i, x in enumerate(tree.operands if sums else (tree,)):
+        if x.__class__ is Lit and x.origin != "percent":
+            offset += len(x.text) + 1
+            continue
+        if x.__class__ is not Chain or x.ops[0] not in "*/":
+            return None
+        for y in x.operands:
+            if y.__class__ is not Lit or y.origin == "percent" or y.text[0] == "-":
+                return None
+        if found is None:
+            a, b = x.operands[:2]
+            found = ((None, tree, i) if sums else None, x, offset,
+                     offset + len(a.text) + 1 + len(b.text), 2, a)
+    a, b = tree.operands[:2]
+    return found or (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a)
 
 
 def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
@@ -459,29 +465,16 @@ def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
     # terms (a computed fraction gets its simplify step first)
     if region.recip is not None:
         link, node, start, end = region.recip
-        rhs = node.rhs
+        lhs, rhs = node.operands[:2]
         recip = FractionLit(rhs.den if rhs.num > 0 else -rhs.den, abs(rhs.num), parens=True)
-        return _edit(tree, link, Binary("*", node.lhs, recip), start, end), R_RECIPROCAL
+        new = Chain("*" + node.ops[1:], (lhs, recip) + node.operands[2:])
+        piece = print_expr(lhs) + "*" + print_expr(recip)
+        return _edit(tree, link, new, start, end, piece), R_RECIPROCAL
 
-    # binop: leftmost of the highest precedence tier with two literal operands
+    # binop: leftmost head pair of the highest precedence tier with two
+    # literal operands
     if region.binop is not None:
-        link, node, start, end, _, base = region.binop
-        value = _apply(node, literal_value(base), literal_value(node.rhs))
-        result = _binop_result_node(node.op, value, at_root=link is None)
-        # A bracket whose content just became a single literal is absorbed in
-        # the same step, unless the literal is negative and the bracket either
-        # is not at the very start of the expression or is pinned as a power
-        # base; those keep their brackets.
-        if group is not None and node is group.inner:
-            if isinstance(result, FractionLit):
-                result = FractionLit(result.num, result.den, parens=True,
-                                     reducible=result.reducible)
-            elif _is_negative_literal(result) and (
-                region.start != 0 or _pinned_by_power_base(region.link, result)
-            ):
-                return _edit(tree, link, result, start, end), R_BINOP
-            return _edit(tree, region.link, result, region.start, region.end), R_BINOP
-        return _edit(tree, link, result, start, end), R_BINOP
+        return _binop(tree, region.binop, group and region), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
     if region.frac is not None:
@@ -498,48 +491,90 @@ def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
     return None
 
 
+def _binop(tree: Node, found: tuple, region: Optional[_Region]) -> Node:
+    """`tree` with the head pair `found` evaluated: it becomes one literal, or
+    replaces its two-operand chain. `region` is the bracket group the pair
+    is in, if any."""
+    link, node, start, end, _, base = found
+    op = node.ops[0]
+    operands = node.operands
+    rhs = operands[1]
+    value = _apply(op, base.value if base.__class__ is Lit else literal_value(base),
+                   rhs.value if rhs.__class__ is Lit else literal_value(rhs), node, 2)
+    result = (_lit_from_value(value) if value.__class__ is not Frac
+              else _fraction_result(op, value, link is None and len(operands) == 2))
+    if len(operands) > 2:
+        new = Chain(node.ops[1:], (result,) + operands[2:])
+        piece = result.text if result.__class__ is Lit else print_expr(result)
+        return _edit(tree, link, new, start, end, piece)
+    # A bracket whose content just became a single literal is absorbed in the
+    # same step, unless the literal is negative and the bracket either is not
+    # at the very start of the expression or is pinned as a power base; those
+    # keep their brackets.
+    if region is not None and node is region.node.inner:
+        if isinstance(result, FractionLit):
+            result = FractionLit(result.num, result.den, parens=True,
+                                 reducible=result.reducible)
+        elif _is_negative_literal(result) and (
+            region.start != 0 or _pinned_by_power_base(region.link, result)
+        ):
+            return _edit(tree, link, result, start, end)
+        return _edit(tree, region.link, result, region.start, region.end)
+    return _edit(tree, link, result, start, end)
+
+
 def direct_eval(e: Node, mode: str = "standard") -> Number:
     """Plain recursive evaluation; the oracle every trace must agree with."""
-    if isinstance(e, Lit):
-        if e.origin == "percent":
-            return numeric.percent_value(e.value)
-        return e.value
-    if isinstance(e, FractionLit):
+    cls = e.__class__
+    if cls is Chain:
+        v = direct_eval(e.operands[0], mode)
+        for i, op in enumerate(e.ops, 1):
+            v = _apply(op, v, direct_eval(e.operands[i], mode), e, i + 1)
+        return v
+    if cls is Lit:
+        return numeric.percent_value(e.value) if e.origin == "percent" else e.value
+    if cls is FractionLit:
         return Frac(e.num, e.den)
-    if isinstance(e, Unary):
+    if cls is Unary:
         v = direct_eval(e.operand, mode)
         if e.op == "+":
             return v
         if isinstance(v, Frac):
             return Frac(-v.num, v.den)
         return -v
-    if isinstance(e, Group):
+    if cls is Group:
         return direct_eval(e.inner, mode)
-    if isinstance(e, Binary):
-        return _apply(e, direct_eval(e.lhs, mode), direct_eval(e.rhs, mode))
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def trace(e: Node, mode: str = "standard") -> StepTrace:
-    """Iterate next_step to a literal; raises NonTerminating past the step bound."""
-    bound = 4 * count_atomic_ops(e) + 4
-    snapshots = [e]
-    rules: list[str] = []
+def iter_trace(e: Node, mode: str = "standard") -> Iterator[tuple[Node, str]]:
+    """The steps of the trace of `e`, as (snapshot, rule) pairs, one tree at a
+    time. Every rule consumes a node or an operator, each of which prints as
+    at least one character, so four steps per character bound any trace;
+    past that, NonTerminating."""
+    bound = 4 * len(_text_of(e)) + 4
+    steps = 0
     cur = _strip_transient(e)
     while True:
         try:
             step = _next_step(cur, mode)
         except DivByZero as err:
-            raise DivByZero(f"{err.detail} (step {len(rules)})") from None
+            raise DivByZero(f"{err.detail} (step {steps})") from None
         if step is None:
-            break
-        if len(rules) >= bound:
+            return
+        if steps >= bound:
             raise NonTerminating(f"trace of {print_expr(e)!r} exceeded {bound} steps")
-        nxt, rule, cur = step
-        snapshots.append(nxt)
-        rules.append(rule)
-    final = literal_value(cur)
-    return StepTrace(original=e, snapshots=snapshots, rules=rules, final=final, mode=mode)
+        snapshot, rule, cur = step
+        steps += 1
+        yield snapshot, rule
+
+
+def trace(e: Node, mode: str = "standard") -> StepTrace:
+    """Iterate next_step to a literal (see `iter_trace`)."""
+    steps = list(iter_trace(e, mode))
+    snapshots = [e] + [snapshot for snapshot, _ in steps]
+    final = literal_value(_strip_transient(snapshots[-1]))
+    return StepTrace(e, snapshots, [rule for _, rule in steps], final, mode)
 
 
 def render_trace(t: StepTrace) -> str:

@@ -79,11 +79,98 @@ class TestTrace:
         assert rc == code and out == ""
         assert err.splitlines()[1] == "stepmath: " + message
 
+    # Each bracket, percent and sign pair takes a step of its own; a step
+    # bound that counted binary operators only refused these.
+    @pytest.mark.parametrize("expected", [
+        "(((((1)))))=((((1))))=(((1)))=((1))=(1)=1",
+        "((((5%))))=((((0.05))))=(((0.05)))=((0.05))=(0.05)=0.05",
+        "-(-(-(-(-(-1)))))=-(-(-(-(1))))=-(-(-(-1)))=-(-(1))=-(-1)=1",
+        "[(((1)))]+[(((2)))]=[((1))]+[(((2)))]=[((1))]+[((2))]=[(1)]+[((2))]"
+        "=[(1)]+[(2)]=[1]+[(2)]=[1]+[2]=1+[2]=1+2=3",
+    ], ids=lambda t: t.split("=", 1)[0])
+    def test_steps_past_the_operator_count(self, capsys, expected):
+        rc, out, _ = run(capsys, "trace", expected.split("=", 1)[0])
+        assert rc == 0 and out == expected + "\n"
+
+    def test_one_thousand_term_sum(self, capsys):
+        rc, out, _ = run(capsys, "trace", "+".join(["1"] * 1000))
+        snapshots = out.rstrip("\n").split("=")
+        assert rc == 0 and len(snapshots) == 1000
+        assert snapshots[1] == "2" + "+1" * 998 and snapshots[-1] == "1000"
+
+    def test_one_thousand_term_mixed_chain(self, capsys):
+        operands = [str(i % 9 + 1) for i in range(1000)]
+        ops = ["+-*"[i % 3] for i in range(999)]
+        text = operands[0] + "".join(op + x for op, x in zip(ops, operands[1:]))
+        # the value, products first
+        terms, signs = [int(operands[0])], [1]
+        for op, x in zip(ops, operands[1:]):
+            if op == "*":
+                terms[-1] *= int(x)
+            else:
+                terms.append(int(x))
+                signs.append(1 if op == "+" else -1)
+        rc, out, _ = run(capsys, "trace", text)
+        assert rc == 0
+        snapshots = out.rstrip("\n").split("=")
+        assert snapshots[0] == text and len(snapshots) == 1000
+        assert snapshots[-1] == str(sum(s * t for s, t in zip(signs, terms)))
+
+    @pytest.mark.parametrize("src", ["1*" + "-" * 1000 + "1", "^".join(["1"] * 600)],
+                             ids=["1000 signs", "600-term power tower"])
+    def test_sign_and_exponent_nesting_limit_exit_2(self, capsys, src):
+        rc, out, err = run(capsys, "trace", src)
+        assert rc == 2 and out == ""
+        assert "stepmath: parse error: sign and exponent nesting deeper than 100" in err
+
     def test_effective_config_line_on_stderr(self, capsys):
         _, _, err = run(capsys, "trace", "7")
         cfg = json.loads(err.splitlines()[0])
         assert cfg["command"] == "trace"
         assert cfg["config"]["expr"] == "7"
+
+
+@st.composite
+def _operand_text(draw, depth):
+    kind = draw(st.integers(0, 9 if depth < 3 else 6))
+    if kind <= 2:
+        return draw(st.sampled_from(("", "-"))) + str(draw(st.integers(0, 9999)))
+    if kind == 3:
+        return f"{draw(st.integers(0, 999))}.{draw(st.integers(0, 99))}"
+    if kind == 4:
+        return f"{draw(st.integers(0, 999))}%"
+    if kind <= 6:
+        sign = draw(st.sampled_from(("", "-")))
+        return f"({sign}{draw(st.integers(0, 99))}/{draw(st.integers(0, 99))})"
+    if kind == 7:
+        base = draw(st.integers(0, 30))
+        return f"{base}^{draw(st.integers(0, 9))}"
+    opener = draw(st.sampled_from(("(", "[", "-(", "-[")))
+    closer = ")" if opener[-1] == "(" else "]"
+    return opener + draw(_chain_text(depth + 1)) + closer
+
+
+@st.composite
+def _chain_text(draw, depth=0):
+    """Grammar-shaped text: chains over + - * / of literals, fractions,
+    powers and bracketed chains, a few hundred operands long at the top."""
+    n = draw(st.integers(1, 300 if depth == 0 else 5))
+    text = draw(_operand_text(depth))
+    for _ in range(n - 1):
+        text += draw(st.sampled_from("+-*/")) + draw(_operand_text(depth))
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_text(), st.sampled_from(("standard", "fraction")))
+def test_grammar_shaped_text_through_main(text, mode):
+    # every input ends in a trace or a typed error, never an exception
+    rc, out, err = _main("trace", text, "--mode", mode)
+    assert rc in (0, 2, 3), err
+    if rc == 0:
+        assert out.startswith(text)
+    else:
+        assert out == "" and err.splitlines()[1].startswith("stepmath: ")
 
 
 class TestRealProcess:
@@ -414,7 +501,7 @@ class TestExitTable:
         for error, code, prefix in self.ROWS:
             def fail(*_, error=error):
                 raise error
-            monkeypatch.setattr(cli, "trace", fail)
+            monkeypatch.setattr(cli, "iter_trace", fail)
             rc, out, err = run(capsys, "trace", "7")
             assert (rc, out) == (code, "")
             assert err.splitlines()[1:] == [prefix + str(error)]

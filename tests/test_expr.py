@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from stepmath.errors import DepthExceeded, ExprSyntaxError
 from stepmath.expr import (
-    Binary,
+    MAX_DEPTH,
+    MAX_RUN,
+    Chain,
     FractionLit,
     Group,
     Lit,
@@ -63,27 +65,35 @@ class TestParser:
         assert isinstance(tree, Lit) and tree.value == 7
 
     def test_precedence_shape(self):
-        # 1+8/1*10+2 groups as ((1+((8/1)*10))+2)
+        # 1+2-3*4 is one +- chain whose last operand is a * chain
+        tree = parse("1+2-3*4")
+        assert isinstance(tree, Chain) and tree.ops == "+-"
+        assert [x.value for x in tree.operands[:2]] == [1, 2]
+        last = tree.operands[2]
+        assert isinstance(last, Chain) and last.ops == "*"
+        assert [x.value for x in last.operands] == [3, 4]
+        # 1+8/1*10+2 is 1 + (8/1*10) + 2, the middle one */ chain
         tree = parse("1+8/1*10+2")
-        assert isinstance(tree, Binary) and tree.op == "+"
-        assert isinstance(tree.lhs, Binary) and tree.lhs.op == "+"
-        inner = tree.lhs.rhs
-        assert isinstance(inner, Binary) and inner.op == "*"
-        assert isinstance(inner.lhs, Binary) and inner.lhs.op == "/"
+        assert isinstance(tree, Chain) and tree.ops == "++"
+        assert [x.value for x in tree.operands[::2]] == [1, 2]
+        inner = tree.operands[1]
+        assert isinstance(inner, Chain) and inner.ops == "/*"
+        assert [x.value for x in inner.operands] == [8, 1, 10]
 
     def test_fraction_mode_literals(self):
         tree = parse("((49/24)*-(8/70))/-(34/80)", "fraction")
-        assert isinstance(tree, Binary) and tree.op == "/"
-        assert isinstance(tree.rhs, FractionLit)
-        assert tree.rhs.num == -34 and tree.rhs.den == 80
-        group = tree.lhs
+        assert isinstance(tree, Chain) and tree.ops == "/"
+        group, rhs = tree.operands
+        assert isinstance(rhs, FractionLit)
+        assert rhs.num == -34 and rhs.den == 80
         assert isinstance(group, Group)
-        assert isinstance(group.inner.lhs, FractionLit)
+        assert isinstance(group.inner, Chain) and group.inner.ops == "*"
+        assert isinstance(group.inner.operands[0], FractionLit)
 
     def test_standard_mode_treats_slash_as_division(self):
         tree = parse("(49/24)", "standard")
         assert isinstance(tree, Group)
-        assert isinstance(tree.inner, Binary) and tree.inner.op == "/"
+        assert isinstance(tree.inner, Chain) and tree.inner.ops == "/"
 
     def test_negative_literal_folding(self):
         tree = parse("-3338")
@@ -99,12 +109,14 @@ class TestParser:
 
     def test_signed_exponent_parses(self):
         tree = parse("2^-3")
-        assert isinstance(tree, Binary) and tree.op == "^"
+        assert isinstance(tree, Chain) and tree.ops == "^"
+        assert tree.operands[1].value == -3
 
     def test_double_minus_is_subtraction_of_negative(self):
         tree = parse("5--3")
-        assert isinstance(tree, Binary) and tree.op == "-"
-        assert isinstance(tree.rhs, Lit) and tree.rhs.value == -3
+        assert isinstance(tree, Chain) and tree.ops == "-"
+        rhs = tree.operands[1]
+        assert isinstance(rhs, Lit) and rhs.value == -3
 
     def test_percent_literal(self):
         tree = parse("5483%")
@@ -113,7 +125,8 @@ class TestParser:
     def test_square_brackets(self):
         tree = parse("[(12+3)*5]")
         assert isinstance(tree, Group) and tree.kind == "["
-        assert isinstance(tree.inner.lhs, Group) and tree.inner.lhs.kind == "("
+        head = tree.inner.operands[0]
+        assert isinstance(head, Group) and head.kind == "("
 
     @pytest.mark.parametrize(
         "src,offset",
@@ -139,6 +152,33 @@ class TestParser:
         too_deep = "(" * 17 + "1" + ")" * 17
         with pytest.raises(DepthExceeded):
             parse(too_deep)
+
+    def test_power_exponents_nest_right(self):
+        tree = parse("2^3^2")
+        assert tree.ops == "^" and tree.operands[0].value == 2
+        exponent = tree.operands[1]
+        assert isinstance(exponent, Chain) and exponent.ops == "^"
+
+    # Runs of signs on a bracket and towers of powers each nest one level per
+    # sign or `^`; the deepest accepted input sits inside MAX_DEPTH brackets.
+    @pytest.mark.parametrize("run,past,value", [
+        ("-" * MAX_RUN + "(1)", "-" * (MAX_RUN + 1) + "(1)", 1),
+        ("1^" * MAX_RUN + "1", "1^" * (MAX_RUN + 1) + "1", 1),
+        ("-" + "--1^" * (MAX_RUN // 3) + "1", "--" + "--1^" * (MAX_RUN // 3) + "1", -1),
+    ], ids=["signs", "powers", "signed powers"])
+    def test_sign_and_exponent_nesting_limit(self, run, past, value):
+        from stepmath.steps import direct_eval, render_trace, trace
+
+        groups = MAX_DEPTH - run.count("(")
+        deepest = "[" * groups + run + "]" * groups
+        tree = parse(deepest)
+        assert print_expr(tree) == deepest
+        t = trace(tree)
+        assert t.final == direct_eval(tree) == value
+        assert render_trace(t).startswith(deepest + "=")
+        with pytest.raises(DepthExceeded) as exc:
+            parse(past)
+        assert f"sign and exponent nesting deeper than {MAX_RUN}" in str(exc.value)
 
 
 class TestPrinter:

@@ -4,9 +4,9 @@ Digests guard refactors of `steps` and `datagen`: one over a fixed generate
 schedule, one over the traces of a seeded corpus of grammar-shaped trees that
 reaches corners the generator never produces (nested `(`/`[` groups,
 bracketed negative power bases, unary minus on groups, fraction-mode sign
-pairs through brackets), and one per digit phase over int-mixed records,
-which take their own string tracer in `datagen`. A change to any digest is a
-change to the published trace format, never a refactor.
+pairs through brackets), and one per digit phase over int-mixed records. A
+change to any digest is a change to the published trace format, never a
+refactor.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 
 from stepmath.datagen import GenSpec, build_record, default_curriculum, generate_dataset
 from stepmath.errors import StepmathError
-from stepmath.expr import Binary, FractionLit, Group, Lit, Node, Unary, parse, print_expr
+from stepmath.expr import Chain, FractionLit, Group, Lit, Node, Unary, parse, print_expr
 from stepmath.steps import render_trace, trace
 
 GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
@@ -92,9 +92,9 @@ def _tree(rng, mode: str, depth: int = 0) -> Node:
             if not isinstance(base, (Lit, Group)) or isinstance(base, Lit) and base.value < 0:
                 base = Group("(", base)
         v = rng.randint(0, 5)
-        return Binary("^", base, Lit(v, str(v), "integer"))
+        return Chain("^", (base, Lit(v, str(v), "integer")))
     op = rng.choice("*/" if kind >= 9 else "+-*/")
-    return Binary(op, _tree(rng, mode, depth + 1), _tree(rng, mode, depth + 1))
+    return Chain(op, (_tree(rng, mode, depth + 1), _tree(rng, mode, depth + 1)))
 
 
 def _corpus() -> list[tuple[str, str]]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stepmath import numeric
 from stepmath.errors import MathError, StepmathError
-from stepmath.expr import Binary, FractionLit, Group, Lit, Node, Unary, parse, print_expr
+from stepmath.expr import Chain, FractionLit, Group, Lit, Node, Unary, parse, print_expr
 from stepmath.steps import direct_eval, render_trace, trace
 
 from conftest import string_round_2dp
@@ -57,7 +57,7 @@ def expressions(draw, depth=0) -> Node:
         if isinstance(lhs, Lit) and lhs.text.startswith("-"):
             lhs = _int_lit(abs(lhs.value) if isinstance(lhs.value, int) else 7)
         rhs = _int_lit(draw(st.integers(0, 12)))
-    return Binary(op, lhs, rhs)
+    return Chain(op, (lhs, rhs))
 
 
 @settings(max_examples=400, deadline=None)
@@ -96,8 +96,8 @@ def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
 
 def _uncached_copy(node: Node) -> Node:
     """The same tree built from fresh nodes, none of which has printed yet."""
-    if isinstance(node, Binary):
-        return Binary(node.op, _uncached_copy(node.lhs), _uncached_copy(node.rhs))
+    if isinstance(node, Chain):
+        return Chain(node.ops, tuple(_uncached_copy(x) for x in node.operands))
     if isinstance(node, Unary):
         return Unary(node.op, _uncached_copy(node.operand), transient=node.transient)
     if isinstance(node, Group):
