@@ -19,7 +19,8 @@ from . import datagen, metrics, mwp, packing, tokenizer
 from .errors import ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError
 from .expr import literal_value, parse, print_expr
 from .numeric import render
-# perfbench instruments `trace` and `render_trace` where the CLI looks them up
+# perfbench instruments `trace` and `render_trace` where the CLI looks them up;
+# the trace command itself streams through `iter_trace`.
 from .steps import iter_trace, render_trace, trace  # noqa: F401
 
 EXIT_OK = 0
@@ -47,8 +48,8 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 def _cmd_trace(args) -> int:
     tree = parse(args.expr, args.mode)
-    # Each snapshot is printed as it comes, so a long trace holds one tree at
-    # a time (a 1000-term chain has 999 snapshots).
+    # Only the snapshots' texts are kept, so a long trace holds one tree at a
+    # time (a 1000-term chain has 999 snapshots of up to 1000 operands).
     texts = [print_expr(tree)]
     rules = []
     last = tree

@@ -23,7 +23,6 @@ import hashlib
 import json
 import multiprocessing
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
@@ -50,7 +49,6 @@ _FLOAT_BUDGET = 15
 # re-read as an exact integer. Records containing such values are resampled so
 # every emitted number is type-unambiguous.
 _DEC64_TEXT_SAFE = 1e16
-_LONG_NUMBER = re.compile(r"(?<![.0-9])[0-9]{17,}(?![.0-9])")
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -191,18 +189,18 @@ def _negate_fraction(f: FractionLit) -> FractionLit:
 
 
 def _lit_digit_size(node: Node) -> int:
-    if node.__class__ is Lit:
+    if isinstance(node, Lit):
         if node.origin == "percent":
             return len(str(abs(node.value)))
         whole = node.text.lstrip("-").split(".", 1)[0]
         return len(whole)
-    if node.__class__ is FractionLit:
+    if isinstance(node, FractionLit):
         return max(len(str(abs(node.num))), len(str(node.den)))
     return 0
 
 
 def max_operand_digits(e: Node) -> int:
-    return max(map(_lit_digit_size, iter_nodes(e)), default=0)
+    return max((_lit_digit_size(n) for n in iter_nodes(e)), default=0)
 
 
 def _chain(nodes: list[Node], ops: list[str]) -> Node:
@@ -230,12 +228,15 @@ def _cap_float_magnitudes(rng, nodes: list[Node], ops: list[str]) -> None:
     Only matters once a division or decimal makes the value non-exact; pure
     integer chains are exact at any size and left alone.
     """
-    if "/" not in ops and not any(
-            n.__class__ is Lit and (n.origin == "percent" or "." in n.text) for n in nodes):
+    has_float = any(op == "/" for op in ops) or any(
+        isinstance(n, Lit) and n.origin in ("decimal", "percent") for n in nodes
+    ) or any(isinstance(n, Lit) and "." in n.text for n in nodes)
+    if not has_float:
         return
-    est = _lit_digit_size(nodes[0])
+    digits = [_lit_digit_size(n) for n in nodes]
+    est = digits[0]
     for i, op in enumerate(ops):
-        d = _lit_digit_size(nodes[i + 1])
+        d = digits[i + 1]
         if op == "*" and est + d > _FLOAT_BUDGET:
             op = ops[i] = rng.choice("+-")
         elif op == "/" and est - d < -_FLOAT_BUDGET:
@@ -363,12 +364,12 @@ def sample_expression(spec: GenSpec, index: int) -> Node:
 
 def _has_ambiguous_float(t) -> bool:
     """Whether a rewritten snapshot holds a binary64 literal of 1e16 or more,
-    which prints without a decimal point, as 17 or more digits. A float
-    operand makes a float result, and each literal a step makes is an operand
-    of a later step or the final value, so only a trace whose final value is
-    a float and whose text shows such a number is walked. Snapshots share
-    every subtree a step left alone, so a subtree already walked is skipped."""
-    if t.final.__class__ is not float or _LONG_NUMBER.search(render_trace(t)) is None:
+    which prints without a decimal point. A float operand makes a float
+    result, and each literal a step makes is an operand of a later step or the
+    final value, so only a trace whose final value is a float is walked.
+    Snapshots share every subtree a step left alone, so a subtree already
+    walked is skipped."""
+    if not isinstance(t.final, float):
         return False
     seen = set()
     stack = t.snapshots[1:]

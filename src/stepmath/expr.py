@@ -237,18 +237,7 @@ def chain(ops: str, operands) -> Node:
 
 def count_atomic_ops(e: Node) -> int:
     """Number of binary operations; unary signs and literals do not count."""
-    total = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Chain):
-            total += len(node.ops)
-            stack.extend(node.operands)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Group):
-            stack.append(node.inner)
-    return total
+    return sum(len(n.ops) for n in iter_nodes(e) if isinstance(n, Chain))
 
 
 def fold_signed_literal(u: Unary, source_text: Optional[str] = None) -> Node:

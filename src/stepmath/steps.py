@@ -35,8 +35,18 @@ from typing import Iterator, Optional
 
 from . import numeric
 from .errors import DivByZero, NonTerminating
-from .expr import (FRACTION, Chain, FractionLit, Group, Lit, Node, Unary, fold_signed_literal,
-                   literal_value, print_expr)
+from .expr import (
+    FRACTION,
+    Chain,
+    FractionLit,
+    Group,
+    Lit,
+    Node,
+    Unary,
+    fold_signed_literal,
+    literal_value,
+    print_expr,
+)
 from .numeric import Frac, Number
 
 R_SIGN = "sign"
@@ -146,7 +156,13 @@ def _strip_transient(node: Node) -> Node:
 
 def _lit_from_value(v: Number) -> Lit:
     text = numeric.render(v)
-    return Lit(v, text, "negative" if text[0] == "-" else "decimal" if "." in text else "integer")
+    if text.startswith("-"):
+        origin = "negative"
+    elif "." in text:
+        origin = "decimal"
+    else:
+        origin = "integer"
+    return Lit(v, text, origin)
 
 
 def _is_operand(node: Node) -> bool:
@@ -234,18 +250,13 @@ def _scan(tree: Node, fraction: bool) -> tuple:
                 else:
                     end = rec(x, (link, node, i), start, group, sub)
                 if i == 1:
-                    # The head pair is the only pair that can be ready: both
-                    # operands `_is_operand`, tested inline. A power reads its
-                    # base through a bracket around a literal.
+                    # The head pair is the only pair that can be ready. A
+                    # power reads its base through a bracket around a literal.
                     base = operands[0]
                     if op == "^" and base.__class__ is Group and _is_operand(base.inner):
                         base = base.inner
-                    bcls = base.__class__
-                    if ((bcls is Lit and base.origin != "percent"
-                         or bcls is FractionLit and not base.reducible)
-                            and (xcls is Lit and x.origin != "percent"
-                                 or xcls is FractionLit and not x.reducible)):
-                        if op == "/" and bcls is FractionLit and xcls is FractionLit:
+                    if _is_operand(base) and _is_operand(x):
+                        if op == "/" and base.__class__ is FractionLit and xcls is FractionLit:
                             found = (link, node, offset, end)
                             if group is not None and group.recip is None:
                                 group.recip = found
@@ -393,8 +404,9 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     """(snapshot, rule, tree to rewrite next); the last is the snapshot less
     any transient head marker."""
-    cls = tree.__class__
-    if cls is Lit and tree.origin != "percent" or cls is FractionLit and not tree.reducible:
+    if isinstance(tree, Lit) and tree.origin != "percent":
+        return None
+    if isinstance(tree, FractionLit) and not tree.reducible:
         return None
 
     found = _flat_binop(tree)

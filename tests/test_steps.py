@@ -193,6 +193,14 @@ class TestTraceProperties:
                 out.extend(diff_subtrees(ca, cb, path + (name,)))
             return out
 
+        for spec in _specs(907):
+            for i in range(120):
+                t = trace(sample_expression(spec, i), spec.mode)
+                for j, rule in enumerate(t.rules):
+                    diffs = diff_subtrees(t.snapshots[j], t.snapshots[j + 1])
+                    limit = 3 if rule == R_SIGN else 1
+                    assert 1 <= len(diffs) <= limit, (rule, diffs)
+
     def test_each_snapshot_preserves_value(self):
         for spec in _specs(903):
             for i in range(150):
