@@ -17,11 +17,9 @@ from typing import Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
 from .errors import ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError
-from .expr import literal_value, parse, print_expr
+from .expr import parse
 from .numeric import render
-# perfbench instruments `trace` and `render_trace` where the CLI looks them up;
-# the trace command itself streams through `iter_trace`.
-from .steps import iter_trace, render_trace, trace  # noqa: F401
+from .steps import render_trace, trace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,6 +34,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_in(lo: int, hi: Optional[int] = None):
+    """An argparse type: an int of at least lo, and at most hi if given;
+    anything else is a usage error."""
+    span = f"at least {lo}" if hi is None else f"from {lo} to {hi}"
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"{n} is not an integer {span}")
+        return n
+    return integer
+
+
 def _echo_config(command: str, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     print(json.dumps({"command": command, "config": cfg}, ensure_ascii=False),
@@ -47,22 +58,14 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_trace(args) -> int:
-    tree = parse(args.expr, args.mode)
-    # Only the snapshots' texts are kept, so a long trace holds one tree at a
-    # time (a 1000-term chain has 999 snapshots of up to 1000 operands).
-    texts = [print_expr(tree)]
-    rules = []
-    last = tree
-    for last, rule in iter_trace(tree, args.mode):
-        texts.append(print_expr(last))
-        rules.append(rule)
-    line = "=".join(texts)
+    t = trace(parse(args.expr, args.mode), args.mode)
+    line = render_trace(t)
     if args.json:
         print(json.dumps({
-            "expression": texts[0],
+            "expression": t.snapshots[0],
             "trace": line,
-            "final": render(literal_value(last)),
-            "rules": rules,
+            "final": render(t.final),
+            "rules": t.rules,
         }))
     else:
         print(line)
@@ -199,7 +202,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a curriculum dataset and its manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--total", type=int, help="record count for the default curriculum")
+    p.add_argument("--total", type=_int_in(0), help="record count for the default curriculum")
     p.add_argument("--schedule", help="JSON schedule file (overrides --total)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
@@ -216,7 +219,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pack", help="pack tokenized records into fixed-length blocks")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--block-length", type=int, required=True)
+    p.add_argument("--block-length", type=_int_in(2), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pack)
 
@@ -231,8 +234,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bigbench", help="emit an n-digit two-operand problem suite")
     p.add_argument("--op", required=True, choices=sorted(metrics.BIGBENCH_OPS))
-    p.add_argument("--digits", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--digits", type=_int_in(1, 5), required=True)
+    p.add_argument("--n", type=_int_in(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bigbench)
@@ -268,6 +271,7 @@ _EXITS = (
     (NonTerminating, EXIT_MATH, "math error: "),
     (OSError, EXIT_IO, "io error: "),
     (MalformedInput, EXIT_USAGE, "malformed input: "),
+    (UnicodeDecodeError, EXIT_USAGE, "malformed input: "),
     (StepmathError, EXIT_MATH, ""),
 )
 

@@ -13,7 +13,8 @@ Every record is a deterministic function of (seed, record index) alone, so
 generation parallelizes to any worker count with byte-identical output. Each
 record's trace is checked against direct evaluation before it is emitted; a
 draw that fails (division by zero via a bracketed subtraction, binary64
-overflow past the printable range) is resampled from the same stream, with an
+overflow past the printable range, a binary64 of 1e16 or more, which prints
+without a decimal point) is resampled from the same stream, with an
 add/subtract-only fallback after too many rejects.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
 
 from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
-from .expr import (FRACTION, STANDARD, Chain, FractionLit, Group, Lit, Node, Unary, chain,
+from .expr import (FRACTION, STANDARD, FractionLit, Group, Lit, Node, chain,
                    count_atomic_ops, iter_nodes)
 from .numeric import values_equal
 from .steps import direct_eval, render_trace, trace
@@ -44,11 +45,6 @@ EXP_CAP = 100
 
 # Keep any binary64 intermediate far below the 1e21 positional-print limit.
 _FLOAT_BUDGET = 15
-
-# Above this, an integral binary64 prints without a decimal point and would be
-# re-read as an exact integer. Records containing such values are resampled so
-# every emitted number is type-unambiguous.
-_DEC64_TEXT_SAFE = 1e16
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -362,34 +358,6 @@ def sample_expression(spec: GenSpec, index: int) -> Node:
     return _build(spec, index)[0]
 
 
-def _has_ambiguous_float(t) -> bool:
-    """Whether a rewritten snapshot holds a binary64 literal of 1e16 or more,
-    which prints without a decimal point. A float operand makes a float
-    result, and each literal a step makes is an operand of a later step or the
-    final value, so only a trace whose final value is a float is walked.
-    Snapshots share every subtree a step left alone, so a subtree already
-    walked is skipped."""
-    if not isinstance(t.final, float):
-        return False
-    seen = set()
-    stack = t.snapshots[1:]
-    while stack:
-        n = stack.pop()
-        cls = n.__class__
-        if cls is Lit:
-            if isinstance(n.value, float) and abs(n.value) >= _DEC64_TEXT_SAFE:
-                return True
-        elif cls is not FractionLit and id(n) not in seen:
-            seen.add(id(n))
-            if cls is Chain:
-                stack.extend(n.operands)
-            elif cls is Unary:
-                stack.append(n.operand)
-            else:
-                stack.append(n.inner)
-    return False
-
-
 def _build(spec: GenSpec, index: int):
     rng = _record_rng(spec, index)
     sampler = _SAMPLERS[spec.category]
@@ -399,7 +367,7 @@ def _build(spec: GenSpec, index: int):
             t = trace(expr, spec.mode)
         except (DivByZero, Dec64RangeError, RenderOverflow):
             continue
-        if _has_ambiguous_float(t):
+        if t.ambiguous:  # a value that prints without its `.` re-reads as an int
             continue
         if not values_equal(t.final, direct_eval(expr, spec.mode)):
             raise MathError(f"trace/eval mismatch for {render_trace(t)!r}")

@@ -143,13 +143,12 @@ class FractionLit(Node):
 
 
 class Unary(Node):
-    __slots__ = ("op", "operand", "transient")
+    __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: Node, transient: bool = False):
+    def __init__(self, op: str, operand: Node):
         self._text = None
         self.op = op
         self.operand = operand
-        self.transient = transient
 
     def __eq__(self, other):
         return isinstance(other, Unary) and self.op == other.op and self.operand == other.operand

@@ -24,14 +24,15 @@ group, the leftmost percent, the negative factors of each mul/div chain);
 a flat chain of plain literals needs none. The rewrite then rebuilds the
 changed nodes' ancestors bottom-up along parent links, in one routine for
 every rule, sharing every subtree a step did not touch. Each snapshot's text
-is the previous one with the changed span spliced.
+is the previous one with the changed span spliced, and a trace keeps only
+that text: it holds one tree at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import numeric
 from .errors import DivByZero, NonTerminating
@@ -61,11 +62,18 @@ _TIER = {"^": 3, "*": 2, "/": 2, "+": 1, "-": 1}
 
 @dataclass
 class StepTrace:
-    original: Node
-    snapshots: list[Node]
+    """The texts of a trace's snapshots, the rule of each step and the final
+    value. `ambiguous` is set when a step made a binary64 of 1e16 or more,
+    which prints without a `.` and so re-reads as an int."""
+
+    snapshots: list[str]
     rules: list[str]
     final: Number
-    mode: str
+    ambiguous: bool
+
+
+# set by _lit_from_value, reset by trace
+_ambiguous = False
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +109,8 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
                 done[key] = new
         elif cls is Group:
             new = Group(parent.kind, new)
-        elif parent.transient or not (new.__class__ is Lit or new.__class__ is FractionLit):
-            new = Unary(parent.op, new, transient=parent.transient)
+        elif not (new.__class__ is Lit or new.__class__ is FractionLit):
+            new = Unary(parent.op, new)
         else:
             new = top = fold_signed_literal(Unary(parent.op, new))
             folded += 1
@@ -133,29 +141,11 @@ def _text_of(tree: Node) -> str:
     return tree._text or print_expr(tree)
 
 
-def _strip_transient(node: Node) -> Node:
-    cls = node.__class__
-    if cls is Chain:
-        operands = node.operands
-        for i, x in enumerate(node.operands):
-            if x.__class__ is not Lit:
-                y = _strip_transient(x)
-                if y is not x:
-                    operands = operands[:i] + (y,) + operands[i + 1:]
-        return node if operands is node.operands else Chain(node.ops, operands)
-    if cls is Group:
-        inner = _strip_transient(node.inner)
-        return node if inner is node.inner else Group(node.kind, inner)
-    if cls is Unary:
-        operand = _strip_transient(node.operand)
-        if node.transient:
-            return operand
-        return node if operand is node.operand else Unary(node.op, operand)
-    return node
-
-
 def _lit_from_value(v: Number) -> Lit:
+    global _ambiguous
     text = numeric.render(v)
+    if "." not in text and v.__class__ is float:
+        _ambiguous = True
     if text.startswith("-"):
         origin = "negative"
     elif "." in text:
@@ -210,7 +200,7 @@ _DEPTH = attrgetter("depth")
 
 def _scan(tree: Node, fraction: bool) -> tuple:
     """One walk in print order. Returns (chains, percent, leaves, whole):
-    per mul/div chain, (link, node, start) of the chain and then its negative
+    per mul/div chain, (node, start) of the chain and then its negative
     factors, each (link, node, start, end); the leftmost percent literal, as
     (link, node, start, end); the regions of the groups that hold no group;
     and the region of the whole tree. A mul/div chain takes in the factors of
@@ -232,7 +222,7 @@ def _scan(tree: Node, fraction: bool) -> tuple:
             if op == "*" or op == "/":
                 sub = chain
                 if sub is None:
-                    sub = [(link, node, offset)]
+                    sub = [(node, offset)]
                     chains.append(sub)
             operands = node.operands
             end = offset - 1
@@ -286,7 +276,7 @@ def _scan(tree: Node, fraction: bool) -> tuple:
             return end
         if cls is Unary:
             end = rec(node.operand, (link, node, 0), offset + 1, group, None)
-            if chain is not None and node.op == "-" and not node.transient:
+            if chain is not None and node.op == "-":
                 chain.append((link, node, offset, end))
             return end
         if cls is Lit:  # no operand of a chain, so no factor
@@ -338,11 +328,11 @@ def _strip_sign(node: Node) -> Node:
     raise TypeError(f"cannot strip sign from {node!r}")
 
 
-def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, Node]:
+def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
     """Strip the first two negative factors of `chain` in `tree`. Returns the
-    snapshot and the tree to rewrite next, which differ when fraction mode
-    marks the chain head with a transient `+`."""
-    (link, node, start), first, second = chain[:3]
+    new tree and the snapshot's text, which in fraction mode marks the chain
+    head with a `+` unless the head is the first negative factor."""
+    (node, start), first, second = chain[:3]
     text = _text_of(tree)
     done: dict = {}
     pieces = []
@@ -358,18 +348,16 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, Node]:
     pieces.append(text[pos:])
     unmarked._text = text = "".join(pieces)
     if not fraction:
-        return unmarked, unmarked
+        return unmarked, text
     # the head factor: the first operand, through nested mul/div chains and
     # the brackets the scan sees through
     while node.__class__ is Chain and node.ops[0] in "*/":
-        link, node = (link, node, 0), node.operands[0]
+        node = node.operands[0]
         if node.__class__ is Group and node.inner.__class__ is Chain and node.inner.ops[0] in "*/":
-            link, node, start = (link, node, 0), node.inner, start + 1
+            node, start = node.inner, start + 1
     if first[2] == start:  # the head is the first negative factor
-        return unmarked, unmarked
-    snapshot = _replace(link, Unary("+", node, transient=True), done)[0]
-    snapshot._text = text[:start] + "+" + text[start:]
-    return snapshot, unmarked
+        return unmarked, text
+    return unmarked, text[:start] + "+" + text[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +384,15 @@ def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
 
 
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
-    """Apply the single highest-priority rewrite, or None when e is a literal."""
-    step = _next_step(_strip_transient(e), mode)
+    """Apply the single highest-priority rewrite: (the tree to rewrite next,
+    rule), or None when e is a literal."""
+    step = _next_step(e, mode)
     return step and step[:2]
 
 
-def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
-    """(snapshot, rule, tree to rewrite next); the last is the snapshot less
-    any transient head marker."""
+def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, str]]:
+    """(the tree to rewrite next, rule, snapshot text); the text differs from
+    the tree's only by the `+` head marker of a fraction-mode sign step."""
     if isinstance(tree, Lit) and tree.origin != "percent":
         return None
     if isinstance(tree, FractionLit) and not tree.reducible:
@@ -411,21 +400,21 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
 
     found = _flat_binop(tree)
     if found is not None:
-        snapshot = _binop(tree, found, None)
-        return snapshot, R_BINOP, snapshot
+        new = _binop(tree, found, None)
+        return new, R_BINOP, new._text
     fraction = mode == FRACTION
     chains, percent, leaves, whole = _scan(tree, fraction)
 
     for chain in chains:
         if len(chain) > 2:
-            snapshot, unmarked = _cancel_signs(tree, chain, fraction)
-            return snapshot, R_SIGN, unmarked
+            new, text = _cancel_signs(tree, chain, fraction)
+            return new, R_SIGN, text
 
     if percent is not None:
         link, node, start, end = percent
         value = numeric.percent_value(node.value)
         new = _edit(tree, link, _lit_from_value(value), start, end)
-        return new, R_PERCENT, new
+        return new, R_PERCENT, new._text
 
     # Work inside the deepest bracket group without inner groups first,
     # leftmost breaking ties (the leaves are in print order and the sort is
@@ -436,7 +425,7 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, Node]]:
     for region in sorted(leaves, key=_DEPTH, reverse=True) + [whole] if leaves else (whole,):
         step = _region_step(tree, region)
         if step is not None:
-            return (*step, step[0])
+            return (*step, step[0]._text)
 
     raise NonTerminating(f"no rule applies to {_text_of(tree)!r}")
 
@@ -559,35 +548,29 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def iter_trace(e: Node, mode: str = "standard") -> Iterator[tuple[Node, str]]:
-    """The steps of the trace of `e`, as (snapshot, rule) pairs, one tree at a
-    time. Every rule consumes a node or an operator, each of which prints as
-    at least one character, so four steps per character bound any trace;
-    past that, NonTerminating."""
-    bound = 4 * len(_text_of(e)) + 4
-    steps = 0
-    cur = _strip_transient(e)
+def trace(e: Node, mode: str = "standard") -> StepTrace:
+    """Iterate next_step to a literal. Every rule consumes a node or an
+    operator, each of which prints as at least one character, so four steps
+    per character bound any trace; past that, NonTerminating."""
+    global _ambiguous
+    _ambiguous = False
+    snapshots = [_text_of(e)]
+    bound = 4 * len(snapshots[0]) + 4
+    rules = []
+    tree = e
     while True:
         try:
-            step = _next_step(cur, mode)
+            step = _next_step(tree, mode)
         except DivByZero as err:
-            raise DivByZero(f"{err.detail} (step {steps})") from None
+            raise DivByZero(f"{err.detail} (step {len(rules)})") from None
         if step is None:
-            return
-        if steps >= bound:
-            raise NonTerminating(f"trace of {print_expr(e)!r} exceeded {bound} steps")
-        snapshot, rule, cur = step
-        steps += 1
-        yield snapshot, rule
-
-
-def trace(e: Node, mode: str = "standard") -> StepTrace:
-    """Iterate next_step to a literal (see `iter_trace`)."""
-    steps = list(iter_trace(e, mode))
-    snapshots = [e] + [snapshot for snapshot, _ in steps]
-    final = literal_value(_strip_transient(snapshots[-1]))
-    return StepTrace(e, snapshots, [rule for _, rule in steps], final, mode)
+            return StepTrace(snapshots, rules, literal_value(tree), _ambiguous)
+        if len(rules) >= bound:
+            raise NonTerminating(f"trace of {snapshots[0]!r} exceeded {bound} steps")
+        tree, rule, text = step
+        snapshots.append(text)
+        rules.append(rule)
 
 
 def render_trace(t: StepTrace) -> str:
-    return "=".join(print_expr(s) for s in t.snapshots)
+    return "=".join(t.snapshots)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from stepmath.errors import UnknownId, UnknownSymbol
+from stepmath.steps import next_step
 from stepmath.tokenizer import MARKER, PAD
 
 # Published step-by-step traces, reproduced byte-for-byte. The bracket example
@@ -275,3 +276,15 @@ def reference_decode(vocab, ids):
 @pytest.fixture(scope="session")
 def golden_traces():
     return GOLDEN_TRACES
+
+
+def step_trees(tree, mode: str):
+    """The trees a trace steps through, `tree` first, and the rule of each
+    step: a trace keeps only their texts."""
+    trees, rules = [tree], []
+    step = next_step(tree, mode)
+    while step is not None:
+        trees.append(step[0])
+        rules.append(step[1])
+        step = next_step(step[0], mode)
+    return trees, rules

@@ -123,6 +123,18 @@ class TestTrace:
         assert rc == 2 and out == ""
         assert "stepmath: parse error: sign and exponent nesting deeper than 100" in err
 
+    def test_calls_trace_and_render_trace_once(self, capsys, monkeypatch):
+        # the names the command looks up are the ones a caller can wrap
+        calls = []
+        for name in ("trace", "render_trace"):
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        rc, out, _ = run(capsys, "trace", "1+2*3")
+        assert (rc, out) == (0, "1+2*3=1+6=7\n")
+        assert calls == ["trace", "render_trace"]
+
     def test_effective_config_line_on_stderr(self, capsys):
         _, _, err = run(capsys, "trace", "7")
         cfg = json.loads(err.splitlines()[0])
@@ -200,6 +212,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "0"],
+        ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "1"],
+        ["bigbench", "--op", "MUL", "--n", "3", "--seed", "1", "--digits", "9"],
+        ["bigbench", "--op", "MUL", "--digits", "2", "--seed", "1", "--n", "-3"],
+        ["generate", "--out", "x.txt", "--seed", "1", "--total", "-5"],
+    ], ids=["block-length 0", "block-length 1", "digits 9", "n -3", "total -5"])
+    def test_out_of_range_number_exits_64(self, capsys, monkeypatch, tmp_path, argv):
+        # the last argument is refused while the arguments are read
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"{argv[-2]}: {argv[-1]} is not an integer" in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -487,6 +515,21 @@ class TestScoreMwpCli:
         assert rc == 64 and f"{gold}:1: {reason}" in err
 
 
+def test_non_utf8_input_files_exit_64(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    out = str(tmp_path / "out")
+    for argv in (["tokenize", "--in", bad],
+                 ["pack", "--in", bad, "--out", out, "--block-length", "8"],
+                 ["eval", "--in", bad],
+                 ["reconstruct", "--in", bad, "--out", out],
+                 ["score-mwp", "--gold", bad, "--pred", bad],
+                 ["generate", "--schedule", bad, "--out", out, "--seed", "1"]):
+        rc, stdout, err = run(capsys, *map(str, argv))
+        assert (rc, stdout) == (64, ""), argv
+        assert err.splitlines()[1].startswith("stepmath: malformed input: 'utf-8' codec")
+
+
 class TestExitTable:
     ROWS = [
         (ExprSyntaxError("unexpected '+'", 3), 2, "stepmath: parse error: "),
@@ -494,6 +537,8 @@ class TestExitTable:
         (NonTerminating("no rule applies"), 3, "stepmath: math error: "),
         (OSError("disk full"), 4, "stepmath: io error: "),
         (MalformedInput("x.jsonl:3: bad line"), 64, "stepmath: malformed input: "),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 64,
+         "stepmath: malformed input: "),
         (UnknownId(99), 3, "stepmath: "),
     ]
 
@@ -501,7 +546,7 @@ class TestExitTable:
         for error, code, prefix in self.ROWS:
             def fail(*_, error=error):
                 raise error
-            monkeypatch.setattr(cli, "iter_trace", fail)
+            monkeypatch.setattr(cli, "trace", fail)
             rc, out, err = run(capsys, "trace", "7")
             assert (rc, out) == (code, "")
             assert err.splitlines()[1:] == [prefix + str(error)]

@@ -12,7 +12,7 @@ from stepmath.errors import MathError, StepmathError
 from stepmath.expr import Chain, FractionLit, Group, Lit, Node, Unary, parse, print_expr
 from stepmath.steps import direct_eval, render_trace, trace
 
-from conftest import string_round_2dp
+from conftest import step_trees, string_round_2dp
 
 
 def _int_lit(n: int) -> Lit:
@@ -71,8 +71,6 @@ def test_print_parse_round_trip_on_arbitrary_trees(tree):
 @settings(max_examples=400, deadline=None)
 @given(expressions())
 def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
-    from stepmath.datagen import _has_ambiguous_float
-
     text = print_expr(tree)
     tree = parse(text, "standard")  # normalized the way real input arrives
     try:
@@ -84,7 +82,7 @@ def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
     except MathError:
         assume(False)
     assert numeric.values_equal(t.final, want)
-    if _has_ambiguous_float(t):
+    if t.ambiguous:
         # binary64 >= 1e16 prints without a decimal point and re-reads as an
         # int; the dataset generator resamples these, so only generated data
         # carries the re-parse guarantee
@@ -99,7 +97,7 @@ def _uncached_copy(node: Node) -> Node:
     if isinstance(node, Chain):
         return Chain(node.ops, tuple(_uncached_copy(x) for x in node.operands))
     if isinstance(node, Unary):
-        return Unary(node.op, _uncached_copy(node.operand), transient=node.transient)
+        return Unary(node.op, _uncached_copy(node.operand))
     if isinstance(node, Group):
         return Group(node.kind, _uncached_copy(node.inner))
     if isinstance(node, Lit):
@@ -116,8 +114,9 @@ def test_snapshot_text_equals_a_fresh_print(tree):
         t = trace(tree)
     except MathError:
         assume(False)
-    fresh = [print_expr(_uncached_copy(s)) for s in t.snapshots]
-    assert [print_expr(s) for s in t.snapshots] == fresh
+    trees = step_trees(tree, "standard")[0]
+    fresh = [print_expr(_uncached_copy(s)) for s in trees]
+    assert [print_expr(s) for s in trees] == fresh
     assert render_trace(t) == "=".join(fresh)
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from stepmath.steps import (
     trace,
 )
 
-from conftest import GOLDEN_TRACES
+from conftest import GOLDEN_TRACES, step_trees
 
 
 class TestGoldenTraces:
@@ -43,7 +46,7 @@ class TestGoldenTraces:
 
     def test_error_table_first_rewrite_is_sign_cancellation(self):
         t = trace(parse("7499-5747.91007/-5438*-439"))
-        assert print_expr(t.snapshots[1]) == "7499-5747.91007/5438*439"
+        assert t.snapshots[1] == "7499-5747.91007/5438*439"
         assert t.rules[0] == R_SIGN
 
 
@@ -64,7 +67,7 @@ class TestNextStep:
     def test_computed_fraction_reduces_before_reciprocal(self):
         # (392/1680) must simplify before the division around it is rewritten
         t = trace(parse("((49/24)*(8/70))/(34/80)", "fraction"), "fraction")
-        i = [print_expr(s) for s in t.snapshots].index("(392/1680)/(34/80)")
+        i = t.snapshots.index("(392/1680)/(34/80)")
         assert t.rules[i] == R_SIMPLIFY
 
     def test_source_fractions_are_never_reduced_in_place(self):
@@ -145,8 +148,10 @@ class TestTraceProperties:
                 t = trace(e, spec.mode)
                 n = count_atomic_ops(e)
                 assert len(t.rules) <= 4 * n + 4
-                ops_per_snapshot = [count_atomic_ops(s) for s in t.snapshots]
-                for j, rule in enumerate(t.rules):
+                trees, rules = step_trees(e, spec.mode)
+                assert rules == t.rules
+                ops_per_snapshot = [count_atomic_ops(s) for s in trees]
+                for j, rule in enumerate(rules):
                     assert ops_per_snapshot[j + 1] <= ops_per_snapshot[j]
                     if rule == R_BINOP:
                         assert ops_per_snapshot[j + 1] == ops_per_snapshot[j] - 1
@@ -156,13 +161,12 @@ class TestTraceProperties:
         for spec in _specs(902):
             for i in range(150):
                 t = trace(sample_expression(spec, i), spec.mode)
-                rendered = [print_expr(s) for s in t.snapshots]
-                assert all(a != b for a, b in zip(rendered, rendered[1:]))
+                assert all(a != b for a, b in zip(t.snapshots, t.snapshots[1:]))
 
     def test_single_redex_neighborhood(self):
-        # adjacent snapshots differ in one localized neighborhood: a single
-        # maximal subtree for every rule except sign cancellation, which may
-        # touch the two canceled factors plus the chain head. Chains are
+        # adjacent trees differ in one localized neighborhood: a single
+        # maximal subtree for every rule except sign cancellation, which
+        # touches the two canceled factors. Chains are
         # compared operand by operand; a rewritten head pair (a binop merging
         # it into one literal, a reciprocal turning its `/` into `*`) is one
         # neighborhood, and every other operand must be identical.
@@ -195,19 +199,18 @@ class TestTraceProperties:
 
         for spec in _specs(907):
             for i in range(120):
-                t = trace(sample_expression(spec, i), spec.mode)
-                for j, rule in enumerate(t.rules):
-                    diffs = diff_subtrees(t.snapshots[j], t.snapshots[j + 1])
-                    limit = 3 if rule == R_SIGN else 1
+                trees, rules = step_trees(sample_expression(spec, i), spec.mode)
+                for j, rule in enumerate(rules):
+                    diffs = diff_subtrees(trees[j], trees[j + 1])
+                    limit = 2 if rule == R_SIGN else 1
                     assert 1 <= len(diffs) <= limit, (rule, diffs)
 
     def test_each_snapshot_preserves_value(self):
         for spec in _specs(903):
             for i in range(150):
                 e = sample_expression(spec, i)
-                t = trace(e, spec.mode)
                 want = direct_eval(e, spec.mode)
-                for s in t.snapshots:
+                for s in step_trees(e, spec.mode)[0]:
                     assert numeric.values_equal(direct_eval(s, spec.mode), want)
 
     def test_fraction_terminals_are_canonical(self):
@@ -246,7 +249,29 @@ class TestTraceShape:
         t = trace(parse("3^9"))
         assert isinstance(t, StepTrace)
         assert len(t.snapshots) == len(t.rules) + 1
-        assert numeric.render(t.final) == print_expr(t.snapshots[-1])
+        assert numeric.render(t.final) == t.snapshots[-1]
+
+    def test_made_float_printed_without_point_is_ambiguous(self):
+        t = trace(parse("99999999.5*999999999"))
+        assert t.snapshots[-1] == "99999999400000000" and t.ambiguous
+
+    def test_exact_long_ints_are_not_ambiguous(self):
+        # 20-digit ints print exactly; only the float 1.5 is made
+        t = trace(parse("12345678901234567890*1-12345678901234567889+0.5"))
+        assert t.final == 1.5 and not t.ambiguous
+
+    def test_library_trace_retains_only_text(self):
+        # 1000 snapshots of up to 2000 characters: about 1 MB of text
+        tree = parse("1+" * 999 + "1")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            t = trace(tree)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(t.snapshots) == 1000 and retained < 2_000_000
 
     def test_nonterminating_guard_exists(self):
         # the bound is generous; no valid expression should ever trip it
