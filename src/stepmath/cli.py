@@ -75,7 +75,8 @@ def _cmd_trace(args) -> int:
 def _cmd_generate(args) -> int:
     if args.schedule:
         with open(args.schedule, encoding="utf-8") as f:
-            schedule = datagen.schedule_from_json(f.read(), args.schedule)
+            text = "".join(metrics.utf8_lines(f))
+        schedule = datagen.schedule_from_json(text, args.schedule)
     else:
         if args.total is None:
             print("stepmath: generate needs --total or --schedule", file=sys.stderr)
@@ -97,17 +98,19 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 text file at `path` that are not blank."""
+    with open(path, encoding="utf-8") as f:
+        return [line.rstrip("\n") for line in metrics.utf8_lines(f) if line.strip()]
+
+
 # ids come from a vocabulary of a few dozen symbols: look their text up, not
 # rebuild it for every id
 _id_text = functools.lru_cache(maxsize=64)(str)
 
 
 def _cmd_tokenize(args) -> int:
-    if args.text is not None:
-        lines = [args.text]
-    else:
-        with open(args.infile, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f if line.strip()]
+    lines = [args.text] if args.text is not None else _read_lines(args.infile)
     encoded = [tokenizer.encode(line) for line in lines]
     if args.json:
         print(json.dumps([{"text": t, "ids": ids} for t, ids in zip(lines, encoded)]))
@@ -118,8 +121,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_pack(args) -> int:
-    with open(args.infile, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
+    lines = _read_lines(args.infile)
     with open(args.out, "wb") as out:
         blocks = packing.pack_sequences(lines, args.block_length, out)
     payload = {"records": len(lines), "blocks": blocks, "block_length": args.block_length}
@@ -204,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--total", type=_int_in(0), help="record count for the default curriculum")
     p.add_argument("--schedule", help="JSON schedule file (overrides --total)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_in(1), default=1)
     p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_generate)
@@ -219,7 +221,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pack", help="pack tokenized records into fixed-length blocks")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--block-length", type=_int_in(2), required=True)
+    p.add_argument("--block-length", type=_int_in(2, packing.MAX_BLOCK_LENGTH), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pack)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,8 +31,8 @@ from typing import IO, Iterator, Optional
 
 from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
 from .expr import (FRACTION, STANDARD, FractionLit, Group, Lit, Node, chain,
-                   count_atomic_ops, iter_nodes)
-from .numeric import values_equal
+                   count_atomic_ops, iter_nodes, signed)
+from .numeric import Frac, values_equal
 from .steps import direct_eval, render_trace, trace
 
 CATEGORIES = ("int-mixed", "exponentiation", "bracketed-int", "lengthy-mixed", "fraction")
@@ -155,8 +156,8 @@ def _int_of_digits(rng: random.Random, d: int) -> int:
 def _int_lit(rng, spec, negative=False) -> Lit:
     v = _int_of_digits(rng, _digits_of(rng, spec))
     if negative:
-        return Lit(-v, f"-{v}", "negative")
-    return Lit(v, str(v), "integer")
+        return Lit(-v, f"-{v}")
+    return Lit(v, str(v))
 
 
 def _decimal_lit(rng, spec, negative=False) -> Lit:
@@ -166,32 +167,32 @@ def _decimal_lit(rng, spec, negative=False) -> Lit:
     text = f"{whole}.{frac:0{fd}d}"
     if negative:
         text = "-" + text
-    return Lit(float(text), text, "negative" if negative else "decimal")
+    return Lit(float(text), text)
 
 
 def _percent_lit(rng, spec) -> Lit:
     v = _int_of_digits(rng, _digits_of(rng, spec))
-    return Lit(v, f"{v}%", "percent")
+    return Lit(v, f"{v}%")
 
 
 def _fraction_lit(rng, spec) -> FractionLit:
     num = _int_of_digits(rng, _digits_of(rng, spec))
     den = _int_of_digits(rng, _digits_of(rng, spec))
-    return FractionLit(num, den, text=f"({num}/{den})", parens=True)
+    return FractionLit(Frac(num, den))
 
 
 def _negate_fraction(f: FractionLit) -> FractionLit:
-    return FractionLit(-f.num, f.den, text=f"-{f.text}", parens=True)
+    return signed("-", f, "-" + f.text)
 
 
 def _lit_digit_size(node: Node) -> int:
     if isinstance(node, Lit):
-        if node.origin == "percent":
+        if node.percent:
             return len(str(abs(node.value)))
         whole = node.text.lstrip("-").split(".", 1)[0]
         return len(whole)
     if isinstance(node, FractionLit):
-        return max(len(str(abs(node.num))), len(str(node.den)))
+        return max(len(str(abs(node.value.num))), len(str(node.value.den)))
     return 0
 
 
@@ -225,8 +226,7 @@ def _cap_float_magnitudes(rng, nodes: list[Node], ops: list[str]) -> None:
     integer chains are exact at any size and left alone.
     """
     has_float = any(op == "/" for op in ops) or any(
-        isinstance(n, Lit) and n.origin in ("decimal", "percent") for n in nodes
-    ) or any(isinstance(n, Lit) and "." in n.text for n in nodes)
+        isinstance(n, Lit) and (n.percent or "." in n.text) for n in nodes)
     if not has_float:
         return
     digits = [_lit_digit_size(n) for n in nodes]
@@ -269,7 +269,7 @@ def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> Node:
     base = _int_of_digits(rng, rng.randint(lo_digits, hi_digits))
     base = min(base, EXP_BASE_CAP)
     exponent = rng.randint(0, EXP_CAP)
-    return chain("^", (Lit(base, str(base), "integer"), Lit(exponent, str(exponent), "integer")))
+    return chain("^", (Lit(base, str(base)), Lit(exponent, str(exponent))))
 
 
 def _sample_bracketed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
@@ -466,7 +466,8 @@ def generate_dataset(
     workers: int = 1,
     chunk_size: int = 1024,
 ) -> DatasetManifest:
-    """Write one trace per line; byte-identical output for any worker count."""
+    """Write one trace per line; byte-identical output for any worker count.
+    At most one process per chunk and per CPU is started."""
     total = schedule.total
     digest = hashlib.sha256()
     cats: Counter = Counter()
@@ -482,13 +483,14 @@ def generate_dataset(
         steps_hist.update(s)
         digits_hist.update(d)
 
-    if workers <= 1 or len(chunks) <= 1:
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    if processes <= 1:
         _init_worker(schedule)
         for chunk in chunks:
             consume(*_chunk_worker(chunk))
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(schedule,)) as pool:
+        with ctx.Pool(processes, initializer=_init_worker, initargs=(schedule,)) as pool:
             for result in pool.imap(_chunk_worker, chunks):
                 consume(*result)
 

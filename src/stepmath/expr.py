@@ -1,10 +1,12 @@
 """Lexer, parser, and printer for the arithmetic surface language.
 
-The printer is lossless: every literal keeps its source text, so
+Every literal holds its value and its text: a parsed one its source text, a
+computed one the rendering of its value. The printer is lossless, so
 ``print_expr(parse(s, mode)) == s`` exactly. Two parse modes exist:
 
 * ``standard`` -- ``/`` is division everywhere
-* ``fraction`` -- ``(a/b)`` with integer parts is a rational literal
+* ``fraction`` -- ``(a/b)`` with integer parts is a rational literal; one
+  with a zero denominator raises `DivByZero` as it is parsed
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary sign < ``^``,
 with ``^`` binding tighter than a unary sign on its left and taking a signed
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .errors import DepthExceeded, ExprSyntaxError
-from .numeric import DIGIT_LIMIT, Frac, Number, render
+from .numeric import DIGIT_LIMIT, Frac, render
 
 MAX_DEPTH = 16
 # Signs and `^` exponents nested in one another, counted across brackets: with
@@ -92,54 +94,53 @@ class Node:
 
 
 class Lit(Node):
-    """A number literal. ``value`` is the written payload; for percent literals
-    the payload is the number before the ``%`` (5483 for ``5483%``)."""
+    """A number literal: its value and its text. A percent literal's value is
+    the number before the ``%`` (5483 for ``5483%``); ``percent`` is read off
+    the text once, here, since a binop tests it on every operand."""
 
-    __slots__ = ("value", "text", "origin")
+    __slots__ = ("value", "text", "percent")
 
-    def __init__(self, value: Union[int, float], text: str, origin: str):
+    def __init__(self, value: Union[int, float], text: str):
         self._text = None
         self.value = value
         self.text = text
-        self.origin = origin  # integer | decimal | percent | negative
+        self.percent = text[-1] == "%"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Lit)
-            and self.value == other.value
-            and self.text == other.text
-            and self.origin == other.origin
-        )
+        return isinstance(other, Lit) and self.value == other.value and self.text == other.text
 
     def __repr__(self):
         return f"Lit({self.text!r})"
 
 
 class FractionLit(Node):
-    """A rational literal. ``reducible`` marks computed fractions awaiting an
-    explicit reduction step; source literals are never flagged."""
+    """A rational literal: its value, a `Frac`, and its text. Built without a
+    text, it prints as ``num/den``, in brackets if ``parens``. ``reducible``
+    marks computed fractions awaiting an explicit reduction step; source
+    literals are never flagged."""
 
-    __slots__ = ("num", "den", "text", "parens", "reducible")
+    __slots__ = ("value", "text", "reducible")
 
-    def __init__(self, num: int, den: int, text: Optional[str] = None,
+    def __init__(self, value: Frac, text: Optional[str] = None,
                  parens: bool = True, reducible: bool = False):
         self._text = None
-        self.num = num
-        self.den = den
+        self.value = value
+        if text is None:
+            text = render(value)
+            if parens:
+                text = f"({text})"
         self.text = text
-        self.parens = parens
         self.reducible = reducible
 
     def __eq__(self, other):
         return (
             isinstance(other, FractionLit)
-            and self.num == other.num
-            and self.den == other.den
-            and self.parens == other.parens
+            and self.value == other.value
+            and self.text == other.text
         )
 
     def __repr__(self):
-        return f"FractionLit({self.num}/{self.den})"
+        return f"FractionLit({self.text!r})"
 
 
 class Unary(Node):
@@ -205,14 +206,8 @@ def print_expr(e: Node) -> str:
     cached = e._text
     if cached is not None:
         return cached
-    if isinstance(e, Lit):
+    if isinstance(e, (Lit, FractionLit)):
         s = e.text
-    elif isinstance(e, FractionLit):
-        if e.text is not None:
-            s = e.text
-        else:
-            body = render(Frac(e.num, e.den))
-            s = f"({body})" if e.parens else body
     elif isinstance(e, Unary):
         s = e.op + print_expr(e.operand)
     elif isinstance(e, Chain):
@@ -239,30 +234,16 @@ def count_atomic_ops(e: Node) -> int:
     return sum(len(n.ops) for n in iter_nodes(e) if isinstance(n, Chain))
 
 
-def fold_signed_literal(u: Unary, source_text: Optional[str] = None) -> Node:
-    """Collapse a sign applied directly to a literal into the literal itself.
-
-    ``source_text`` keeps the written form when folding during parsing; rewrites
-    pass None and get a canonical rendering instead.
-    """
-    inner = u.operand
-    if isinstance(inner, Lit):
-        value = inner.value if u.op == "+" else -inner.value
-        if source_text is not None:
-            text = source_text
-        elif inner.origin == "percent":
-            text = render(value) + "%"
-        else:
-            text = render(value)
-        origin = inner.origin
-        if origin != "percent":
-            origin = "negative" if text.startswith("-") else ("decimal" if "." in text else "integer")
-        return Lit(value, text, origin)
-    if isinstance(inner, FractionLit):
-        num = inner.num if u.op == "+" else -inner.num
-        return FractionLit(num, inner.den, text=source_text, parens=inner.parens,
-                           reducible=inner.reducible)
-    return u
+def signed(op: str, lit: Node, text: Optional[str] = None) -> Node:
+    """The literal ``op lit``, for the sign `op` and a `Lit` or `FractionLit`.
+    `text` is its written form; by default it is the rendering of its value,
+    with the ``%`` or the brackets of `lit`."""
+    value = lit.value if op == "+" else -lit.value
+    if lit.__class__ is Lit:
+        if text is None:
+            text = render(value) + "%" if lit.percent else render(value)
+        return Lit(value, text)
+    return FractionLit(value, text, lit.text[-1] == ")", lit.reducible)
 
 
 class _Parser:
@@ -323,9 +304,9 @@ class _Parser:
             start = tok.offset
             self.take()
             operand = self.parse_nested(tok)
-            u = Unary(tok.text, operand)
-            end = start + 1 + len(print_expr(operand))
-            return fold_signed_literal(u, source_text=self.src[start:end])
+            if isinstance(operand, (Lit, FractionLit)):  # folds into the literal
+                return signed(tok.text, operand, self.src[start:start + 1 + len(operand.text)])
+            return Unary(tok.text, operand)
         return self.parse_power()
 
     def parse_power(self) -> Node:
@@ -363,20 +344,17 @@ class _Parser:
     def parse_number(self) -> Lit:
         first = self.expect("digits")
         text = first.text
-        origin = "integer"
         value: Union[int, float]
         if self.peek() is not None and self.peek().kind == "dot":
             dot = self.take()
             frac = self.expect("digits")
             text = first.text + dot.text + frac.text
-            origin = "decimal"
             value = float(text)
         else:
             value = int(text)
         if self.peek() is not None and self.peek().kind == "percent":
-            pct = self.take()
-            return Lit(value, text + pct.text, "percent")
-        return Lit(value, text, origin)
+            text += self.take().text
+        return Lit(value, text)
 
     def try_fraction_literal(self) -> Optional[FractionLit]:
         # Matches '(' ['-'] digits '/' digits ')' without consuming on failure.
@@ -393,12 +371,11 @@ class _Parser:
                 and toks[j + 2].kind == "digits"
                 and toks[j + 3].kind == "rparen"):
             return None
-        num = sign * int(toks[j].text)
-        den = int(toks[j + 2].text)
+        value = Frac(sign * int(toks[j].text), int(toks[j + 2].text))
         start = toks[i].offset
         end = toks[j + 3].offset + 1
         self.pos = j + 4
-        return FractionLit(num, den, text=self.src[start:end], parens=True)
+        return FractionLit(value, self.src[start:end])
 
     def parse_group(self) -> Group:
         opener = self.take()
@@ -419,15 +396,6 @@ def parse(src: str, mode: str = STANDARD) -> Node:
     if mode not in (STANDARD, FRACTION):
         raise ValueError(f"unknown parse mode {mode!r}")
     return _Parser(src, lex(src), mode).parse()
-
-
-def literal_value(node: Node) -> Number:
-    """Numeric value of a literal node (percent payloads are NOT divided here)."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, FractionLit):
-        return Frac(node.num, node.den)
-    raise TypeError(f"not a literal: {node!r}")
 
 
 def iter_nodes(e: Node) -> Iterator[Node]:

@@ -349,13 +349,23 @@ def _prediction_record(gold, prediction) -> PredictionRecord:
     return PredictionRecord.malformed(repr(gold))
 
 
+def utf8_lines(f: Iterable[str]) -> Iterator[str]:
+    """The lines of `f`, a text file opened as UTF-8. A byte that does not
+    decode ends them in MalformedInput, which names the file."""
+    try:
+        yield from f
+    except UnicodeDecodeError as err:
+        raise MalformedInput(f"{f.name}: not UTF-8: byte 0x{err.object[err.start]:02x}, "
+                             f"{err.reason}") from None
+
+
 def read_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     """The one reader of JSONL input: yields (line number, parsed value) for
     each line that is not blank. Blank lines count toward the numbering. A
     line that is not JSON, or not JSON this program can hold (an integer past
     the 4300-digit limit, nesting past the recursion limit), yields None, so
     each caller decides between a reject, an error verdict and an error."""
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(utf8_lines(lines), start=1):
         line = line.strip()
         if not line:
             continue
@@ -370,7 +380,7 @@ def _read_predictions(path: str):
     """Yields (line number, prediction text); a line that is not JSON, or
     holds no string prediction, is taken as raw text."""
     with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
+        for line_no, line in enumerate(utf8_lines(f), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue

@@ -1,8 +1,8 @@
 """Math-word-problem ingestion: rewrite directly-calculated answers into
 step-by-step traces, and score predictions for arithmetic vs answer accuracy.
 
-Records arrive as JSONL with Ape210K-style field names ({id, original_text,
-equation, ans}); a field map handles variants. Question text is carried
+Records arrive as JSONL with Ape210K's field names ({id, original_text,
+equation, ans}). Question text is carried
 verbatim (it is usually Chinese); only the equation is parsed. Records that
 fail (equation does not parse, stored answer disagrees with evaluation) go to
 a rejects file with their line number and a reason, never silently dropped.
@@ -21,13 +21,6 @@ from .expr import STANDARD, parse
 from .metrics import extract_answer, is_correct, parse_number_text, read_jsonl
 from .numeric import Number
 from .steps import direct_eval, render_trace, trace
-
-DEFAULT_FIELD_MAP = {
-    "id": "id",
-    "question": "original_text",
-    "equation": "equation",
-    "answer": "ans",
-}
 
 # Leading "x=" style prefixes and trailing unit text are stripped before
 # parsing; both normalizations are inferred conventions, so they are reported
@@ -51,12 +44,12 @@ class ReconstructedRecord:
     record: MWPRecord
     solution_trace: str
 
-    def to_json_obj(self, field_map: dict = DEFAULT_FIELD_MAP) -> dict:
+    def to_json_obj(self) -> dict:
         return {
-            field_map["id"]: self.record.id,
-            field_map["question"]: self.record.question,
-            field_map["equation"]: self.record.equation,
-            field_map["answer"]: self.record.answer_text,
+            "id": self.record.id,
+            "original_text": self.record.question,
+            "equation": self.record.equation,
+            "ans": self.record.answer_text,
             "solution_trace": self.solution_trace,
         }
 
@@ -89,21 +82,21 @@ def normalize_answer(text: str) -> tuple[Optional[Number], str, list[str]]:
     return None, raw, notes
 
 
-def record_from_obj(obj: dict, field_map: dict = DEFAULT_FIELD_MAP) -> MWPRecord:
+def record_from_obj(obj: dict) -> MWPRecord:
     """Raises MalformedInput when obj is not a dict holding the id, equation
-    and answer fields, EquationParseError when the answer does not parse."""
+    and ans fields, EquationParseError when the answer does not parse."""
     if not isinstance(obj, dict):
         raise MalformedInput("record is not a JSON object")
-    missing = [field_map[k] for k in ("id", "equation", "answer") if field_map[k] not in obj]
+    missing = [k for k in ("id", "equation", "ans") if k not in obj]
     if missing:
         raise MalformedInput(f"record lacks {', '.join(map(repr, missing))}")
-    equation, eq_notes = normalize_equation(str(obj[field_map["equation"]]))
-    answer, answer_text, ans_notes = normalize_answer(str(obj[field_map["answer"]]))
+    equation, eq_notes = normalize_equation(str(obj["equation"]))
+    answer, answer_text, ans_notes = normalize_answer(str(obj["ans"]))
     if answer is None:
-        raise EquationParseError(f"unparseable answer {obj[field_map['answer']]!r}")
+        raise EquationParseError(f"unparseable answer {obj['ans']!r}")
     return MWPRecord(
-        id=str(obj[field_map["id"]]),
-        question=str(obj.get(field_map["question"], "")),
+        id=str(obj["id"]),
+        question=str(obj.get("original_text", "")),
         equation=equation,
         answer=answer,
         answer_text=answer_text,
@@ -134,12 +127,7 @@ def reconstruct(record: MWPRecord) -> ReconstructedRecord:
     return ReconstructedRecord(record=record, solution_trace=solution)
 
 
-def reconstruct_file(
-    in_path: str,
-    out_path: str,
-    rejects_path: str,
-    field_map: dict = DEFAULT_FIELD_MAP,
-) -> tuple[int, int]:
+def reconstruct_file(in_path: str, out_path: str, rejects_path: str) -> tuple[int, int]:
     """Returns (reconstructed count, reject count). Each record that fails,
     including a line that is not a JSON object holding the record fields,
     becomes a rejects row {id, line, reason}. The rejects file is always
@@ -150,14 +138,14 @@ def reconstruct_file(
             open(rejects_path, "w", encoding="utf-8") as frej:
         for line_no, obj in read_jsonl(fin):
             try:
-                rec = reconstruct(record_from_obj(obj, field_map))
+                rec = reconstruct(record_from_obj(obj))
             except StepmathError as err:
-                id_ = obj.get(field_map["id"], "?") if isinstance(obj, dict) else "?"
+                id_ = obj.get("id", "?") if isinstance(obj, dict) else "?"
                 row = {"id": str(id_), "line": line_no, "reason": str(err)}
                 frej.write(json.dumps(row, ensure_ascii=False) + "\n")
                 rejected += 1
             else:
-                fout.write(json.dumps(rec.to_json_obj(field_map), ensure_ascii=False) + "\n")
+                fout.write(json.dumps(rec.to_json_obj(), ensure_ascii=False) + "\n")
                 written += 1
     return written, rejected
 
@@ -240,14 +228,14 @@ def score_mwp(
                      verdicts=verdicts)
 
 
-def load_reconstructed(path: str, field_map: dict = DEFAULT_FIELD_MAP) -> list[ReconstructedRecord]:
+def load_reconstructed(path: str) -> list[ReconstructedRecord]:
     """Raises MalformedInput at the first line that is not a JSON object holding
     the record fields, a parseable answer and a solution_trace."""
     out = []
     with open(path, encoding="utf-8") as f:
         for line_no, obj in read_jsonl(f):
             try:
-                rec = record_from_obj(obj, field_map)
+                rec = record_from_obj(obj)
             except (MalformedInput, EquationParseError) as err:
                 raise MalformedInput(f"{path}:{line_no}: {err}") from None
             if "solution_trace" not in obj:

@@ -55,6 +55,9 @@ class Frac:
     def __repr__(self):
         return f"Frac({self.num}, {self.den})"
 
+    def __neg__(self):
+        return Frac(-self.num, self.den)
+
     @property
     def is_canonical(self) -> bool:
         return math.gcd(abs(self.num), self.den) == 1
@@ -233,10 +236,6 @@ def render(v: Number) -> str:
         return str(v)
     except ValueError:  # past the int-to-str limit
         raise RenderOverflow(f"a result of more than {DIGIT_LIMIT} digits cannot be printed") from None
-
-
-def parse_dec64(text: str) -> float:
-    return float(text)
 
 
 def values_equal(a: Number, b: Number) -> bool:

@@ -21,6 +21,9 @@ from .tokenizer import DEFAULT_VOCAB, Vocab
 MAGIC = b"SMPK"
 PACK_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+# Most ids in one block (4 MiB in the file): a block is read and written
+# whole, so this bounds the memory one block takes.
+MAX_BLOCK_LENGTH = 1 << 20
 
 
 def pack_sequences(
@@ -30,8 +33,8 @@ def pack_sequences(
     vocab: Vocab = DEFAULT_VOCAB,
 ) -> int:
     """Pack records into fixed blocks; returns the number of blocks written."""
-    if block_length < 2:
-        raise ValueError("block length must be at least 2")
+    if not 2 <= block_length <= MAX_BLOCK_LENGTH:
+        raise ValueError(f"block length must be from 2 to {MAX_BLOCK_LENGTH}")
     out.write(_HEADER.pack(MAGIC, PACK_VERSION, block_length, 0))
 
     pad = vocab.pad_id
@@ -64,8 +67,8 @@ def pack_sequences(
 
 def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
     """The blocks of a pack file as id lists; raises MalformedInput, naming
-    the byte offset, on a short header, a bad magic, version or block length,
-    or a cut-off block."""
+    the byte offset, on a short header, a bad magic, version or block length
+    (below 2 or above MAX_BLOCK_LENGTH), or a cut-off block."""
     name = getattr(f, "name", "pack file")
     header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -76,9 +79,9 @@ def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
         raise MalformedInput(f"{name}: bad magic {magic!r} at byte offset 0")
     if version != PACK_VERSION:
         raise MalformedInput(f"{name}: unsupported pack version {version} at byte offset 4")
-    if block_length < 2:
+    if not 2 <= block_length <= MAX_BLOCK_LENGTH:
         raise MalformedInput(f"{name}: block length {block_length} at byte offset 8 "
-                             "is below 2")
+                             f"is not from 2 to {MAX_BLOCK_LENGTH}")
     block = struct.Struct(f"<{block_length}I")
     for k in range(count):
         raw = f.read(block.size)

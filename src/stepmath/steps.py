@@ -44,9 +44,8 @@ from .expr import (
     Lit,
     Node,
     Unary,
-    fold_signed_literal,
-    literal_value,
     print_expr,
+    signed,
 )
 from .numeric import Frac, Number
 
@@ -112,7 +111,7 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
         elif not (new.__class__ is Lit or new.__class__ is FractionLit):
             new = Unary(parent.op, new)
         else:
-            new = top = fold_signed_literal(Unary(parent.op, new))
+            new = top = signed(parent.op, new)
             folded += 1
     return new, top, folded
 
@@ -121,12 +120,12 @@ def _edit(tree: Node, link: Optional[tuple], new: Node, start: int, end: int,
           piece: Optional[str] = None) -> Node:
     """`tree` with `new` in place of the node at `link`, which printed as the
     span [start, end) of the tree's text. The new root's text is that text with
-    the span swapped for `piece`, by default the text of `new`; the rebuilt
-    nodes between stay unprinted. A chain whose head pair is rewritten passes
-    the pair's span and new text."""
+    the span swapped for `piece`, by default the text of `new`, a literal; the
+    rebuilt nodes between stay unprinted. A chain whose head pair is rewritten
+    passes the pair's span and new text."""
     root, top, folded = _replace(link, new)
     if piece is None:
-        piece = top.text if top.__class__ is Lit else print_expr(top)
+        piece = top.text
         if root is top:
             root._text = piece
             return root
@@ -146,20 +145,14 @@ def _lit_from_value(v: Number) -> Lit:
     text = numeric.render(v)
     if "." not in text and v.__class__ is float:
         _ambiguous = True
-    if text.startswith("-"):
-        origin = "negative"
-    elif "." in text:
-        origin = "decimal"
-    else:
-        origin = "integer"
-    return Lit(v, text, origin)
+    return Lit(v, text)
 
 
 def _is_operand(node: Node) -> bool:
     """A literal a binop may consume: not a percent, not awaiting reduction."""
     cls = node.__class__
     if cls is Lit:
-        return node.origin != "percent"
+        return not node.percent
     return cls is FractionLit and not node.reducible
 
 
@@ -167,7 +160,7 @@ def _is_negative_literal(node: Node) -> bool:
     if isinstance(node, Lit):
         return node.text.startswith("-")
     if isinstance(node, FractionLit):
-        return node.num < 0
+        return node.value.num < 0
     return False
 
 
@@ -233,7 +226,7 @@ def _scan(tree: Node, fraction: bool) -> tuple:
                 if xcls is Lit:  # inline: literals are most operands
                     text = x.text
                     end = start + len(text)
-                    if x.origin == "percent" and percent is None:
+                    if x.percent and percent is None:
                         percent = ((link, node, i), x, start, end)
                     if sub is not None and text[0] == "-":
                         sub.append(((link, node, i), x, start, end))
@@ -281,17 +274,17 @@ def _scan(tree: Node, fraction: bool) -> tuple:
             return end
         if cls is Lit:  # no operand of a chain, so no factor
             end = offset + len(node.text)
-            if node.origin == "percent" and percent is None:
+            if node.percent and percent is None:
                 percent = (link, node, offset, end)
             return end
-        end = offset + len(node._text or print_expr(node))
+        end = offset + len(node.text)
         if node.reducible:
             found = (link, node, offset, end)
             if group is not None and group.frac is None:
                 group.frac = found
             if whole.frac is None:
                 whole.frac = found
-        if chain is not None and node.num < 0:
+        if chain is not None and node.value.num < 0:
             chain.append((link, node, offset, end))
         return end
 
@@ -313,19 +306,12 @@ def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
 
 
 def _strip_sign(node: Node) -> Node:
-    if isinstance(node, Unary):
+    """A negative factor without its sign: the operand of a `-`, or the
+    literal negated. A literal written with a leading `-` loses just that."""
+    if node.__class__ is Unary:
         return node.operand
-    if isinstance(node, Lit):
-        text = node.text[1:] if node.text.startswith("-") else numeric.render(-node.value)
-        origin = node.origin
-        if origin != "percent":
-            origin = "decimal" if "." in text else "integer"
-        return Lit(-node.value, text, origin)
-    if isinstance(node, FractionLit):
-        text = node.text[1:] if node.text and node.text.startswith("-") else None
-        return FractionLit(-node.num, node.den, text=text, parens=node.parens,
-                           reducible=node.reducible)
-    raise TypeError(f"cannot strip sign from {node!r}")
+    text = node.text
+    return signed("-", node, text[1:] if text[0] == "-" else None)
 
 
 def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
@@ -343,7 +329,7 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
         # a factor's parent is a mul/div chain, so nothing folds
         pieces.append(text[pos:factor_start])
         pieces.append(text[factor_start + 1:factor_end] if factor.__class__ is Unary
-                      else print_expr(stripped))
+                      else stripped.text)
         pos = factor_end
     pieces.append(text[pos:])
     unmarked._text = text = "".join(pieces)
@@ -380,7 +366,7 @@ def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
         parens = not at_root
     else:
         parens = flag if at_root else True
-    return FractionLit(value.num, value.den, parens=parens, reducible=flag)
+    return FractionLit(value, parens=parens, reducible=flag)
 
 
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
@@ -393,7 +379,7 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, str]]:
     """(the tree to rewrite next, rule, snapshot text); the text differs from
     the tree's only by the `+` head marker of a fraction-mode sign step."""
-    if isinstance(tree, Lit) and tree.origin != "percent":
+    if isinstance(tree, Lit) and not tree.percent:
         return None
     if isinstance(tree, FractionLit) and not tree.reducible:
         return None
@@ -442,13 +428,13 @@ def _flat_binop(tree: Node) -> Optional[tuple]:
     found = None
     offset = 0
     for i, x in enumerate(tree.operands if sums else (tree,)):
-        if x.__class__ is Lit and x.origin != "percent":
+        if x.__class__ is Lit and not x.percent:
             offset += len(x.text) + 1
             continue
         if x.__class__ is not Chain or x.ops[0] not in "*/":
             return None
         for y in x.operands:
-            if y.__class__ is not Lit or y.origin == "percent" or y.text[0] == "-":
+            if y.__class__ is not Lit or y.percent or y.text[0] == "-":
                 return None
         if found is None:
             a, b = x.operands[:2]
@@ -467,9 +453,9 @@ def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
     if region.recip is not None:
         link, node, start, end = region.recip
         lhs, rhs = node.operands[:2]
-        recip = FractionLit(rhs.den if rhs.num > 0 else -rhs.den, abs(rhs.num), parens=True)
+        recip = FractionLit(Frac(rhs.value.den, rhs.value.num))
         new = Chain("*" + node.ops[1:], (lhs, recip) + node.operands[2:])
-        piece = print_expr(lhs) + "*" + print_expr(recip)
+        piece = lhs.text + "*" + recip.text
         return _edit(tree, link, new, start, end, piece), R_RECIPROCAL
 
     # binop: leftmost head pair of the highest precedence tier with two
@@ -480,9 +466,8 @@ def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
     # simplify: leftmost computed fraction not in lowest terms
     if region.frac is not None:
         link, node, start, end = region.frac
-        reduced = numeric.reduce_fraction(Frac(node.num, node.den))
-        parens = False if link is None else node.parens
-        new = FractionLit(reduced.num, reduced.den, parens=parens)
+        reduced = numeric.reduce_fraction(node.value)
+        new = FractionLit(reduced, parens=link is not None and node.text[-1] == ")")
         return _edit(tree, link, new, start, end), R_SIMPLIFY
 
     if group is not None and _is_operand(group.inner) \
@@ -500,22 +485,19 @@ def _binop(tree: Node, found: tuple, region: Optional[_Region]) -> Node:
     op = node.ops[0]
     operands = node.operands
     rhs = operands[1]
-    value = _apply(op, base.value if base.__class__ is Lit else literal_value(base),
-                   rhs.value if rhs.__class__ is Lit else literal_value(rhs), node, 2)
+    value = _apply(op, base.value, rhs.value, node, 2)
     result = (_lit_from_value(value) if value.__class__ is not Frac
               else _fraction_result(op, value, link is None and len(operands) == 2))
     if len(operands) > 2:
         new = Chain(node.ops[1:], (result,) + operands[2:])
-        piece = result.text if result.__class__ is Lit else print_expr(result)
-        return _edit(tree, link, new, start, end, piece)
+        return _edit(tree, link, new, start, end, result.text)
     # A bracket whose content just became a single literal is absorbed in the
     # same step, unless the literal is negative and the bracket either is not
     # at the very start of the expression or is pinned as a power base; those
     # keep their brackets.
     if region is not None and node is region.node.inner:
         if isinstance(result, FractionLit):
-            result = FractionLit(result.num, result.den, parens=True,
-                                 reducible=result.reducible)
+            result = FractionLit(result.value, reducible=result.reducible)
         elif _is_negative_literal(result) and (
             region.start != 0 or _pinned_by_power_base(region.link, result)
         ):
@@ -533,16 +515,12 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
             v = _apply(op, v, direct_eval(e.operands[i], mode), e, i + 1)
         return v
     if cls is Lit:
-        return numeric.percent_value(e.value) if e.origin == "percent" else e.value
+        return numeric.percent_value(e.value) if e.percent else e.value
     if cls is FractionLit:
-        return Frac(e.num, e.den)
+        return e.value
     if cls is Unary:
         v = direct_eval(e.operand, mode)
-        if e.op == "+":
-            return v
-        if isinstance(v, Frac):
-            return Frac(-v.num, v.den)
-        return -v
+        return v if e.op == "+" else -v
     if cls is Group:
         return direct_eval(e.inner, mode)
     raise TypeError(f"cannot evaluate {e!r}")
@@ -564,7 +542,7 @@ def trace(e: Node, mode: str = "standard") -> StepTrace:
         except DivByZero as err:
             raise DivByZero(f"{err.detail} (step {len(rules)})") from None
         if step is None:
-            return StepTrace(snapshots, rules, literal_value(tree), _ambiguous)
+            return StepTrace(snapshots, rules, tree.value, _ambiguous)
         if len(rules) >= bound:
             raise NonTerminating(f"trace of {snapshots[0]!r} exceeded {bound} steps")
         tree, rule, text = step

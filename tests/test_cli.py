@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from stepmath import cli
 from stepmath.cli import main
+from stepmath.datagen import CATEGORIES
 from stepmath.errors import (
     DivByZero,
     ExprSyntaxError,
@@ -21,6 +24,7 @@ from stepmath.errors import (
     StepmathError,
     UnknownId,
 )
+from stepmath.packing import MAGIC, PACK_VERSION, unpack_sequences
 
 from conftest import GOLDEN_TRACES
 
@@ -185,6 +189,69 @@ def test_grammar_shaped_text_through_main(text, mode):
         assert out == "" and err.splitlines()[1].startswith("stepmath: ")
 
 
+_RANGE = st.lists(st.integers(-1, 13), max_size=3)
+_SPEC = st.fixed_dictionaries(
+    {"category": st.sampled_from(CATEGORIES + ("nope",))},
+    optional={"digits": _RANGE, "steps": _RANGE, "seed": st.integers(-2 ** 70, 2 ** 70)})
+# schedules of a few records each, so that every run is short
+_SCHEDULE = st.fixed_dictionaries({
+    "seed": st.integers(-2 ** 70, 2 ** 70),
+    "phases": st.lists(st.fixed_dictionaries({"count": st.integers(-1, 6),
+                                              "specs": st.lists(_SPEC, max_size=3)}),
+                       max_size=3),
+})
+
+
+@st.composite
+def _schedule_bytes(draw):
+    """Bytes for a schedule file: arbitrary ones, or a JSON schedule that may
+    be cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    raw = json.dumps(draw(_SCHEDULE)).encode()
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schedule_bytes())
+def test_arbitrary_schedule_file_through_main(raw):
+    with tempfile.TemporaryDirectory() as d:
+        schedule = os.path.join(d, "schedule.json")
+        with open(schedule, "wb") as f:
+            f.write(raw)
+        start = time.perf_counter()
+        rc, out, err = _main("generate", "--schedule", schedule, "--seed", "1",
+                             "--out", os.path.join(d, "out.txt"))
+        assert time.perf_counter() - start < 10
+    assert rc in (0, 64), err
+    if rc == 64:
+        assert out == "" and err.splitlines()[1].startswith(f"stepmath: malformed input: {schedule}")
+
+
+# a pack header then anything: block lengths and counts of every size
+_PACK_HEADED = st.builds(
+    lambda length, count, body: struct.pack("<4sIII", MAGIC, PACK_VERSION, length, count) + body,
+    st.one_of(st.integers(0, 40), st.integers(0, 2 ** 32 - 1)),
+    st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1)),
+    st.binary(max_size=400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=100), _PACK_HEADED))
+def test_arbitrary_pack_file_unpacks_or_raises_typed(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.pack")
+        with open(path, "wb") as f:
+            f.write(raw)
+        start = time.perf_counter()
+        with open(path, "rb") as f:
+            try:
+                list(unpack_sequences(f))
+            except StepmathError:
+                pass
+        assert time.perf_counter() - start < 10
+
+
 class TestRealProcess:
     def test_trace_through_interpreter(self):
         proc = subprocess.run(
@@ -216,10 +283,15 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "0"],
         ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "1"],
+        ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "1048577"],
+        ["pack", "--in", "x.txt", "--out", "x.pack", "--block-length", "4294967296"],
         ["bigbench", "--op", "MUL", "--n", "3", "--seed", "1", "--digits", "9"],
         ["bigbench", "--op", "MUL", "--digits", "2", "--seed", "1", "--n", "-3"],
         ["generate", "--out", "x.txt", "--seed", "1", "--total", "-5"],
-    ], ids=["block-length 0", "block-length 1", "digits 9", "n -3", "total -5"])
+        ["generate", "--out", "x.txt", "--seed", "1", "--total", "5", "--workers", "0"],
+        ["generate", "--out", "x.txt", "--seed", "1", "--total", "5", "--workers", "-1"],
+    ], ids=["block-length 0", "block-length 1", "block-length 2^20+1", "block-length 2^32",
+            "digits 9", "n -3", "total -5", "workers 0", "workers -1"])
     def test_out_of_range_number_exits_64(self, capsys, monkeypatch, tmp_path, argv):
         # the last argument is refused while the arguments are read
         monkeypatch.chdir(tmp_path)
@@ -527,7 +599,8 @@ def test_non_utf8_input_files_exit_64(capsys, tmp_path):
                  ["generate", "--schedule", bad, "--out", out, "--seed", "1"]):
         rc, stdout, err = run(capsys, *map(str, argv))
         assert (rc, stdout) == (64, ""), argv
-        assert err.splitlines()[1].startswith("stepmath: malformed input: 'utf-8' codec")
+        assert err.splitlines()[1] == (f"stepmath: malformed input: {bad}: "
+                                       "not UTF-8: byte 0xff, invalid start byte"), argv
 
 
 class TestExitTable:

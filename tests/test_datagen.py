@@ -1,10 +1,11 @@
 import io
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from stepmath import numeric
+from stepmath import datagen, numeric
 from stepmath.datagen import (
     CATEGORIES,
     CurriculumSchedule,
@@ -180,6 +181,38 @@ class TestGenerateDataset:
             m = generate_dataset(sched, buf, workers=workers)
             outs.append((buf.getvalue(), m.content_digest))
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("workers,cpus,processes", [
+        (1000, 8, 4), (1000, 3, 3), (2, 8, 2), (1000, None, 1), (1, 8, 1),
+    ])
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, workers, cpus, processes):
+        # a pool that runs its chunks in this process: no process starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, size, initializer, initargs):
+                sizes.append(size)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(datagen.multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(datagen.os, "cpu_count", lambda: cpus)
+        sched = default_curriculum(35, seed=3)
+        serial = io.BytesIO()
+        generate_dataset(sched, serial, chunk_size=10)
+        buf = io.BytesIO()
+        generate_dataset(sched, buf, workers=workers, chunk_size=10)  # 4 chunks
+        assert sizes == ([processes] if processes > 1 else [])
+        assert buf.getvalue() == serial.getvalue()
 
     def test_manifest_histograms_match_file(self):
         sched = default_curriculum(400, seed=17)

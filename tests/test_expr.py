@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepmath.errors import DepthExceeded, ExprSyntaxError
+from stepmath.errors import DepthExceeded, DivByZero, ExprSyntaxError
 from stepmath.expr import (
     MAX_DEPTH,
     MAX_RUN,
@@ -85,10 +85,17 @@ class TestParser:
         assert isinstance(tree, Chain) and tree.ops == "/"
         group, rhs = tree.operands
         assert isinstance(rhs, FractionLit)
-        assert rhs.num == -34 and rhs.den == 80
+        assert rhs.value.num == -34 and rhs.value.den == 80
         assert isinstance(group, Group)
         assert isinstance(group.inner, Chain) and group.inner.ops == "*"
         assert isinstance(group.inner.operands[0], FractionLit)
+
+    def test_zero_denominator_fraction_literal_is_refused(self):
+        # a literal holds its value, and (5/0) has none; a lazy check once let
+        # (1/2)/(5/0) trace to 0/1 while direct evaluation raised
+        with pytest.raises(DivByZero, match="fraction with zero denominator"):
+            parse("(1/2)/(5/0)", "fraction")
+        assert print_expr(parse("(1/2)/(5/0)", "standard")) == "(1/2)/(5/0)"
 
     def test_standard_mode_treats_slash_as_division(self):
         tree = parse("(49/24)", "standard")
@@ -98,7 +105,7 @@ class TestParser:
     def test_negative_literal_folding(self):
         tree = parse("-3338")
         assert isinstance(tree, Lit) and tree.value == -3338
-        assert tree.origin == "negative" and tree.text == "-3338"
+        assert not tree.percent and tree.text == "-3338"
 
     def test_unary_binds_looser_than_power(self):
         # -2^2 is -(2^2), not (-2)^2
@@ -120,7 +127,7 @@ class TestParser:
 
     def test_percent_literal(self):
         tree = parse("5483%")
-        assert tree.origin == "percent" and tree.value == 5483 and tree.text == "5483%"
+        assert tree.percent and tree.value == 5483 and tree.text == "5483%"
 
     def test_square_brackets(self):
         tree = parse("[(12+3)*5]")

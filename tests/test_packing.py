@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
 from stepmath.errors import MalformedInput, RecordTooLong, UnknownId
-from stepmath.packing import MAGIC, PACK_VERSION, iter_blocks, pack_sequences, unpack_sequences
+from stepmath.packing import (MAGIC, MAX_BLOCK_LENGTH, PACK_VERSION, iter_blocks, pack_sequences,
+                              unpack_sequences)
 from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD
 
 from conftest import reference_decode, reference_encode
@@ -57,6 +58,11 @@ class TestPackingArithmetic:
         assert magic == MAGIC and version == PACK_VERSION
         assert block_len == 16 and count == blocks == 1
         assert len(raw) == 16 + 4 * 16 * blocks
+
+    @pytest.mark.parametrize("block_length", [MAX_BLOCK_LENGTH + 1, 2 ** 32])
+    def test_block_length_past_the_bound(self, block_length):
+        with pytest.raises(ValueError, match=f"from 2 to {MAX_BLOCK_LENGTH}"):
+            pack_sequences(["1+2=3"], block_length, io.BytesIO())
 
     def test_empty_stream(self):
         buf, blocks = _pack([], 16)
@@ -206,6 +212,14 @@ class TestMalformedPackFiles:
             list(unpack_sequences(io.BytesIO(raw[:70])))
         with pytest.raises(MalformedInput, match=r"header ends at byte offset 5 of 16"):
             list(unpack_sequences(io.BytesIO(raw[:5])))
+
+    def test_block_length_past_the_bound_reads_no_block(self, tmp_path):
+        # 56 bytes whose header asks for blocks of 2^32 - 1 ids (~16 GiB each)
+        path = tmp_path / "forged.pack"
+        path.write_bytes(struct.pack("<4sIII", MAGIC, PACK_VERSION, 0xFFFFFFFF, 1) + bytes(40))
+        with open(path, "rb") as f, pytest.raises(
+                MalformedInput, match="block length 4294967295 at byte offset 8"):
+            list(unpack_sequences(f))
 
     @pytest.mark.parametrize("offset,field,match", [
         (0, b"XXXX", "bad magic"),

@@ -18,6 +18,7 @@ import pytest
 from stepmath.datagen import GenSpec, build_record, default_curriculum, generate_dataset
 from stepmath.errors import StepmathError
 from stepmath.expr import Chain, FractionLit, Group, Lit, Node, Unary, parse, print_expr
+from stepmath.numeric import Frac
 from stepmath.steps import render_trace, trace
 
 GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
@@ -50,8 +51,8 @@ FIXED_ROWS = [
 def _int_lit(rng) -> Lit:
     v = rng.choice((0, 1, 2, rng.randint(1, 99), rng.randint(100, 99999)))
     if rng.random() < 0.25 and v:
-        return Lit(-v, f"-{v}", "negative")
-    return Lit(v, str(v), "integer")
+        return Lit(-v, f"-{v}")
+    return Lit(v, str(v))
 
 
 def _leaf(rng, mode: str) -> Node:
@@ -60,15 +61,15 @@ def _leaf(rng, mode: str) -> Node:
         num, den = rng.randint(1, 99), rng.randint(1, 99)
         text = f"({num}/{den})"
         if rng.random() < 0.3:
-            return FractionLit(-num, den, text=f"-{text}", parens=True)
-        return FractionLit(num, den, text=text, parens=True)
+            return FractionLit(Frac(-num, den), f"-{text}")
+        return FractionLit(Frac(num, den), text)
     if roll < 0.8:
         return _int_lit(rng)
     if roll < 0.9:
         text = f"{rng.randint(0, 999)}.{rng.randint(0, 99)}"
-        return Lit(float(text), text, "decimal")
+        return Lit(float(text), text)
     v = rng.randint(1, 999)
-    return Lit(v, f"{v}%", "percent")
+    return Lit(v, f"{v}%")
 
 
 def _tree(rng, mode: str, depth: int = 0) -> Node:
@@ -86,13 +87,13 @@ def _tree(rng, mode: str, depth: int = 0) -> Node:
         # a power whose base is a literal or a bracket, often a negative one
         if rng.random() < 0.5:
             v = rng.randint(1, 30)
-            base: Node = Group(rng.choice("(["), Lit(-v, f"-{v}", "negative"))
+            base: Node = Group(rng.choice("(["), Lit(-v, f"-{v}"))
         else:
             base = _tree(rng, mode, depth + 1)
             if not isinstance(base, (Lit, Group)) or isinstance(base, Lit) and base.value < 0:
                 base = Group("(", base)
         v = rng.randint(0, 5)
-        return Chain("^", (base, Lit(v, str(v), "integer")))
+        return Chain("^", (base, Lit(v, str(v))))
     op = rng.choice("*/" if kind >= 9 else "+-*/")
     return Chain(op, (_tree(rng, mode, depth + 1), _tree(rng, mode, depth + 1)))
 

@@ -16,13 +16,12 @@ from conftest import step_trees, string_round_2dp
 
 
 def _int_lit(n: int) -> Lit:
-    origin = "negative" if n < 0 else "integer"
-    return Lit(n, str(n), origin)
+    return Lit(n, str(n))
 
 
 def _dec_lit(whole: int, frac: int) -> Lit:
     text = f"{whole}.{frac}"
-    return Lit(float(text), text, "decimal")
+    return Lit(float(text), text)
 
 
 @st.composite
@@ -101,9 +100,8 @@ def _uncached_copy(node: Node) -> Node:
     if isinstance(node, Group):
         return Group(node.kind, _uncached_copy(node.inner))
     if isinstance(node, Lit):
-        return Lit(node.value, node.text, node.origin)
-    return FractionLit(node.num, node.den, text=node.text, parens=node.parens,
-                       reducible=node.reducible)
+        return Lit(node.value, node.text)
+    return FractionLit(node.value, node.text, reducible=node.reducible)
 
 
 @settings(max_examples=400, deadline=None)
