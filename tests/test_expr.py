@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepmath.errors import DepthExceeded, DivByZero, ExprSyntaxError
+from stepmath.errors import DepthExceeded, DivByZero, ExprSyntaxError, StepmathError
 from stepmath.expr import (
+    FRACTION,
     MAX_DEPTH,
     MAX_RUN,
+    STANDARD,
     Chain,
     FractionLit,
     Group,
@@ -17,10 +19,37 @@ from stepmath.expr import (
     parse,
     print_expr,
 )
+from stepmath.numeric import DIGIT_LIMIT
 
 from conftest import GOLDEN_TRACES
 
 ALL_GOLDEN_SOURCES = [(src, mode) for src, mode, _ in GOLDEN_TRACES]
+
+
+_RUN = "1" * (DIGIT_LIMIT + 1)
+_PARSE_ERRORS = [
+    ("1+a", STANDARD, ExprSyntaxError, 2, "unexpected character 'a' (offset 2)"),
+    ("2+" + _RUN, STANDARD, ExprSyntaxError, 2,
+     f"number of more than {DIGIT_LIMIT} digits (offset 2)"),
+    # a lexical error anywhere wins over an earlier syntax error
+    (")1x", STANDARD, ExprSyntaxError, 2, "unexpected character 'x' (offset 2)"),
+    ("12.", STANDARD, ExprSyntaxError, 3, "expected digits (offset 3)"),
+    ("1.%", STANDARD, ExprSyntaxError, 2, "expected digits (offset 2)"),
+    ("(1)23", STANDARD, ExprSyntaxError, 3, "trailing input '23' (offset 3)"),
+    ("1+2)", STANDARD, ExprSyntaxError, 3, "trailing input ')' (offset 3)"),
+    ("1=2", STANDARD, ExprSyntaxError, 1, "trailing input '=' (offset 1)"),
+    ("1+", STANDARD, ExprSyntaxError, 2, "unexpected end of input (offset 2)"),
+    ("", STANDARD, ExprSyntaxError, 0, "unexpected end of input (offset 0)"),
+    ("1+*2", STANDARD, ExprSyntaxError, 2, "unexpected '*' (offset 2)"),
+    ("(1+2", STANDARD, ExprSyntaxError, 0, "unbalanced '(' (offset 0)"),
+    ("[1+2)", STANDARD, ExprSyntaxError, 0, "unbalanced '[' (offset 0)"),
+    ("(1/2", FRACTION, ExprSyntaxError, 0, "unbalanced '(' (offset 0)"),
+    ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), STANDARD, DepthExceeded,
+     MAX_DEPTH, f"bracket nesting deeper than {MAX_DEPTH} (offset {MAX_DEPTH})"),
+    ("-" * (MAX_RUN + 1) + "1", STANDARD, DepthExceeded, MAX_RUN,
+     f"sign and exponent nesting deeper than {MAX_RUN} (offset {MAX_RUN})"),
+    ("(5/0)", FRACTION, DivByZero, None, "fraction with zero denominator"),
+]
 
 
 class TestLexer:
@@ -135,23 +164,16 @@ class TestParser:
         head = tree.inner.operands[0]
         assert isinstance(head, Group) and head.kind == "("
 
-    @pytest.mark.parametrize(
-        "src,offset",
-        [
-            ("1+", 2),
-            ("(1+2", 0),
-            ("1+*2", 2),
-            ("1+2)", 3),
-            ("[1+2)", 0),
-            ("1=2", 1),
-            ("12.", 3),
-            ("", 0),
-        ],
-    )
-    def test_syntax_errors_carry_offsets(self, src, offset):
-        with pytest.raises(ExprSyntaxError) as exc:
-            parse(src)
-        assert exc.value.offset == offset
+    # One row per place a parse error is raised: the error class, the offset
+    # (None for an error without one) and the whole message.
+    @pytest.mark.parametrize("src,mode,error,offset,message", _PARSE_ERRORS, ids=[f"{src if len(src) < 40 else src[:8] + '...'}-{offset}"
+            for src, _, _, offset, _ in _PARSE_ERRORS])
+    def test_syntax_errors_carry_offsets(self, src, mode, error, offset, message):
+        with pytest.raises(StepmathError) as exc:
+            parse(src, mode)
+        assert type(exc.value) is error
+        assert getattr(exc.value, "offset", None) == offset
+        assert str(exc.value) == message
 
     def test_depth_limit(self):
         ok = "(" * 16 + "1" + ")" * 16
