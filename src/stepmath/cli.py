@@ -16,7 +16,8 @@ import sys
 from typing import Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
-from .errors import ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError
+from .errors import (ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError,
+                     UnknownSymbol)
 from .expr import parse
 from .numeric import render
 from .steps import render_trace, trace
@@ -99,9 +100,19 @@ def _cmd_generate(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    """The lines of the UTF-8 text file at `path` that are not blank."""
+    """The lines of the UTF-8 text file at `path` that are not blank. A line
+    with a symbol outside the vocabulary is malformed: the error names it."""
+    lines = []
     with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in metrics.utf8_lines(f) if line.strip()]
+        for line_no, line in enumerate(metrics.utf8_lines(f), 1):
+            line = line.rstrip("\n")
+            if line.strip():
+                bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
+                if bad is not None:
+                    raise MalformedInput(f"{path}:{line_no}: "
+                                         f"{UnknownSymbol(bad[0], bad.start())}")
+                lines.append(line)
+    return lines
 
 
 # ids come from a vocabulary of a few dozen symbols: look their text up, not

@@ -1,4 +1,4 @@
-"""Lexer, parser, and printer for the arithmetic surface language.
+"""Tree, parser and printer for the arithmetic surface language.
 
 Every literal holds its value and its text: a parsed one its source text, a
 computed one the rendering of its value. The printer is lossless, so
@@ -14,10 +14,14 @@ exponent on its right. Equal precedence associates left: a run of ``+ -``
 or of ``* /`` parses to one `Chain`, the left fold of its operands. Square
 brackets are interchangeable with parentheses; the kind is preserved for
 printing only.
+
+`TIERS` is the operator table: the binary operators of each precedence tier,
+lowest first. `TIER` maps an operator to its tier (1, 2 or 3).
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Union
 
 from .errors import DepthExceeded, ExprSyntaxError
@@ -31,66 +35,21 @@ MAX_RUN = 100
 STANDARD = "standard"
 FRACTION = "fraction"
 
-_OPERATOR_KINDS = {
-    "+": "plus",
-    "-": "minus",
-    "*": "star",
-    "/": "slash",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-    "[": "lbracket",
-    "]": "rbracket",
-    "=": "equals",
-    ".": "dot",
-    "%": "percent",
-}
+TIERS = ("+-", "*/", "^")
+TIER = {op: tier for tier, ops in enumerate(TIERS, 1) for op in ops}
 
-
-class Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.offset})"
-
-
-def lex(src: str) -> list[Token]:
-    """Tokenize; concatenating token texts reproduces the input exactly."""
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if "0" <= c <= "9":  # ASCII digits only; the language has no others
-            j = i + 1
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            if j - i > DIGIT_LIMIT:
-                raise ExprSyntaxError(f"number of more than {DIGIT_LIMIT} digits", i)
-            tokens.append(Token("digits", src[i:j], i))
-            i = j
-            continue
-        kind = _OPERATOR_KINDS.get(c)
-        if kind is None:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-        tokens.append(Token(kind, c, i))
-        i += 1
-    return tokens
+# The first character outside the language, or the first digit run too long
+# to convert: a lexical error anywhere wins over any syntax error.
+_LEXICAL_ERROR = re.compile(rf"[^0-9+\-*/^()\[\]=.%]|(?<![0-9])[0-9]{{{DIGIT_LIMIT + 1}}}")
+_NUMBER = re.compile(r"([0-9]+(\.[0-9]*)?)%?")
+_FRACTION_LITERAL = re.compile(r"\((-?[0-9]+)/([0-9]+)\)")
+_DIGITS = re.compile(r"[0-9]*")
 
 
 class Node:
-    """Base of the immutable tree nodes. ``_text`` caches the printed text:
-    `print_expr` fills it, and the rewrite engine sets it on each snapshot
-    root it builds, splicing it from the previous root's text. Each subclass
-    clears it in its own constructor, without a base-class call, because every
-    rewrite step builds a spine of new nodes."""
+    """Base of the immutable tree nodes."""
 
-    __slots__ = ("_text",)
+    __slots__ = ()
 
 
 class Lit(Node):
@@ -101,7 +60,6 @@ class Lit(Node):
     __slots__ = ("value", "text", "percent")
 
     def __init__(self, value: Union[int, float], text: str):
-        self._text = None
         self.value = value
         self.text = text
         self.percent = text[-1] == "%"
@@ -123,7 +81,6 @@ class FractionLit(Node):
 
     def __init__(self, value: Frac, text: Optional[str] = None,
                  parens: bool = True, reducible: bool = False):
-        self._text = None
         self.value = value
         if text is None:
             text = render(value)
@@ -147,7 +104,6 @@ class Unary(Node):
     __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand: Node):
-        self._text = None
         self.op = op
         self.operand = operand
 
@@ -168,7 +124,6 @@ class Chain(Node):
     __slots__ = ("ops", "operands")
 
     def __init__(self, ops: str, operands: tuple):
-        self._text = None
         self.ops = ops
         self.operands = operands
 
@@ -187,7 +142,6 @@ class Group(Node):
     __slots__ = ("kind", "inner")
 
     def __init__(self, kind: str, inner: Node):
-        self._text = None
         self.kind = kind  # '(' or '['
         self.inner = inner
 
@@ -203,25 +157,20 @@ _CLOSERS = {"(": ")", "[": "]"}
 
 def print_expr(e: Node) -> str:
     """Render a tree back to text. Structure is preserved, nothing is re-parenthesized."""
-    cached = e._text
-    if cached is not None:
-        return cached
-    if isinstance(e, (Lit, FractionLit)):
-        s = e.text
-    elif isinstance(e, Unary):
-        s = e.op + print_expr(e.operand)
-    elif isinstance(e, Chain):
+    cls = e.__class__
+    if cls is Lit or cls is FractionLit:
+        return e.text
+    if cls is Chain:
         parts = [print_expr(e.operands[0])]
         for op, x in zip(e.ops, e.operands[1:]):
             parts.append(op)
             parts.append(x.text if x.__class__ is Lit else print_expr(x))
-        s = "".join(parts)
-    elif isinstance(e, Group):
-        s = e.kind + print_expr(e.inner) + _CLOSERS[e.kind]
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {e!r}")
-    e._text = s
-    return s
+        return "".join(parts)
+    if cls is Unary:
+        return e.op + print_expr(e.operand)
+    if cls is Group:
+        return e.kind + print_expr(e.inner) + _CLOSERS[e.kind]
+    raise TypeError(f"unknown node {e!r}")  # pragma: no cover
 
 
 def chain(ops: str, operands) -> Node:
@@ -247,155 +196,115 @@ def signed(op: str, lit: Node, text: Optional[str] = None) -> Node:
 
 
 class _Parser:
-    def __init__(self, src: str, tokens: list[Token], mode: str):
+    """Recursive descent over the characters of `src`, from index `i`."""
+
+    def __init__(self, src: str, mode: str):
         self.src = src
-        self.tokens = tokens
         self.mode = mode
-        self.pos = 0
+        self.i = 0
         self.depth = 0
         self.run = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.src))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            offset = tok.offset if tok else len(self.src)
-            raise ExprSyntaxError(f"expected {kind}", offset)
-        return self.take()
+    def peek(self) -> str:
+        """The next character, or "" at the end."""
+        return self.src[self.i:self.i + 1]
 
     def parse(self) -> Node:
-        e = self.parse_sum()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.offset)
+        e = self.parse_chain(1)
+        i = self.i
+        if i < len(self.src):
+            lexeme = _DIGITS.match(self.src, i)[0] or self.src[i]
+            raise ExprSyntaxError(f"trailing input {lexeme!r}", i)
         return e
 
-    def parse_sum(self) -> Node:
-        return self.parse_chain(("plus", "minus"), self.parse_term)
-
-    def parse_term(self) -> Node:
-        return self.parse_chain(("star", "slash"), self.parse_unary)
-
-    def parse_chain(self, kinds: tuple, parse_operand) -> Node:
-        """Operands joined by operators of `kinds`: one chain, or the lone
-        operand when no such operator follows it."""
+    def parse_chain(self, tier: int) -> Node:
+        """Operands joined by the operators of tier 1 (``+ -``) or 2 (``* /``):
+        one chain, or the lone operand when no such operator follows it."""
         ops = ""
-        operands = [parse_operand()]
-        tok = self.peek()
-        while tok is not None and tok.kind in kinds:
-            self.pos += 1
-            ops += tok.text
-            operands.append(parse_operand())
-            tok = self.peek()
+        operands = [self.parse_chain(2) if tier == 1 else self.parse_unary()]
+        op = self.peek()
+        while TIER.get(op) == tier:
+            self.i += 1
+            ops += op
+            operands.append(self.parse_chain(2) if tier == 1 else self.parse_unary())
+            op = self.peek()
         return chain(ops, operands)
 
     def parse_unary(self) -> Node:
-        tok = self.peek()
-        if tok is not None and tok.kind in ("plus", "minus"):
-            start = tok.offset
-            self.take()
-            operand = self.parse_nested(tok)
+        op = self.peek()
+        if TIER.get(op) == 1:
+            start = self.i
+            self.i += 1
+            operand = self.parse_nested(start)
             if isinstance(operand, (Lit, FractionLit)):  # folds into the literal
-                return signed(tok.text, operand, self.src[start:start + 1 + len(operand.text)])
-            return Unary(tok.text, operand)
+                return signed(op, operand, self.src[start:start + 1 + len(operand.text)])
+            return Unary(op, operand)
         return self.parse_power()
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "caret":
-            self.take()
+        if self.peek() == "^":
+            self.i += 1
             # signed exponents parse; evaluation rejects them
-            return chain("^", (base, self.parse_nested(tok)))
+            return chain("^", (base, self.parse_nested(self.i - 1)))
         return base
 
-    def parse_nested(self, tok: Token) -> Node:
-        """The operand of the sign or `^` token `tok`, one level deeper."""
+    def parse_nested(self, offset: int) -> Node:
+        """The operand of the sign or `^` at `offset`, one level deeper."""
         self.run += 1
         if self.run > MAX_RUN:
-            raise DepthExceeded(tok.offset, MAX_RUN, "sign and exponent nesting")
+            raise DepthExceeded(offset, MAX_RUN, "sign and exponent nesting")
         operand = self.parse_unary()
         self.run -= 1
         return operand
 
     def parse_atom(self) -> Node:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.src))
-        if tok.kind == "digits":
+        c = self.peek()
+        if not c:
+            raise ExprSyntaxError("unexpected end of input", self.i)
+        if "0" <= c <= "9":
             return self.parse_number()
-        if tok.kind in ("lparen", "lbracket"):
-            if self.mode == FRACTION and tok.kind == "lparen":
-                frac = self.try_fraction_literal()
-                if frac is not None:
-                    return frac
+        if c in _CLOSERS:
+            if self.mode == FRACTION and c == "(":
+                m = _FRACTION_LITERAL.match(self.src, self.i)
+                if m is not None:
+                    self.i = m.end()
+                    return FractionLit(Frac(int(m[1]), int(m[2])), m[0])
             return self.parse_group()
-        raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.offset)
+        raise ExprSyntaxError(f"unexpected {c!r}", self.i)
 
     def parse_number(self) -> Lit:
-        first = self.expect("digits")
-        text = first.text
-        value: Union[int, float]
-        if self.peek() is not None and self.peek().kind == "dot":
-            dot = self.take()
-            frac = self.expect("digits")
-            text = first.text + dot.text + frac.text
-            value = float(text)
-        else:
-            value = int(text)
-        if self.peek() is not None and self.peek().kind == "percent":
-            text += self.take().text
-        return Lit(value, text)
-
-    def try_fraction_literal(self) -> Optional[FractionLit]:
-        # Matches '(' ['-'] digits '/' digits ')' without consuming on failure.
-        toks = self.tokens
-        i = self.pos
-        j = i + 1
-        sign = 1
-        if j < len(toks) and toks[j].kind == "minus":
-            sign = -1
-            j += 1
-        if not (j + 3 < len(toks)
-                and toks[j].kind == "digits"
-                and toks[j + 1].kind == "slash"
-                and toks[j + 2].kind == "digits"
-                and toks[j + 3].kind == "rparen"):
-            return None
-        value = Frac(sign * int(toks[j].text), int(toks[j + 2].text))
-        start = toks[i].offset
-        end = toks[j + 3].offset + 1
-        self.pos = j + 4
-        return FractionLit(value, self.src[start:end])
+        m = _NUMBER.match(self.src, self.i)
+        number, decimals = m.groups()
+        if decimals == ".":
+            raise ExprSyntaxError("expected digits", m.start(2) + 1)
+        self.i = m.end()
+        return Lit(float(number) if decimals else int(number), m[0])
 
     def parse_group(self) -> Group:
-        opener = self.take()
+        start = self.i
+        opener = self.src[start]
+        self.i += 1
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise DepthExceeded(opener.offset, MAX_DEPTH)
-        inner = self.parse_sum()
-        closer = "rparen" if opener.kind == "lparen" else "rbracket"
-        tok = self.peek()
-        if tok is None or tok.kind != closer:
-            raise ExprSyntaxError(f"unbalanced {opener.text!r}", opener.offset)
-        self.take()
+            raise DepthExceeded(start, MAX_DEPTH)
+        inner = self.parse_chain(1)
+        if self.peek() != _CLOSERS[opener]:
+            raise ExprSyntaxError(f"unbalanced {opener!r}", start)
+        self.i += 1
         self.depth -= 1
-        return Group(opener.text, inner)
+        return Group(opener, inner)
 
 
 def parse(src: str, mode: str = STANDARD) -> Node:
     if mode not in (STANDARD, FRACTION):
         raise ValueError(f"unknown parse mode {mode!r}")
-    return _Parser(src, lex(src), mode).parse()
+    bad = _LEXICAL_ERROR.search(src)
+    if bad is not None:
+        if len(bad[0]) == 1:
+            raise ExprSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
+        raise ExprSyntaxError(f"number of more than {DIGIT_LIMIT} digits", bad.start())
+    return _Parser(src, mode).parse()
 
 
 def iter_nodes(e: Node) -> Iterator[Node]:

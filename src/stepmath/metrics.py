@@ -271,7 +271,7 @@ def grouped_csv(report: EvalReport) -> str:
 # n-digit two-operand suites
 
 
-BIGBENCH_OPS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
+BIGBENCH_OPS = {label: op for op, label in _OP_LABEL.items() if op != "^"}
 BIGBENCH_DIGITS = (1, 2, 3, 4, 5)
 
 

@@ -27,6 +27,9 @@ RENDER_LIMIT = 1e21
 # before they are computed, and `render` refuses any other longer result.
 DIGIT_LIMIT = 4300
 _POWER_BOUND = 10 ** DIGIT_LIMIT
+# Past this exponent every base of 2 or more gives too many digits; testing it
+# first keeps an exponent too large for a float out of the digit estimate.
+_MAX_EXPONENT = (DIGIT_LIMIT + 1) / math.log10(2)
 
 
 class Frac:
@@ -162,7 +165,8 @@ def pow_(base: Number, exponent: Number) -> int:
     # Estimate the digits first: `9^99999999` must fail, not run for hours.
     # The estimate is good to far better than one digit, so the exact test
     # below decides only results that are at most two digits too long.
-    if abs(base) < 2 or exponent * math.log10(abs(base)) <= DIGIT_LIMIT + 1:
+    if abs(base) < 2 or (exponent <= _MAX_EXPONENT
+                         and exponent * math.log10(abs(base)) <= DIGIT_LIMIT + 1):
         # 0**0 == 1, consistent with n**0 == 1 for every other base.
         result = base ** exponent
         if -_POWER_BOUND < result < _POWER_BOUND:

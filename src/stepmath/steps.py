@@ -38,6 +38,7 @@ from . import numeric
 from .errors import DivByZero, NonTerminating
 from .expr import (
     FRACTION,
+    TIER,
     Chain,
     FractionLit,
     Group,
@@ -55,9 +56,6 @@ R_BINOP = "binop"
 R_RECIPROCAL = "reciprocal"
 R_SIMPLIFY = "simplify"
 R_UNGROUP = "ungroup"
-
-_TIER = {"^": 3, "*": 2, "/": 2, "+": 1, "-": 1}
-
 
 @dataclass
 class StepTrace:
@@ -116,28 +114,19 @@ def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> t
     return new, top, folded
 
 
-def _edit(tree: Node, link: Optional[tuple], new: Node, start: int, end: int,
-          piece: Optional[str] = None) -> Node:
-    """`tree` with `new` in place of the node at `link`, which printed as the
-    span [start, end) of the tree's text. The new root's text is that text with
-    the span swapped for `piece`, by default the text of `new`, a literal; the
-    rebuilt nodes between stay unprinted. A chain whose head pair is rewritten
-    passes the pair's span and new text."""
+def _edit(text: str, link: Optional[tuple], new: Node, start: int, end: int,
+          piece: Optional[str] = None) -> tuple[Node, str]:
+    """The tree of `text` with `new` in place of the node at `link`, which
+    printed as the span [start, end) of `text`: (new tree, its text). The new
+    text is `text` with the span swapped for `piece`, by default the text of
+    `new`, a literal. A chain whose head pair is rewritten passes the pair's
+    span and new text."""
     root, top, folded = _replace(link, new)
     if piece is None:
         piece = top.text
         if root is top:
-            root._text = piece
-            return root
-    old = _text_of(tree)
-    root._text = old[:start - folded] + piece + old[end:]
-    return root
-
-
-def _text_of(tree: Node) -> str:
-    # Every snapshot root this engine builds carries its text, so only the
-    # first tree of a trace is printed here, and only if a step needs it.
-    return tree._text or print_expr(tree)
+            return root, piece
+    return root, text[:start - folded] + piece + text[end:]
 
 
 def _lit_from_value(v: Number) -> Lit:
@@ -246,7 +235,7 @@ def _scan(tree: Node, fraction: bool) -> tuple:
                             if whole.recip is None:
                                 whole.recip = found
                         else:
-                            tier = _TIER[op]
+                            tier = TIER[op]
                             found = (link, node, offset, end, tier, base)
                             if group is not None and (group.binop is None
                                                       or tier > group.binop[4]):
@@ -314,12 +303,12 @@ def _strip_sign(node: Node) -> Node:
     return signed("-", node, text[1:] if text[0] == "-" else None)
 
 
-def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
-    """Strip the first two negative factors of `chain` in `tree`. Returns the
-    new tree and the snapshot's text, which in fraction mode marks the chain
-    head with a `+` unless the head is the first negative factor."""
+def _cancel_signs(text: str, chain: list, fraction: bool) -> tuple[Node, str, str]:
+    """Strip the first two negative factors of `chain` in the tree of `text`.
+    Returns the new tree, its text and the snapshot's text, which in fraction
+    mode marks the chain head with a `+` unless the head is the first negative
+    factor."""
     (node, start), first, second = chain[:3]
-    text = _text_of(tree)
     done: dict = {}
     pieces = []
     pos = 0
@@ -332,9 +321,9 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
                       else stripped.text)
         pos = factor_end
     pieces.append(text[pos:])
-    unmarked._text = text = "".join(pieces)
+    text = "".join(pieces)
     if not fraction:
-        return unmarked, text
+        return unmarked, text, text
     # the head factor: the first operand, through nested mul/div chains and
     # the brackets the scan sees through
     while node.__class__ is Chain and node.ops[0] in "*/":
@@ -342,8 +331,8 @@ def _cancel_signs(tree: Node, chain: list, fraction: bool) -> tuple[Node, str]:
         if node.__class__ is Group and node.inner.__class__ is Chain and node.inner.ops[0] in "*/":
             node, start = node.inner, start + 1
     if first[2] == start:  # the head is the first negative factor
-        return unmarked, text
-    return unmarked, text[:start] + "+" + text[start:]
+        return unmarked, text, text
+    return unmarked, text, text[:start] + "+" + text[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +361,14 @@ def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     """Apply the single highest-priority rewrite: (the tree to rewrite next,
     rule), or None when e is a literal."""
-    step = _next_step(e, mode)
+    step = _next_step(e, print_expr(e), mode)
     return step and step[:2]
 
 
-def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, str]]:
-    """(the tree to rewrite next, rule, snapshot text); the text differs from
-    the tree's only by the `+` head marker of a fraction-mode sign step."""
+def _next_step(tree: Node, text: str, mode: str) -> Optional[tuple[Node, str, str, str]]:
+    """For `tree`, printed as `text`: (the tree to rewrite next, rule, its
+    text, snapshot text). The snapshot differs from the text only by the `+`
+    head marker of a fraction-mode sign step."""
     if isinstance(tree, Lit) and not tree.percent:
         return None
     if isinstance(tree, FractionLit) and not tree.reducible:
@@ -386,21 +376,21 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, str]]:
 
     found = _flat_binop(tree)
     if found is not None:
-        new = _binop(tree, found, None)
-        return new, R_BINOP, new._text
+        new, text = _binop(text, found, None)
+        return new, R_BINOP, text, text
     fraction = mode == FRACTION
     chains, percent, leaves, whole = _scan(tree, fraction)
 
     for chain in chains:
         if len(chain) > 2:
-            new, text = _cancel_signs(tree, chain, fraction)
-            return new, R_SIGN, text
+            new, text, snapshot = _cancel_signs(text, chain, fraction)
+            return new, R_SIGN, text, snapshot
 
     if percent is not None:
         link, node, start, end = percent
         value = numeric.percent_value(node.value)
-        new = _edit(tree, link, _lit_from_value(value), start, end)
-        return new, R_PERCENT, new._text
+        new, text = _edit(text, link, _lit_from_value(value), start, end)
+        return new, R_PERCENT, text, text
 
     # Work inside the deepest bracket group without inner groups first,
     # leftmost breaking ties (the leaves are in print order and the sort is
@@ -409,11 +399,12 @@ def _next_step(tree: Node, mode: str) -> Optional[tuple[Node, str, str]]:
     # outward to the whole tree and the power rule consumes the bracketed
     # literal directly.
     for region in sorted(leaves, key=_DEPTH, reverse=True) + [whole] if leaves else (whole,):
-        step = _region_step(tree, region)
+        step = _region_step(text, region)
         if step is not None:
-            return (*step, step[0]._text)
+            new, text, rule = step
+            return new, rule, text, text
 
-    raise NonTerminating(f"no rule applies to {_text_of(tree)!r}")
+    raise NonTerminating(f"no rule applies to {text!r}")
 
 
 def _flat_binop(tree: Node) -> Optional[tuple]:
@@ -444,8 +435,9 @@ def _flat_binop(tree: Node) -> Optional[tuple]:
     return found or (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a)
 
 
-def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
-    """The region rules inside one innermost group, or anywhere in the whole tree."""
+def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:
+    """The region rules inside one innermost group, or anywhere in the whole
+    tree of `text`: (new tree, its text, rule)."""
     group = region.node
 
     # reciprocal: division by a fraction literal, both sides already in lowest
@@ -456,31 +448,31 @@ def _region_step(tree: Node, region: _Region) -> Optional[tuple[Node, str]]:
         recip = FractionLit(Frac(rhs.value.den, rhs.value.num))
         new = Chain("*" + node.ops[1:], (lhs, recip) + node.operands[2:])
         piece = lhs.text + "*" + recip.text
-        return _edit(tree, link, new, start, end, piece), R_RECIPROCAL
+        return *_edit(text, link, new, start, end, piece), R_RECIPROCAL
 
     # binop: leftmost head pair of the highest precedence tier with two
     # literal operands
     if region.binop is not None:
-        return _binop(tree, region.binop, group and region), R_BINOP
+        return *_binop(text, region.binop, group and region), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
     if region.frac is not None:
         link, node, start, end = region.frac
         reduced = numeric.reduce_fraction(node.value)
         new = FractionLit(reduced, parens=link is not None and node.text[-1] == ")")
-        return _edit(tree, link, new, start, end), R_SIMPLIFY
+        return *_edit(text, link, new, start, end), R_SIMPLIFY
 
     if group is not None and _is_operand(group.inner) \
             and not _pinned_by_power_base(region.link, group.inner):
-        return _edit(tree, region.link, group.inner, region.start, region.end), R_UNGROUP
+        return *_edit(text, region.link, group.inner, region.start, region.end), R_UNGROUP
 
     return None
 
 
-def _binop(tree: Node, found: tuple, region: Optional[_Region]) -> Node:
-    """`tree` with the head pair `found` evaluated: it becomes one literal, or
-    replaces its two-operand chain. `region` is the bracket group the pair
-    is in, if any."""
+def _binop(text: str, found: tuple, region: Optional[_Region]) -> tuple[Node, str]:
+    """The tree of `text` with the head pair `found` evaluated, and its text:
+    the pair becomes one literal, or replaces its two-operand chain. `region`
+    is the bracket group the pair is in, if any."""
     link, node, start, end, _, base = found
     op = node.ops[0]
     operands = node.operands
@@ -490,7 +482,7 @@ def _binop(tree: Node, found: tuple, region: Optional[_Region]) -> Node:
               else _fraction_result(op, value, link is None and len(operands) == 2))
     if len(operands) > 2:
         new = Chain(node.ops[1:], (result,) + operands[2:])
-        return _edit(tree, link, new, start, end, result.text)
+        return _edit(text, link, new, start, end, result.text)
     # A bracket whose content just became a single literal is absorbed in the
     # same step, unless the literal is negative and the bracket either is not
     # at the very start of the expression or is pinned as a power base; those
@@ -501,9 +493,9 @@ def _binop(tree: Node, found: tuple, region: Optional[_Region]) -> Node:
         elif _is_negative_literal(result) and (
             region.start != 0 or _pinned_by_power_base(region.link, result)
         ):
-            return _edit(tree, link, result, start, end)
-        return _edit(tree, region.link, result, region.start, region.end)
-    return _edit(tree, link, result, start, end)
+            return _edit(text, link, result, start, end)
+        return _edit(text, region.link, result, region.start, region.end)
+    return _edit(text, link, result, start, end)
 
 
 def direct_eval(e: Node, mode: str = "standard") -> Number:
@@ -532,21 +524,22 @@ def trace(e: Node, mode: str = "standard") -> StepTrace:
     per character bound any trace; past that, NonTerminating."""
     global _ambiguous
     _ambiguous = False
-    snapshots = [_text_of(e)]
-    bound = 4 * len(snapshots[0]) + 4
+    text = print_expr(e)
+    snapshots = [text]
+    bound = 4 * len(text) + 4
     rules = []
     tree = e
     while True:
         try:
-            step = _next_step(tree, mode)
+            step = _next_step(tree, text, mode)
         except DivByZero as err:
             raise DivByZero(f"{err.detail} (step {len(rules)})") from None
         if step is None:
             return StepTrace(snapshots, rules, tree.value, _ambiguous)
         if len(rules) >= bound:
             raise NonTerminating(f"trace of {snapshots[0]!r} exceeded {bound} steps")
-        tree, rule, text = step
-        snapshots.append(text)
+        tree, rule, text, snapshot = step
+        snapshots.append(snapshot)
         rules.append(rule)
 
 

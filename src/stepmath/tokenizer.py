@@ -10,6 +10,7 @@ they are not mistaken for published ground truth.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable
 
 from .errors import UnknownId, UnknownSymbol
@@ -68,6 +69,8 @@ class Vocab:
         # record text, so encode cannot find them and decode drops them.
         self._encode_id = {s: t for s, t in self._id_of.items() if s not in (MARKER, PAD)}
         self._decode_sym = {**self._sym_of, self.marker_id: "", self.pad_id: ""}
+        # finds the first character of a text that encode cannot encode
+        self.unknown_symbol = re.compile("[^" + re.escape("".join(self._encode_id)) + "]")
 
     def id_of(self, symbol: str) -> int:
         return self._id_of[symbol]

@@ -62,10 +62,12 @@ class TestTrace:
         rc, _, err = run(capsys, "trace", "1/0")
         assert rc == 3 and "1/0" in err
 
-    @pytest.mark.parametrize("src", ["9999^2000", "9^99999999"])
+    @pytest.mark.parametrize("src", ["9999^2000", "9^99999999",
+                                     pytest.param("2^" + "9" * 400, id="2^400 nines")])
     def test_oversized_power_exit_3_before_computing(self, capsys, src):
-        # 8,000 and 95 million digits: past the 4300-digit print limit, so
-        # the power is refused up front instead of raising or never ending
+        # 8,000, 95 million and about 10^399 digits: past the 4300-digit print
+        # limit, so the power is refused up front instead of raising or never
+        # ending; an exponent past a float's range is refused all the same
         rc, out, err = run(capsys, "trace", src)
         assert rc == 3 and out == ""
         assert f"{src} has more than 4300 digits" in err
@@ -421,6 +423,20 @@ class TestTokenizePack:
                          str(tmp_path / "d.pack"), "--block-length", "8")
         assert rc == 3 and "line 1" in err
 
+    def test_symbol_outside_the_vocabulary_names_its_line(self, capsys, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("1+2=3\n\nab+1=2\n")
+        message = f"stepmath: malformed input: {data}:3: symbol 'a' at offset 0 is not in the vocabulary"
+        for argv in (["tokenize", "--in", str(data)],
+                     ["pack", "--in", str(data), "--out", str(tmp_path / "d.pack"),
+                      "--block-length", "32"]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (64, ""), argv
+            assert err.splitlines()[1] == message, argv
+        rc, out, err = run(capsys, "tokenize", "--text", "ab+1=2")
+        assert (rc, out) == (3, "")
+        assert err.splitlines()[1] == "stepmath: symbol 'a' at offset 0 is not in the vocabulary"
+
 
 class TestEvalCli:
     def test_combined_file(self, capsys, tmp_path):
@@ -542,6 +558,19 @@ class TestReconstructCli:
                  Path(payload["rejects_file"]).read_text().splitlines()]
         assert row["line"] == 2
 
+    def test_power_past_a_float_is_a_reject_row(self, capsys, tmp_path):
+        equation = "2^" + "9" * 400
+        src = tmp_path / "ape.jsonl"
+        src.write_text(json.dumps({"id": "2", "equation": equation, "ans": "1"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        rc, o, _ = run(capsys, "reconstruct", "--in", str(src), "--out", str(out), "--json")
+        assert rc == 0
+        payload = json.loads(o)
+        assert (payload["reconstructed"], payload["rejected"]) == (0, 1)
+        [row] = [json.loads(line) for line in
+                 Path(payload["rejects_file"]).read_text().splitlines()]
+        assert f"{equation} has more than 4300 digits" in row["reason"]
+
 
 class TestScoreMwpCli:
     def test_end_to_end(self, capsys, tmp_path):
@@ -558,6 +587,19 @@ class TestScoreMwpCli:
         payload = json.loads(out)
         assert payload["arithmetic_accuracy"] == 1.0
         assert payload["answer_accuracy"] == 0.0
+
+    def test_power_past_a_float_scores_incorrect(self, capsys, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"id": "1", "original_text": "q", "equation": "2^3",
+                                    "ans": "8", "solution_trace": "2^3=8"}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "1", "prediction": "2^" + "9" * 400 + "=8"}) + "\n")
+        rc, out, _ = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred),
+                         "--json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["arithmetic_accuracy"] == 0.0
+        assert payload["answer_accuracy"] == 1.0
 
     @pytest.mark.parametrize("bad", [
         "not json", '["1", "20-5-8=7"]', '{"prediction": "20-5-8=7"}', '{"id": "1"}',

@@ -15,7 +15,6 @@ from stepmath.expr import (
     Group,
     Lit,
     count_atomic_ops,
-    lex,
     parse,
     print_expr,
 )
@@ -53,39 +52,35 @@ _PARSE_ERRORS = [
 
 
 class TestLexer:
+    """The characters of the language, which `parse` checks before parsing."""
+
     @pytest.mark.parametrize("src,mode", ALL_GOLDEN_SOURCES)
     def test_lossless_on_golden_inputs(self, src, mode):
-        assert "".join(tok.text for tok in lex(src)) == src
-
-    def test_token_offsets(self):
-        toks = lex("12+3.5%")
-        assert [(t.kind, t.offset) for t in toks] == [
-            ("digits", 0), ("plus", 2), ("digits", 3), ("dot", 4),
-            ("digits", 5), ("percent", 6),
-        ]
+        assert print_expr(parse(src, mode)) == src
 
     def test_rejects_unknown_character(self):
         with pytest.raises(ExprSyntaxError) as exc:
-            lex("1+a")
+            parse("1+a")
         assert exc.value.offset == 2
 
     def test_rejects_non_ascii_digits(self):
         with pytest.raises(ExprSyntaxError):
-            lex("١+1")  # Arabic-Indic digit: isdigit() but not part of the language
+            parse("١+1")  # Arabic-Indic digit: isdigit() but not part of the language
 
     def test_fuzz_accept_or_error_never_crash(self):
-        # 10^5 random short strings: the lexer either tokenizes losslessly or
-        # raises a positioned syntax error, and never anything else.
+        # 10^5 random short strings: parse either returns a tree that prints
+        # back to the input or raises a positioned syntax error, and never
+        # anything else.
         rng = random.Random(2024)
         alphabet = "0123456789.+-*/^()[]=% ab\t"
         for _ in range(100_000):
             s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             try:
-                toks = lex(s)
+                tree = parse(s)
             except ExprSyntaxError as err:
                 assert 0 <= err.offset <= len(s)
             else:
-                assert "".join(t.text for t in toks) == s
+                assert print_expr(tree) == s
 
 
 class TestParser:

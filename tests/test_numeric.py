@@ -156,7 +156,7 @@ class TestPow:
         assert numeric.pow_(-1, 10**12 + 1) == -1
         assert numeric.pow_(0, 10**12) == 0
         for base, exponent in [(10, 4300), (-10, 4301), (2, 14285), (10**100, 43),
-                               (9999, 2000), (9, 99999999)]:
+                               (9999, 2000), (9, 99999999), (2, 10**400 - 1)]:
             with pytest.raises(RenderOverflow):
                 numeric.pow_(base, exponent)
 
