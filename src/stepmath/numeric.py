@@ -23,7 +23,7 @@ from .errors import Dec64RangeError, DivByZero, RenderOverflow, UnsupportedExpon
 RENDER_LIMIT = 1e21
 
 # Most decimal digits an integer may have: Python's default limit on
-# int-to-str conversion. The lexer refuses longer literals, powers are refused
+# int-to-str conversion. The parser refuses longer literals, powers are refused
 # before they are computed, and `render` refuses any other longer result.
 DIGIT_LIMIT = 4300
 _POWER_BOUND = 10 ** DIGIT_LIMIT

@@ -426,7 +426,8 @@ class TestTokenizePack:
     def test_symbol_outside_the_vocabulary_names_its_line(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
         data.write_text("1+2=3\n\nab+1=2\n")
-        message = f"stepmath: malformed input: {data}:3: symbol 'a' at offset 0 is not in the vocabulary"
+        message = (f"stepmath: malformed input: {data}:3: "
+                   "symbol 'a' at offset 0 is not in the vocabulary")
         for argv in (["tokenize", "--in", str(data)],
                      ["pack", "--in", str(data), "--out", str(tmp_path / "d.pack"),
                       "--block-length", "32"]):
