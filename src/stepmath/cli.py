@@ -9,15 +9,17 @@ configuration as one JSON line on stderr so it can be reproduced exactly;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
-from .errors import (ExprSyntaxError, MalformedInput, MathError, NonTerminating, StepmathError,
-                     UnknownSymbol)
+from .errors import (ExprSyntaxError, MalformedInput, MathError, NonTerminating, RecordTooLong,
+                     StepmathError, UnknownSymbol)
 from .expr import parse
 from .numeric import render
 from .steps import render_trace, trace
@@ -54,6 +56,22 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _replacing(*paths: str):
+    """Binary files opened at PATH.tmp, one per path. When the block ends
+    without error each replaces its path, in the order given; when it fails
+    they are removed, so a failed run leaves no partial file behind."""
+    tmps = [path + ".tmp" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in filter(os.path.exists, tmps):  # left by a failure
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -75,21 +93,19 @@ def _cmd_trace(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.schedule:
-        with open(args.schedule, encoding="utf-8") as f:
-            text = "".join(metrics.utf8_lines(f))
+        text = "".join(metrics.utf8_lines(args.schedule))
         schedule = datagen.schedule_from_json(text, args.schedule)
     else:
         if args.total is None:
             print("stepmath: generate needs --total or --schedule", file=sys.stderr)
             return EXIT_USAGE
         schedule = datagen.default_curriculum(args.total, args.seed)
-    with open(args.out, "wb") as out:
-        manifest = datagen.generate_dataset(
-            schedule, out, path_label=args.out, workers=args.workers
-        )
     manifest_path = args.manifest or args.out + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        f.write(manifest.to_json() + "\n")
+    # the manifest is renamed last: one on disk describes the trace file beside it
+    with _replacing(args.out, manifest_path) as (out, manifest_file):
+        manifest = datagen.generate_dataset(schedule, out, path_label=args.out,
+                                            workers=args.workers)
+        manifest_file.write((manifest.to_json() + "\n").encode())
     if args.json:
         print(manifest.to_json())
     else:
@@ -99,20 +115,14 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of the UTF-8 text file at `path` that are not blank. A line
-    with a symbol outside the vocabulary is malformed: the error names it."""
-    lines = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(metrics.utf8_lines(f), 1):
-            line = line.rstrip("\n")
-            if line.strip():
-                bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
-                if bad is not None:
-                    raise MalformedInput(f"{path}:{line_no}: "
-                                         f"{UnknownSymbol(bad[0], bad.start())}")
-                lines.append(line)
-    return lines
+def _checked_lines(path: str) -> Iterator[tuple[int, str]]:
+    """metrics.read_lines of `path`, each checked before it is yielded: a line
+    with a symbol outside the vocabulary is malformed, and the error names it."""
+    for line_no, line in metrics.read_lines(path):
+        bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
+        if bad is not None:
+            raise MalformedInput(f"{path}:{line_no}: {UnknownSymbol(bad[0], bad.start())}")
+        yield line_no, line
 
 
 # ids come from a vocabulary of a few dozen symbols: look their text up, not
@@ -121,23 +131,42 @@ _id_text = functools.lru_cache(maxsize=64)(str)
 
 
 def _cmd_tokenize(args) -> int:
-    lines = [args.text] if args.text is not None else _read_lines(args.infile)
-    encoded = [tokenizer.encode(line) for line in lines]
-    if args.json:
-        print(json.dumps([{"text": t, "ids": ids} for t, ids in zip(lines, encoded)]))
+    if args.text is not None:
+        lines = [args.text]
     else:
-        for ids in encoded:
-            print(" ".join(map(_id_text, ids)))
+        for _ in _checked_lines(args.infile):  # a bad line anywhere prints nothing
+            pass
+        lines = (line for _, line in metrics.read_lines(args.infile))
+    if args.json:
+        # the bytes of json.dumps of the whole list, written item by item
+        sep = "["
+        for line in lines:
+            sys.stdout.write(sep + json.dumps({"text": line, "ids": tokenizer.encode(line)}))
+            sep = ", "
+        print("[]" if sep == "[" else "]")
+    else:
+        for line in lines:
+            print(" ".join(map(_id_text, tokenizer.encode(line))))
     return EXIT_OK
 
 
 def _cmd_pack(args) -> int:
-    lines = _read_lines(args.infile)
-    with open(args.out, "wb") as out:
-        blocks = packing.pack_sequences(lines, args.block_length, out)
-    payload = {"records": len(lines), "blocks": blocks, "block_length": args.block_length}
+    records = line_no = 0
+
+    def lines():
+        nonlocal records, line_no
+        for line_no, line in _checked_lines(args.infile):
+            records += 1
+            yield line
+
+    try:
+        with _replacing(args.out) as (out,):
+            blocks = packing.pack_sequences(lines(), args.block_length, out)
+    except RecordTooLong as err:  # pack_sequences numbers records, not file lines
+        raise RecordTooLong(line_no, err.length, err.block_length, args.infile) from None
+    payload = {"records": records, "blocks": blocks, "block_length": args.block_length}
     print(json.dumps(payload) if args.json else
-          f"packed {len(lines)} records into {blocks} blocks of {args.block_length}")
+          f"packed {records} records into {blocks} blocks of {args.block_length}")
     return EXIT_OK
 
 

@@ -60,11 +60,12 @@ class UnknownId(StepmathError):
 
 
 class RecordTooLong(StepmathError):
-    def __init__(self, line_no: int, length: int, block_length: int):
-        super().__init__(
-            f"record on line {line_no} tokenizes to {length} ids, "
-            f"longer than block length {block_length}"
-        )
+    """A record of more ids than a block holds; the message starts with where."""
+
+    def __init__(self, line_no: int, length: int, block_length: int, path: str = ""):
+        where = f"{path}:{line_no}" if path else f"line {line_no}"
+        super().__init__(f"{where}: record tokenizes to {length} ids, "
+                         f"longer than block length {block_length}")
         self.line_no = line_no
         self.length = length
         self.block_length = block_length

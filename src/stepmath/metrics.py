@@ -272,22 +272,6 @@ def grouped_csv(report: EvalReport) -> str:
 
 
 BIGBENCH_OPS = {label: op for op, label in _OP_LABEL.items() if op != "^"}
-BIGBENCH_DIGITS = (1, 2, 3, 4, 5)
-
-
-def suite_grid_csv(accuracies: dict) -> str:
-    """Operation-by-digit-count grid for scored n-digit suites.
-
-    `accuracies` maps (op, digits) to a float; missing cells stay blank.
-    """
-    lines = ["task," + ",".join(f"{d}D" for d in BIGBENCH_DIGITS)]
-    for op in sorted(BIGBENCH_OPS):
-        cells = []
-        for d in BIGBENCH_DIGITS:
-            acc = accuracies.get((op, d))
-            cells.append("" if acc is None else f"{acc:.4f}")
-        lines.append(op + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def bigbench_suite(op: str, digits: int, n: int, seed: int) -> list[dict]:
@@ -324,14 +308,12 @@ def load_prediction_records(
     with {prediction} or raw text lines). Files that are not line-aligned
     raise MalformedInput at the first line without a partner."""
     if combined_path is not None:
-        with open(combined_path, encoding="utf-8") as f:
-            return [_prediction_record(obj, isinstance(obj, dict) and obj.get("prediction"))
-                    for _, obj in read_jsonl(f)]
+        return [_prediction_record(obj, isinstance(obj, dict) and obj.get("prediction"))
+                for _, obj in read_jsonl(combined_path)]
     if gold_path is None or pred_path is None:
         raise ValueError("need either a combined file or gold and prediction files")
-    with open(gold_path, encoding="utf-8") as f:
-        golds = list(read_jsonl(f))
-    preds = list(_read_predictions(pred_path))
+    golds = list(read_jsonl(gold_path))
+    preds = [(line_no, _prediction_text(line)) for line_no, line in read_lines(pred_path)]
     if len(golds) != len(preds):
         n = min(len(golds), len(preds))
         path, rows = (gold_path, golds) if len(golds) > n else (pred_path, preds)
@@ -349,44 +331,52 @@ def _prediction_record(gold, prediction) -> PredictionRecord:
     return PredictionRecord.malformed(repr(gold))
 
 
-def utf8_lines(f: Iterable[str]) -> Iterator[str]:
-    """The lines of `f`, a text file opened as UTF-8. A byte that does not
-    decode ends them in MalformedInput, which names the file."""
-    try:
-        yield from f
-    except UnicodeDecodeError as err:
-        raise MalformedInput(f"{f.name}: not UTF-8: byte 0x{err.object[err.start]:02x}, "
-                             f"{err.reason}") from None
-
-
-def read_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
-    """The one reader of JSONL input: yields (line number, parsed value) for
-    each line that is not blank. Blank lines count toward the numbering. A
-    line that is not JSON, or not JSON this program can hold (an integer past
-    the 4300-digit limit, nesting past the recursion limit), yields None, so
-    each caller decides between a reject, an error verdict and an error."""
-    for line_no, line in enumerate(utf8_lines(lines), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):
-            obj = None
-        yield line_no, obj
-
-
-def _read_predictions(path: str):
-    """Yields (line number, prediction text); a line that is not JSON, or
-    holds no string prediction, is taken as raw text."""
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(utf8_lines(f), start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
+def utf8_lines(path: str) -> Iterator[str]:
+    """The lines of the UTF-8 text file at `path`, line ends kept. The file
+    opens at the call, so a missing one fails before the caller writes
+    anything; a byte that does not decode ends the lines in MalformedInput."""
+    def lines(f):
+        with f:
+            yield  # primed by next() below, so closing unread lines still closes f
             try:
-                obj = json.loads(line)
-                pred = obj["prediction"] if isinstance(obj, dict) else str(obj)
-            except (ValueError, RecursionError, KeyError):
-                pred = line
-            yield line_no, pred if isinstance(pred, str) else line
+                yield from f
+            except UnicodeDecodeError as err:
+                raise MalformedInput(f"{path}: not UTF-8: byte 0x{err.object[err.start]:02x}, "
+                                     f"{err.reason}") from None
+    started = lines(open(path, encoding="utf-8"))
+    next(started)
+    return started
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The one reader of text input: yields (line number, line without its
+    line end) for each line of the file at `path` that is not blank. Blank
+    lines count toward the numbering. Opens the file at the call."""
+    return ((line_no, line.rstrip("\n"))
+            for line_no, line in enumerate(utf8_lines(path), start=1) if line.strip())
+
+
+def _json_value(line: str) -> object:
+    try:
+        return json.loads(line.strip())
+    except (ValueError, RecursionError):
+        return None
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
+    """read_lines with each line parsed as JSON. A line that is not JSON, or
+    not JSON this program can hold (an integer past the 4300-digit limit,
+    nesting past the recursion limit), reads as None, so each caller decides
+    between a reject, an error verdict and an error."""
+    return ((line_no, _json_value(line)) for line_no, line in read_lines(path))
+
+
+def _prediction_text(line: str) -> str:
+    """The string prediction of a JSON object line, the text of any other
+    JSON value (`1e5` reads as 100000.0), or else the line as it is."""
+    try:
+        obj = json.loads(line)
+        pred = obj["prediction"] if isinstance(obj, dict) else str(obj)
+    except (ValueError, RecursionError, KeyError):
+        return line
+    return pred if isinstance(pred, str) else line

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import numeric
 from .errors import AnswerMismatch, EquationParseError, MalformedInput, MathError, StepmathError
@@ -23,8 +23,7 @@ from .numeric import Number
 from .steps import direct_eval, render_trace, trace
 
 # Leading "x=" style prefixes and trailing unit text are stripped before
-# parsing; both normalizations are inferred conventions, so they are reported
-# in each record's notes.
+# parsing; both normalizations are inferred conventions.
 _EQ_PREFIX_RE = re.compile(r"^[xX]=")
 _ANSWER_CORE_RE = re.compile(r"[+-]?\d[\d./%]*")
 
@@ -36,7 +35,6 @@ class MWPRecord:
     equation: str
     answer: Number
     answer_text: str
-    notes: tuple[str, ...] = ()
 
 
 @dataclass
@@ -54,32 +52,25 @@ class ReconstructedRecord:
         }
 
 
-def normalize_equation(text: str) -> tuple[str, list[str]]:
-    notes = []
+def normalize_equation(text: str) -> str:
     eq = text.strip()
     if _EQ_PREFIX_RE.match(eq):
         eq = eq[2:]
-        notes.append("stripped x= prefix")
-    if any(c.isspace() for c in eq):
-        eq = "".join(eq.split())
-        notes.append("stripped whitespace")
-    return eq, notes
+    return "".join(eq.split())
 
 
-def normalize_answer(text: str) -> tuple[Optional[Number], str, list[str]]:
-    notes = []
+def normalize_answer(text: str) -> tuple[Optional[Number], str]:
     raw = text.strip()
     value = parse_number_text(raw)
     if value is not None:
-        return value, raw, notes
+        return value, raw
     m = _ANSWER_CORE_RE.search(raw)
     if m and m.group(0) != raw:
         core = m.group(0)
         value = parse_number_text(core)
         if value is not None:
-            notes.append(f"stripped answer text around {core!r}")
-            return value, core, notes
-    return None, raw, notes
+            return value, core
+    return None, raw
 
 
 def record_from_obj(obj: dict) -> MWPRecord:
@@ -90,8 +81,8 @@ def record_from_obj(obj: dict) -> MWPRecord:
     missing = [k for k in ("id", "equation", "ans") if k not in obj]
     if missing:
         raise MalformedInput(f"record lacks {', '.join(map(repr, missing))}")
-    equation, eq_notes = normalize_equation(str(obj["equation"]))
-    answer, answer_text, ans_notes = normalize_answer(str(obj["ans"]))
+    equation = normalize_equation(str(obj["equation"]))
+    answer, answer_text = normalize_answer(str(obj["ans"]))
     if answer is None:
         raise EquationParseError(f"unparseable answer {obj['ans']!r}")
     return MWPRecord(
@@ -100,7 +91,6 @@ def record_from_obj(obj: dict) -> MWPRecord:
         equation=equation,
         answer=answer,
         answer_text=answer_text,
-        notes=tuple(eq_notes + ans_notes),
     )
 
 
@@ -133,10 +123,10 @@ def reconstruct_file(in_path: str, out_path: str, rejects_path: str) -> tuple[in
     becomes a rejects row {id, line, reason}. The rejects file is always
     created, even when empty."""
     written = rejected = 0
-    with open(in_path, encoding="utf-8") as fin, \
-            open(out_path, "w", encoding="utf-8") as fout, \
+    rows = read_jsonl(in_path)  # opens the input before the outputs exist
+    with open(out_path, "w", encoding="utf-8") as fout, \
             open(rejects_path, "w", encoding="utf-8") as frej:
-        for line_no, obj in read_jsonl(fin):
+        for line_no, obj in rows:
             try:
                 rec = reconstruct(record_from_obj(obj))
             except StepmathError as err:
@@ -187,21 +177,17 @@ def _equation_value(text: str) -> Optional[Number]:
         return None
 
 
-def score_mwp(
-    gold: Iterable[ReconstructedRecord],
-    predictions: Union[dict, Iterable[tuple[str, str]]],
-    keep_verdicts: bool = False,
-) -> MWPReport:
+def score_mwp(gold: Iterable[ReconstructedRecord], predictions: dict[str, str],
+              keep_verdicts: bool = False) -> MWPReport:
     """Arithmetic accuracy: the predicted expression (text before the first '=')
     is value-equivalent to the gold equation. Answer accuracy: the extracted
     final answer matches the stored answer. Missing ids count as incorrect on
     both metrics."""
-    pred_map = dict(predictions) if not isinstance(predictions, dict) else predictions
     total = arith = ans = 0
     verdicts = []
     for g in gold:
         total += 1
-        pred = pred_map.get(g.record.id)
+        pred = predictions.get(g.record.id)
         arith_ok = ans_ok = False
         if pred is None:
             verdict = "missing"
@@ -232,15 +218,14 @@ def load_reconstructed(path: str) -> list[ReconstructedRecord]:
     """Raises MalformedInput at the first line that is not a JSON object holding
     the record fields, a parseable answer and a solution_trace."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, obj in read_jsonl(f):
-            try:
-                rec = record_from_obj(obj)
-            except (MalformedInput, EquationParseError) as err:
-                raise MalformedInput(f"{path}:{line_no}: {err}") from None
-            if "solution_trace" not in obj:
-                raise MalformedInput(f"{path}:{line_no}: record lacks 'solution_trace'")
-            out.append(ReconstructedRecord(record=rec, solution_trace=obj["solution_trace"]))
+    for line_no, obj in read_jsonl(path):
+        try:
+            rec = record_from_obj(obj)
+        except (MalformedInput, EquationParseError) as err:
+            raise MalformedInput(f"{path}:{line_no}: {err}") from None
+        if "solution_trace" not in obj:
+            raise MalformedInput(f"{path}:{line_no}: record lacks 'solution_trace'")
+        out.append(ReconstructedRecord(record=rec, solution_trace=obj["solution_trace"]))
     return out
 
 
@@ -248,11 +233,10 @@ def load_predictions(path: str) -> dict[str, str]:
     """{id: prediction} from JSONL {id, prediction} lines; raises MalformedInput
     at the first line that is not an object with an id and a string prediction."""
     preds = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, obj in read_jsonl(f):
-            if not (isinstance(obj, dict) and "id" in obj
-                    and isinstance(obj.get("prediction"), str)):
-                raise MalformedInput(f"{path}:{line_no}: expected a JSON object "
-                                     "with an id and a string prediction")
-            preds[str(obj["id"])] = obj["prediction"]
+    for line_no, obj in read_jsonl(path):
+        if not (isinstance(obj, dict) and "id" in obj
+                and isinstance(obj.get("prediction"), str)):
+            raise MalformedInput(f"{path}:{line_no}: expected a JSON object "
+                                 "with an id and a string prediction")
+        preds[str(obj["id"])] = obj["prediction"]
     return preds

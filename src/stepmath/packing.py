@@ -16,7 +16,7 @@ import struct
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import MalformedInput, RecordTooLong
-from .tokenizer import DEFAULT_VOCAB, Vocab
+from .tokenizer import DEFAULT_VOCAB
 
 MAGIC = b"SMPK"
 PACK_VERSION = 1
@@ -26,18 +26,15 @@ _HEADER = struct.Struct("<4sIII")
 MAX_BLOCK_LENGTH = 1 << 20
 
 
-def pack_sequences(
-    lines: Iterable[str],
-    block_length: int,
-    out: BinaryIO,
-    vocab: Vocab = DEFAULT_VOCAB,
-) -> int:
-    """Pack records into fixed blocks; returns the number of blocks written."""
+def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> int:
+    """Pack records into fixed blocks; returns the number of blocks written.
+    Each line is encoded and checked before the next is pulled, so a caller
+    streaming `lines` knows which one a RecordTooLong is about."""
     if not 2 <= block_length <= MAX_BLOCK_LENGTH:
         raise ValueError(f"block length must be from 2 to {MAX_BLOCK_LENGTH}")
     out.write(_HEADER.pack(MAGIC, PACK_VERSION, block_length, 0))
 
-    pad = vocab.pad_id
+    pad = DEFAULT_VOCAB.pad_id
     block: list[int] = []
     count = 0
 
@@ -51,7 +48,7 @@ def pack_sequences(
         count += 1
 
     for line_no, line in enumerate(lines, start=1):
-        ids = vocab.encode(line)
+        ids = DEFAULT_VOCAB.encode(line)
         if len(ids) > block_length:
             raise RecordTooLong(line_no, len(ids), block_length)
         if len(block) + len(ids) > block_length:
@@ -68,7 +65,8 @@ def pack_sequences(
 def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
     """The blocks of a pack file as id lists; raises MalformedInput, naming
     the byte offset, on a short header, a bad magic, version or block length
-    (below 2 or above MAX_BLOCK_LENGTH), or a cut-off block."""
+    (below 2 or above MAX_BLOCK_LENGTH), a cut-off block, or bytes past the
+    last block."""
     name = getattr(f, "name", "pack file")
     header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -90,6 +88,9 @@ def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
             raise MalformedInput(f"{name}: block {k} of {count} ends at byte offset "
                                  f"{offset}, {block.size - len(raw)} bytes short")
         yield list(block.unpack(raw))
+    if f.read(1):
+        raise MalformedInput(f"{name}: bytes past the last of {count} blocks at byte offset "
+                             f"{_HEADER.size + count * block.size}")
 
 
 def _index(block: list[int], tid: int, start: int, end: int) -> int:
@@ -100,9 +101,9 @@ def _index(block: list[int], tid: int, start: int, end: int) -> int:
         return end
 
 
-def unpack_sequences(f: BinaryIO, vocab: Vocab = DEFAULT_VOCAB) -> Iterator[str]:
+def unpack_sequences(f: BinaryIO) -> Iterator[str]:
     """Recover the original record stream from a packed block file."""
-    marker, pad = vocab.marker_id, vocab.pad_id
+    marker, pad = DEFAULT_VOCAB.marker_id, DEFAULT_VOCAB.pad_id
     for block in iter_blocks(f):
         # records, each led by the marker, then padding; ids before the first
         # marker belong to no record
@@ -110,5 +111,5 @@ def unpack_sequences(f: BinaryIO, vocab: Vocab = DEFAULT_VOCAB) -> Iterator[str]
         start = _index(block, marker, 0, end)
         while start < end:
             nxt = _index(block, marker, start + 1, end)
-            yield vocab.decode(block[start + 1:nxt])
+            yield DEFAULT_VOCAB.decode(block[start + 1:nxt])
             start = nxt

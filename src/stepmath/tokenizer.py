@@ -9,7 +9,6 @@ they are not mistaken for published ground truth.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Iterable
 
@@ -17,8 +16,6 @@ from .errors import UnknownId, UnknownSymbol
 
 MARKER = "_"
 PAD = "<pad>"
-
-VOCAB_FORMAT_VERSION = 1
 
 # (symbol, id, provenance)
 _ENTRIES = [
@@ -50,33 +47,23 @@ _ENTRIES = [
 
 
 class Vocab:
-    """Immutable bidirectional symbol/id map."""
+    """The symbol/id map of _ENTRIES, both ways."""
 
-    def __init__(self, entries=None):
-        entries = list(_ENTRIES if entries is None else entries)
-        self._id_of = {}
-        self._sym_of = {}
-        self.provenance = {}
-        for sym, tid, prov in entries:
-            if sym in self._id_of or tid in self._sym_of:
-                raise ValueError(f"duplicate vocabulary entry: {sym!r}/{tid}")
-            self._id_of[sym] = tid
-            self._sym_of[tid] = sym
-            self.provenance[sym] = prov
+    def __init__(self):
+        self._id_of = {sym: tid for sym, tid, _ in _ENTRIES}
+        self.provenance = {sym: prov for sym, _, prov in _ENTRIES}
         self.marker_id = self._id_of[MARKER]
         self.pad_id = self._id_of[PAD]
         # Lookup tables for encode and decode: the marker and pad are never
         # record text, so encode cannot find them and decode drops them.
         self._encode_id = {s: t for s, t in self._id_of.items() if s not in (MARKER, PAD)}
-        self._decode_sym = {**self._sym_of, self.marker_id: "", self.pad_id: ""}
+        self._decode_sym = {tid: sym for sym, tid in self._id_of.items()}
+        self._decode_sym.update({self.marker_id: "", self.pad_id: ""})
         # finds the first character of a text that encode cannot encode
         self.unknown_symbol = re.compile("[^" + re.escape("".join(self._encode_id)) + "]")
 
     def id_of(self, symbol: str) -> int:
         return self._id_of[symbol]
-
-    def __len__(self):
-        return len(self._id_of)
 
     def encode(self, text: str) -> list[int]:
         """One id per character, preceded by the record marker."""
@@ -94,32 +81,9 @@ class Vocab:
         except KeyError as err:
             raise UnknownId(err.args[0]) from None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": VOCAB_FORMAT_VERSION,
-                "entries": [
-                    {"symbol": sym, "id": tid, "provenance": self.provenance[sym]}
-                    for sym, tid in sorted(self._id_of.items(), key=lambda kv: kv[1])
-                ],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocab":
-        data = json.loads(text)
-        if data.get("format_version") != VOCAB_FORMAT_VERSION:
-            raise ValueError(f"unsupported vocab format: {data.get('format_version')}")
-        return cls([(e["symbol"], e["id"], e["provenance"]) for e in data["entries"]])
-
 
 DEFAULT_VOCAB = Vocab()
 
 
 def encode(text: str) -> list[int]:
     return DEFAULT_VOCAB.encode(text)
-
-
-def decode(ids: Iterable[int]) -> str:
-    return DEFAULT_VOCAB.decode(ids)

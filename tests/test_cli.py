@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepmath import cli
+import stepmath
+from stepmath import cli, datagen
 from stepmath.cli import main
-from stepmath.datagen import CATEGORIES
+from stepmath.datagen import CATEGORIES, GenSpec
 from stepmath.errors import (
     DivByZero,
     ExprSyntaxError,
@@ -349,6 +350,19 @@ class TestGenerate:
         rc, _, _ = run(capsys, "generate", "--out", str(out), "--seed", "1", "--total", "0")
         assert rc == 0 and out.read_bytes() == b""
 
+    def test_failed_run_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        build = datagen.build_record
+
+        def failing(spec, index):
+            if index == 1100:  # after the first 1024-record chunk is written
+                raise DivByZero("planted")
+            return build(spec, index)
+        monkeypatch.setattr(datagen, "build_record", failing)
+        rc, out, _ = run(capsys, "generate", "--out", str(tmp_path / "x.txt"), "--seed", "1",
+                         "--total", "1200", "--workers", "1")
+        assert (rc, out) == (3, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_exit_4(self, capsys, tmp_path):
         rc, _, err = run(capsys, "generate", "--out", str(tmp_path / "nodir" / "x.txt"),
                          "--seed", "1", "--total", "10")
@@ -418,10 +432,15 @@ class TestTokenizePack:
 
     def test_pack_too_long_exit_3(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
-        data.write_text("123456789+1=123456790\n")
-        rc, _, err = run(capsys, "pack", "--in", str(data), "--out",
-                         str(tmp_path / "d.pack"), "--block-length", "8")
-        assert rc == 3 and "line 1" in err
+        for text, line_no in (("123456789+1=123456790\n", 1),
+                              ("1+2=3\n\n123456789+1=123456790\n", 3)):
+            data.write_text(text)
+            rc, _, err = run(capsys, "pack", "--in", str(data), "--out",
+                             str(tmp_path / "d.pack"), "--block-length", "8")
+            assert rc == 3
+            assert err.splitlines()[1] == (f"stepmath: {data}:{line_no}: record tokenizes to "
+                                           "22 ids, longer than block length 8")
+            assert list(tmp_path.iterdir()) == [data]
 
     def test_symbol_outside_the_vocabulary_names_its_line(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
@@ -434,9 +453,47 @@ class TestTokenizePack:
             rc, out, err = run(capsys, *argv)
             assert (rc, out) == (64, ""), argv
             assert err.splitlines()[1] == message, argv
+            assert list(tmp_path.iterdir()) == [data]
         rc, out, err = run(capsys, "tokenize", "--text", "ab+1=2")
         assert (rc, out) == (3, "")
         assert err.splitlines()[1] == "stepmath: symbol 'a' at offset 0 is not in the vocabulary"
+
+
+# Runs one subcommand with its output discarded and prints its exit code and
+# its peak RSS in KiB. The peak is VmHWM, the high-water mark of the memory
+# the process has since exec: ru_maxrss also holds that of the process that
+# started it, here the test run.
+_PEAK_RSS = """
+import os, sys
+from stepmath.cli import main
+real, sys.stdout = sys.stdout, open(os.devnull, "w")
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    real.write(f"{rc} {next(line.split()[1] for line in f if line.startswith('VmHWM:'))}")
+"""
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_tokenize_and_pack_peak_does_not_grow_with_the_file(self, tmp_path):
+        spec = GenSpec("int-mixed", (1, 3), (2, 2), seed=17)
+        sample = "".join(datagen.build_record(spec, i)[0] + "\n" for i in range(1000))
+        env = {**os.environ, "PYTHONPATH": str(Path(stepmath.__file__).parents[1])}
+        peaks = {}
+        for lines in (20_000, 200_000):
+            data = tmp_path / f"{lines}.txt"
+            data.write_text(sample * (lines // 1000))
+            for argv in (["tokenize", "--in", str(data)],
+                         ["pack", "--in", str(data), "--out", str(tmp_path / "d.pack"),
+                          "--block-length", "64"]):
+                proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                rc, kib = map(int, proc.stdout.split())
+                assert rc == 0, proc.stderr
+                peaks[argv[0], lines] = kib
+        for command in ("tokenize", "pack"):
+            grown = peaks[command, 200_000] - peaks[command, 20_000]
+            assert grown < 10 * 1024, (command, peaks)
 
 
 class TestEvalCli:

@@ -283,25 +283,3 @@ class TestBigbench:
         exact = sum(1 for item in suite if "." not in item["ground_truth"])
         inexact = sum(1 for item in suite if "." in item["ground_truth"])
         assert exact > 0 and inexact > 0  # both integer and binary64 quotients occur
-
-    def test_suite_grid_csv_layout(self):
-        from stepmath.metrics import suite_grid_csv
-
-        # score each suite against itself: a perfect model fills the grid with 1s
-        accuracies = {}
-        for op in ("ADD", "SUB", "MUL", "DIV"):
-            for digits in (1, 3, 5):
-                suite = bigbench_suite(op, digits, 20, seed=2)
-                records = [
-                    PredictionRecord.from_raw(
-                        s["problem"], s["ground_truth"],
-                        f"{s['problem']}={s['ground_truth']}",
-                    )
-                    for s in suite
-                ]
-                accuracies[(op, digits)] = evaluate(records).accuracy
-        csv = suite_grid_csv(accuracies)
-        lines = csv.splitlines()
-        assert lines[0] == "task,1D,2D,3D,4D,5D"
-        assert lines[1] == "ADD,1.0000,,1.0000,,1.0000"
-        assert len(lines) == 5

