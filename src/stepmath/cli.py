@@ -14,7 +14,9 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
+import tempfile
 from typing import Iterator, Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
@@ -56,20 +58,49 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
+def _temp_beside(path: str) -> Optional[tuple[str, str]]:
+    """(temporary file, file) for `path` with symlinks resolved: a fresh file
+    beside it, with the mode it has or would be created with. None when it is
+    written in place: it exists and is not a regular file of this user with
+    one link (a device such as /dev/null, a FIFO, a hard link), or its
+    directory takes no new file."""
+    target = os.path.realpath(path)
+    try:
+        st = os.lstat(target)
+        if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1 or st.st_uid != os.geteuid():
+            return None
+        mode = stat.S_IMODE(st.st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~os.umask(os.umask(0))
+    except OSError:
+        return None
+    try:
+        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(target) + ".",
+                                   os.path.dirname(target))
+    except OSError:  # open(path) then names the error, or writes a writable file
+        return None
+    os.fchmod(fd, mode)
+    os.close(fd)
+    return tmp, target
+
+
 @contextlib.contextmanager
 def _replacing(*paths: str):
-    """Binary files opened at PATH.tmp, one per path. When the block ends
-    without error each replaces its path, in the order given; when it fails
-    they are removed, so a failed run leaves no partial file behind."""
-    tmps = [path + ".tmp" for path in paths]
+    """Binary files to write, one per path, at the temporary file _temp_beside
+    gives or else in place. When the block ends without error each temporary
+    file replaces its file, in the order given; when it fails they are
+    removed, so a failed run leaves no partial file behind."""
+    temps = [_temp_beside(path) for path in paths]
     try:
         with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            yield [stack.enter_context(open(temp[0] if temp else path, "wb"))
+                   for temp, path in zip(temps, paths)]
+        for temp in filter(None, temps):
+            os.replace(*temp)
     finally:
-        for tmp in filter(os.path.exists, tmps):  # left by a failure
-            os.remove(tmp)
+        for tmp, _ in filter(None, temps):
+            if os.path.exists(tmp):  # left by a failure
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +146,18 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _checked(path: str, line_no: int, line: str) -> tuple[int, str]:
+    bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
+    if bad is not None:
+        raise MalformedInput(f"{path}:{line_no}: {UnknownSymbol(bad[0], bad.start())}")
+    return line_no, line
+
+
 def _checked_lines(path: str) -> Iterator[tuple[int, str]]:
-    """metrics.read_lines of `path`, each checked before it is yielded: a line
-    with a symbol outside the vocabulary is malformed, and the error names it."""
-    for line_no, line in metrics.read_lines(path):
-        bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
-        if bad is not None:
-            raise MalformedInput(f"{path}:{line_no}: {UnknownSymbol(bad[0], bad.start())}")
-        yield line_no, line
+    """metrics.read_lines of `path`, opened at the call, each line checked as
+    it is read: a symbol outside the vocabulary is malformed input, and the
+    error names the line."""
+    return (_checked(path, *numbered) for numbered in metrics.read_lines(path))
 
 
 # ids come from a vocabulary of a few dozen symbols: look their text up, not
@@ -133,10 +168,13 @@ _id_text = functools.lru_cache(maxsize=64)(str)
 def _cmd_tokenize(args) -> int:
     if args.text is not None:
         lines = [args.text]
-    else:
-        for _ in _checked_lines(args.infile):  # a bad line anywhere prints nothing
+    elif stat.S_ISREG(os.stat(args.infile).st_mode):
+        # a bad line anywhere prints nothing: one pass checks, a second prints
+        for _ in _checked_lines(args.infile):
             pass
-        lines = (line for _, line in metrics.read_lines(args.infile))
+        lines = (line for _, line in _checked_lines(args.infile))
+    else:  # a pipe or FIFO can be read only once
+        lines = [line for _, line in _checked_lines(args.infile)]
     if args.json:
         # the bytes of json.dumps of the whole list, written item by item
         sep = "["
@@ -152,10 +190,11 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_pack(args) -> int:
     records = line_no = 0
+    checked = _checked_lines(args.infile)  # --in opens before --out is made
 
     def lines():
         nonlocal records, line_no
-        for line_no, line in _checked_lines(args.infile):
+        for line_no, line in checked:
             records += 1
             yield line
 

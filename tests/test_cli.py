@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -457,6 +459,77 @@ class TestTokenizePack:
         rc, out, err = run(capsys, "tokenize", "--text", "ab+1=2")
         assert (rc, out) == (3, "")
         assert err.splitlines()[1] == "stepmath: symbol 'a' at offset 0 is not in the vocabulary"
+
+    def test_missing_input_is_named_before_the_output(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        rc, _, err = run(capsys, "pack", "--in", str(missing), "--out",
+                         str(tmp_path / "nodir" / "d.pack"), "--block-length", "32")
+        assert rc == 4
+        assert err.splitlines()[1] == ("stepmath: io error: [Errno 2] No such file or "
+                                       f"directory: '{missing}'")
+
+    def test_symlink_hard_link_and_fifo_outs_stay_what_they_are(self, capsys, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("1+2=3\n4*5=20\n")
+        pack = ["pack", "--in", str(data), "--block-length", "32", "--out"]
+        run(capsys, *pack, str(tmp_path / "want.pack"))
+        want = (tmp_path / "want.pack").read_bytes()
+
+        target, link = tmp_path / "target.pack", tmp_path / "link.pack"
+        link.symlink_to(target)
+        (tmp_path / "target.pack.tmp").write_text("mine")
+        assert run(capsys, *pack, str(link))[0] == 0
+        assert link.is_symlink() and target.read_bytes() == want
+        assert (tmp_path / "target.pack.tmp").read_text() == "mine"
+        (tmp_path / "d.txt").write_text("1+2=3\nab\n")
+        assert run(capsys, *pack, str(link))[0] == 64  # a failure leaves the target
+        assert link.is_symlink() and target.read_bytes() == want
+        (tmp_path / "d.txt").write_text("1+2=3\n4*5=20\n")
+
+        os.link(target, tmp_path / "hard.pack")
+        target.write_bytes(b"")
+        assert run(capsys, *pack, str(target))[0] == 0
+        assert (tmp_path / "hard.pack").read_bytes() == want
+
+        # pack seeks back to write its block count, so a FIFO takes generate
+        fifo, got = tmp_path / "fifo.txt", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        generate = ["generate", "--seed", "1", "--total", "20", "--out"]
+        assert run(capsys, *generate, str(fifo))[0] == 0
+        reader.join(timeout=30)
+        run(capsys, *generate, str(tmp_path / "want.txt"))
+        assert got == [(tmp_path / "want.txt").read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_replaced_out_keeps_its_mode(self, capsys, tmp_path):
+        data, out = tmp_path / "d.txt", tmp_path / "d.pack"
+        data.write_text("1+2=3\n")
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        assert run(capsys, "pack", "--in", str(data), "--out", str(out),
+                   "--block-length", "32")[0] == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_bytes() != b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pack", "d.txt"]
+
+    def test_tokenize_reads_a_fifo_once(self, tmp_path):
+        data, fifo = tmp_path / "d.txt", tmp_path / "d.fifo"
+        data.write_text("1+2=3\n\n4*5=20\n")
+        os.mkfifo(fifo)
+        env = {**os.environ, "PYTHONPATH": str(Path(stepmath.__file__).parents[1])}
+        for flags in ([], ["--json"]):
+            outputs = []
+            for path in (data, fifo):
+                writer = threading.Thread(target=lambda: fifo.write_bytes(data.read_bytes()),
+                                          daemon=True)
+                if path == fifo:
+                    writer.start()
+                proc = subprocess.run([sys.executable, "-m", "stepmath.cli", "tokenize",
+                                       "--in", str(path), *flags], env=env,
+                                      capture_output=True, text=True, timeout=60)
+                outputs.append((proc.returncode, proc.stdout))
+            assert outputs[0] == outputs[1] and outputs[0][1].count("20054") == 2, flags
 
 
 # Runs one subcommand with its output discarded and prints its exit code and
