@@ -16,6 +16,10 @@ draw that fails (division by zero via a bracketed subtraction, binary64
 overflow past the printable range, a binary64 of 1e16 or more, which prints
 without a decimal point) is resampled from the same stream, with an
 add/subtract-only fallback after too many rejects.
+
+The samplers return each tree with its operator count and its largest
+operand digit count, which they know as they draw; the manifest histograms
+are made from those, not from another walk of the tree.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
 
 from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
-from .expr import (FRACTION, STANDARD, FractionLit, Group, Lit, Node, chain,
-                   count_atomic_ops, iter_nodes, signed)
+from .expr import FRACTION, STANDARD, FractionLit, Group, Lit, Node, chain, signed
 from .numeric import Frac, values_equal
 from .steps import direct_eval, render_trace, trace
 
@@ -141,63 +144,81 @@ def evaluation_schedule(train: CurriculumSchedule, count: int = 9_592) -> Curric
 
 
 # ---------------------------------------------------------------------------
+# draws
+#
+# `randint` and `choice` check their arguments and then call `_randbelow`;
+# these call it directly, so they consume the same bits and return the same
+# values.
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)` for lo <= hi."""
+    return lo + rng._randbelow(hi - lo + 1)
+
+
+def _choice(rng: random.Random, seq):
+    """`rng.choice(seq)` for a non-empty sequence."""
+    return seq[rng._randbelow(len(seq))]
+
+
+# ---------------------------------------------------------------------------
 # literal and chain construction
-
-
-def _digits_of(rng: random.Random, spec: GenSpec) -> int:
-    return rng.randint(*spec.digit_range)
+#
+# A literal builder returns the literal and its digit count: the digits of
+# its whole part, the larger of a fraction's two parts.
 
 
 def _int_of_digits(rng: random.Random, d: int) -> int:
-    lo = 10 ** (d - 1) if d > 1 else 1
-    return rng.randint(lo, 10 ** d - 1)
+    lo = 10 ** (d - 1)
+    return lo + rng._randbelow(9 * lo)  # randint(lo, 10 ** d - 1)
 
 
-def _int_lit(rng, spec, negative=False) -> Lit:
-    v = _int_of_digits(rng, _digits_of(rng, spec))
+def _int_lit(rng, spec, negative=False) -> tuple[Lit, int]:
+    d = _randint(rng, *spec.digit_range)
+    v = _int_of_digits(rng, d)
     if negative:
-        return Lit(-v, f"-{v}")
-    return Lit(v, str(v))
+        return Lit(-v, f"-{v}"), d
+    return Lit(v, str(v)), d
 
 
-def _decimal_lit(rng, spec, negative=False) -> Lit:
-    whole = _int_of_digits(rng, _digits_of(rng, spec))
-    fd = rng.randint(1, 5)
-    frac = rng.randrange(10 ** fd)
+def _decimal_lit(rng, spec, negative=False) -> tuple[Lit, int]:
+    d = _randint(rng, *spec.digit_range)
+    whole = _int_of_digits(rng, d)
+    fd = _randint(rng, 1, 5)
+    frac = _randint(rng, 0, 10 ** fd - 1)
     text = f"{whole}.{frac:0{fd}d}"
     if negative:
         text = "-" + text
-    return Lit(float(text), text)
+    return Lit(float(text), text), d
 
 
-def _percent_lit(rng, spec) -> Lit:
-    v = _int_of_digits(rng, _digits_of(rng, spec))
-    return Lit(v, f"{v}%")
+def _percent_lit(rng, spec) -> tuple[Lit, int]:
+    d = _randint(rng, *spec.digit_range)
+    v = _int_of_digits(rng, d)
+    return Lit(v, f"{v}%"), d
 
 
-def _fraction_lit(rng, spec) -> FractionLit:
-    num = _int_of_digits(rng, _digits_of(rng, spec))
-    den = _int_of_digits(rng, _digits_of(rng, spec))
-    return FractionLit(Frac(num, den))
+def _fraction_lit(rng, spec) -> tuple[FractionLit, int]:
+    dn = _randint(rng, *spec.digit_range)
+    num = _int_of_digits(rng, dn)
+    dd = _randint(rng, *spec.digit_range)
+    den = _int_of_digits(rng, dd)
+    return FractionLit(Frac(num, den)), max(dn, dd)
+
+
+def _literals(rng, spec: GenSpec, count: int, literal) -> tuple[list[Node], list[int]]:
+    """`count` literals drawn by `literal(rng, spec)`, and their digit counts."""
+    nodes = []
+    digits = []
+    for _ in range(count):
+        node, d = literal(rng, spec)
+        nodes.append(node)
+        digits.append(d)
+    return nodes, digits
 
 
 def _negate_fraction(f: FractionLit) -> FractionLit:
     return signed("-", f, "-" + f.text)
-
-
-def _lit_digit_size(node: Node) -> int:
-    if isinstance(node, Lit):
-        if node.percent:
-            return len(str(abs(node.value)))
-        whole = node.text.lstrip("-").split(".", 1)[0]
-        return len(whole)
-    if isinstance(node, FractionLit):
-        return max(len(str(abs(node.value.num))), len(str(node.value.den)))
-    return 0
-
-
-def max_operand_digits(e: Node) -> int:
-    return max((_lit_digit_size(n) for n in iter_nodes(e)), default=0)
 
 
 def _chain(nodes: list[Node], ops: list[str]) -> Node:
@@ -217,75 +238,77 @@ def _chain(nodes: list[Node], ops: list[str]) -> Node:
     return chain(adds, terms)
 
 
-def _cap_float_magnitudes(rng, nodes: list[Node], ops: list[str]) -> None:
+def _cap_float_magnitudes(rng, nodes: list[Node], digits: list[int], ops: list[str]) -> None:
     """Clamp multiplicative runs so binary64 intermediates stay printable:
-    swap a * or / for + or - wherever the running digit estimate of a run
-    would leave the binary64 budget.
+    swap a * or / for + or - wherever the running digit estimate of a run,
+    from the literals' digit counts, would leave the binary64 budget.
 
     Only matters once a division or decimal makes the value non-exact; pure
     integer chains are exact at any size and left alone.
     """
-    has_float = any(op == "/" for op in ops) or any(
-        isinstance(n, Lit) and (n.percent or "." in n.text) for n in nodes)
-    if not has_float:
+    if "/" not in ops and not any(n.percent or n.value.__class__ is float for n in nodes):
         return
-    digits = [_lit_digit_size(n) for n in nodes]
     est = digits[0]
     for i, op in enumerate(ops):
         d = digits[i + 1]
         if op == "*" and est + d > _FLOAT_BUDGET:
-            op = ops[i] = rng.choice("+-")
+            op = ops[i] = _choice(rng, "+-")
         elif op == "/" and est - d < -_FLOAT_BUDGET:
-            op = ops[i] = rng.choice("+-")
+            op = ops[i] = _choice(rng, "+-")
         est = est + d if op == "*" else (est - d if op == "/" else d)
 
 
-def _group_kind(sub: Node) -> str:
-    return "[" if any(isinstance(n, Group) for n in iter_nodes(sub)) else "("
-
-
 def _wrap_span(nodes: list[Node], ops: list[str], i: int, j: int) -> None:
-    """Bracket operands i..j (inclusive) into a single group operand."""
-    sub = _chain(nodes[i : j + 1], ops[i:j])
-    nodes[i : j + 1] = [Group(_group_kind(sub), sub)]
+    """Bracket operands i..j (inclusive) into a single group operand, square
+    when it takes in an earlier group."""
+    span = nodes[i : j + 1]
+    kind = "[" if any(n.__class__ is Group for n in span) else "("
+    nodes[i : j + 1] = [Group(kind, _chain(span, ops[i:j]))]
     del ops[i:j]
 
 
 # ---------------------------------------------------------------------------
 # category samplers
+#
+# Each returns the tree, its operator count and its largest operand digit
+# count; wrapping operands in brackets changes neither count.
 
 
-def _sample_int_mixed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    n = rng.randint(*spec.step_range)
-    nodes: list[Node] = [_int_lit(rng, spec) for _ in range(n + 1)]
-    ops = [rng.choice(pool) for _ in range(n)]
-    _cap_float_magnitudes(rng, nodes, ops)
-    return _chain(nodes, ops)
+def _sample_int_mixed(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
+    n = _randint(rng, *spec.step_range)
+    nodes, digits = _literals(rng, spec, n + 1, _int_lit)
+    ops = [_choice(rng, pool) for _ in range(n)]
+    _cap_float_magnitudes(rng, nodes, digits, ops)
+    return _chain(nodes, ops), n, max(digits)
 
 
-def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> Node:
+def _sample_exponentiation(rng, spec: GenSpec, pool: str = "") -> tuple[Node, int, int]:
     hi_digits = min(spec.digit_range[1], 4)
     lo_digits = min(spec.digit_range[0], hi_digits)
-    base = _int_of_digits(rng, rng.randint(lo_digits, hi_digits))
+    base = _int_of_digits(rng, _randint(rng, lo_digits, hi_digits))
     base = min(base, EXP_BASE_CAP)
-    exponent = rng.randint(0, EXP_CAP)
-    return chain("^", (Lit(base, str(base)), Lit(exponent, str(exponent))))
+    exponent = _randint(rng, 0, EXP_CAP)
+    base_text, exponent_text = str(base), str(exponent)
+    return (chain("^", (Lit(base, base_text), Lit(exponent, exponent_text))), 1,
+            max(len(base_text), len(exponent_text)))
 
 
-def _sample_bracketed(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    n = rng.randint(*spec.step_range)
-    nodes: list[Node] = [
-        _int_lit(rng, spec, negative=rng.random() < 0.15) for _ in range(n + 1)
-    ]
-    ops = [rng.choice(pool) for _ in range(n)]
-    _cap_float_magnitudes(rng, nodes, ops)
-    k = rng.randint(1, n - 1)  # ops inside the group; at least one stays outside
-    s = rng.randint(0, n - k)
+def _bracketed_literal(rng, spec: GenSpec) -> tuple[Lit, int]:
+    return _int_lit(rng, spec, negative=rng.random() < 0.15)
+
+
+def _sample_bracketed(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
+    n = _randint(rng, *spec.step_range)
+    nodes, digits = _literals(rng, spec, n + 1, _bracketed_literal)
+    ops = [_choice(rng, pool) for _ in range(n)]
+    _cap_float_magnitudes(rng, nodes, digits, ops)
+    k = _randint(rng, 1, n - 1)  # ops inside the group; at least one stays outside
+    s = _randint(rng, 0, n - k)
     _wrap_span(nodes, ops, s, s + k)
-    return _chain(nodes, ops)
+    return _chain(nodes, ops), n, max(digits)
 
 
-def _lengthy_literal(rng, spec: GenSpec) -> Lit:
+def _lengthy_literal(rng, spec: GenSpec) -> tuple[Lit, int]:
     roll = rng.random()
     if roll < 0.35:
         return _int_lit(rng, spec)
@@ -298,32 +321,32 @@ def _lengthy_literal(rng, spec: GenSpec) -> Lit:
     return _decimal_lit(rng, spec, negative=True)
 
 
-def _sample_lengthy(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    n = rng.randint(*spec.step_range)
-    nodes: list[Node] = [_lengthy_literal(rng, spec) for _ in range(n + 1)]
-    ops = [rng.choice(pool) for _ in range(n)]
-    _cap_float_magnitudes(rng, nodes, ops)
-    wraps = 0 if rng.random() < 0.25 else rng.choice((1, 1, 2))
+def _sample_lengthy(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
+    n = _randint(rng, *spec.step_range)
+    nodes, digits = _literals(rng, spec, n + 1, _lengthy_literal)
+    ops = [_choice(rng, pool) for _ in range(n)]
+    _cap_float_magnitudes(rng, nodes, digits, ops)
+    wraps = 0 if rng.random() < 0.25 else _choice(rng, (1, 1, 2))
     for _ in range(wraps):
         remaining = len(ops)
         if remaining < 2:
             break
-        k = rng.randint(1, remaining - 1)
-        s = rng.randint(0, remaining - k)
+        k = _randint(rng, 1, remaining - 1)
+        s = _randint(rng, 0, remaining - k)
         _wrap_span(nodes, ops, s, s + k)
-    return _chain(nodes, ops)
+    return _chain(nodes, ops), n, max(digits)
 
 
-def _sample_fraction(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
-    n = rng.randint(*spec.step_range)
-    nodes: list[Node] = [_fraction_lit(rng, spec) for _ in range(n + 1)]
-    ops = [rng.choice(pool) for _ in range(n)]
+def _sample_fraction(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
+    n = _randint(rng, *spec.step_range)
+    nodes, digits = _literals(rng, spec, n + 1, _fraction_lit)
+    ops = [_choice(rng, pool) for _ in range(n)]
 
     mul_positions = [i for i, op in enumerate(ops) if op in "*/"]
     if mul_positions and rng.random() < 0.35:
         # Cancel-style sign pair on the two factors around one * or /, with the
         # left part of that multiplicative run bracketed.
-        i = rng.choice(mul_positions)
+        i = _choice(rng, mul_positions)
         nodes[i] = _negate_fraction(nodes[i])
         nodes[i + 1] = _negate_fraction(nodes[i + 1])
         l = i
@@ -332,10 +355,10 @@ def _sample_fraction(rng, spec: GenSpec, pool: str = "+-*/") -> Node:
         if i > l:
             _wrap_span(nodes, ops, l, i)
     elif len(ops) >= 2 and rng.random() < 0.25:
-        run = rng.randint(1, len(ops) - 1)
-        s = rng.randint(0, len(ops) - run)
+        run = _randint(rng, 1, len(ops) - 1)
+        s = _randint(rng, 0, len(ops) - run)
         _wrap_span(nodes, ops, s, s + run)
-    return _chain(nodes, ops)
+    return _chain(nodes, ops), n, max(digits)
 
 
 _SAMPLERS = {
@@ -359,10 +382,11 @@ def sample_expression(spec: GenSpec, index: int) -> Node:
 
 
 def _build(spec: GenSpec, index: int):
+    """(tree, its trace, operator count, largest operand digit count)."""
     rng = _record_rng(spec, index)
     sampler = _SAMPLERS[spec.category]
     for _ in range(_MAX_ATTEMPTS):
-        expr = sampler(rng, spec)
+        expr, ops, digits = sampler(rng, spec)
         try:
             t = trace(expr, spec.mode)
         except (DivByZero, Dec64RangeError, RenderOverflow):
@@ -371,19 +395,19 @@ def _build(spec: GenSpec, index: int):
             continue
         if not values_equal(t.final, direct_eval(expr, spec.mode)):
             raise MathError(f"trace/eval mismatch for {render_trace(t)!r}")
-        return expr, t
+        return expr, t, ops, digits
     # Add/subtract-only chains always evaluate cleanly.
-    expr = sampler(rng, spec, pool="+-")
+    expr, ops, digits = sampler(rng, spec, pool="+-")
     t = trace(expr, spec.mode)
     if not values_equal(t.final, direct_eval(expr, spec.mode)):
         raise MathError("trace/eval mismatch in fallback record")
-    return expr, t
+    return expr, t, ops, digits
 
 
 def build_record(spec: GenSpec, index: int) -> tuple[str, int, int]:
     """Returns (trace line, atomic op count, max operand digit count)."""
-    expr, t = _build(spec, index)
-    return render_trace(t), count_atomic_ops(expr), max_operand_digits(expr)
+    _, t, ops, digits = _build(spec, index)
+    return render_trace(t), ops, digits
 
 
 # ---------------------------------------------------------------------------

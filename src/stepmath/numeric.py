@@ -177,6 +177,13 @@ def pow_(base: Number, exponent: Number) -> int:
 
 def apply(op: str, a: Number, b: Number) -> Number:
     """The value of ``a op b`` for any binary operator of the expression language."""
+    if a.__class__ is int and b.__class__ is int:  # most operations: exact ints
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
     if op == "+":
         return add(a, b)
     if op == "-":

@@ -12,6 +12,7 @@ little-endian u32 ids.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, Iterable, Iterator
 
@@ -29,9 +30,15 @@ MAX_BLOCK_LENGTH = 1 << 20
 def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> int:
     """Pack records into fixed blocks; returns the number of blocks written.
     Each line is encoded and checked before the next is pulled, so a caller
-    streaming `lines` knows which one a RecordTooLong is about."""
+    streaming `lines` knows which one a RecordTooLong is about. `out` must be
+    seekable, since the block count is written last; an unseekable `out` is
+    refused before anything is written to it."""
     if not 2 <= block_length <= MAX_BLOCK_LENGTH:
         raise ValueError(f"block length must be from 2 to {MAX_BLOCK_LENGTH}")
+    if not out.seekable():
+        name = getattr(out, "name", "pack output")
+        raise io.UnsupportedOperation(f"{name}: a pack file needs a seekable output, "
+                                      "since its block count is written last")
     out.write(_HEADER.pack(MAGIC, PACK_VERSION, block_length, 0))
 
     pad = DEFAULT_VOCAB.pad_id

@@ -219,6 +219,16 @@ def _scan(tree: Node, fraction: bool) -> tuple:
                         percent = ((link, node, i), x, start, end)
                     if sub is not None and text[0] == "-":
                         sub.append(((link, node, i), x, start, end))
+                elif xcls is FractionLit:  # as in rec below
+                    end = start + len(x.text)
+                    if x.reducible:
+                        found = ((link, node, i), x, start, end)
+                        if group is not None and group.frac is None:
+                            group.frac = found
+                        if whole.frac is None:
+                            whole.frac = found
+                    if sub is not None and x.value.num < 0:
+                        sub.append(((link, node, i), x, start, end))
                 else:
                     end = rec(x, (link, node, i), start, group, sub)
                 if i == 1:
@@ -409,10 +419,11 @@ def _next_step(tree: Node, text: str, mode: str) -> Optional[tuple[Node, str, st
 
 def _flat_binop(tree: Node) -> Optional[tuple]:
     """The binop candidate of a flat tree, found without a scan; None for any
-    other tree. A flat tree is a `*/` chain of plain positive literals, or a
-    `+-` chain of plain literals and such chains: no rule but binop can fire
-    in it, and its binop is the head pair of its first `*/` chain, else its
-    own head pair."""
+    other tree. A flat tree is a `*/` chain of plain literals at most one of
+    them negative, or a `+-` chain of plain literals and such chains: no rule
+    but binop can fire in it (cancelling signs takes two negative factors),
+    and its binop is the head pair of its first `*/` chain, else its own head
+    pair."""
     if tree.__class__ is not Chain or tree.ops == "^":
         return None
     sums = tree.ops[0] in "+-"
@@ -424,9 +435,14 @@ def _flat_binop(tree: Node) -> Optional[tuple]:
             continue
         if x.__class__ is not Chain or x.ops[0] not in "*/":
             return None
+        negative = False
         for y in x.operands:
-            if y.__class__ is not Lit or y.percent or y.text[0] == "-":
+            if y.__class__ is not Lit or y.percent:
                 return None
+            if y.text[0] == "-":
+                if negative:
+                    return None
+                negative = True
         if found is None:
             a, b = x.operands[:2]
             found = ((None, tree, i) if sums else None, x, offset,

@@ -503,6 +503,21 @@ class TestTokenizePack:
         assert got == [(tmp_path / "want.txt").read_bytes()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    def test_pack_to_an_unseekable_out_writes_nothing(self, capsys, tmp_path):
+        # the block count goes into the header last, which takes a seek
+        data, fifo, got = tmp_path / "d.txt", tmp_path / "d.pack", []
+        data.write_text("1+2=3\n4*5=20\n")
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        rc, out, err = run(capsys, "pack", "--in", str(data), "--out", str(fifo),
+                           "--block-length", "32")
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert (rc, out, got) == (4, "", [b""])
+        assert err.splitlines()[1] == (f"stepmath: io error: {fifo}: a pack file needs a "
+                                       "seekable output, since its block count is written last")
+
     def test_replaced_out_keeps_its_mode(self, capsys, tmp_path):
         data, out = tmp_path / "d.txt", tmp_path / "d.pack"
         data.write_text("1+2=3\n")

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import time
 from types import SimpleNamespace
 
@@ -16,13 +17,26 @@ from stepmath.datagen import (
     evaluation_schedule,
     generate_dataset,
     iter_records,
-    max_operand_digits,
     sample_expression,
     schedule_from_json,
     spec_for_index,
 )
-from stepmath.expr import count_atomic_ops, parse, print_expr
+from stepmath.expr import FractionLit, Lit, count_atomic_ops, iter_nodes, parse, print_expr
 from stepmath.steps import direct_eval, render_trace, trace
+
+
+def max_operand_digits(e) -> int:
+    """The largest operand digit count, by a walk of the tree: the digits of
+    a literal's whole part, the larger part of a fraction. An exponent is an
+    operand too."""
+    sizes = [0]
+    for n in iter_nodes(e):
+        if isinstance(n, Lit):
+            whole = str(abs(n.value)) if n.percent else n.text.lstrip("-").split(".", 1)[0]
+            sizes.append(len(whole))
+        elif isinstance(n, FractionLit):
+            sizes.append(max(len(str(abs(n.value.num))), len(str(n.value.den))))
+    return max(sizes)
 
 
 class TestGenSpec:
@@ -80,6 +94,36 @@ class TestSampling:
         spec = GenSpec("int-mixed", (12, 12), (2, 4), seed=40)
         seen = max(max_operand_digits(sample_expression(spec, i)) for i in range(50))
         assert seen == 12
+
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_carried_counts_match_a_tree_walk(self, category):
+        # the samplers count operators and operand digits as they draw
+        for digits in ((1, 5), (5, 12)):
+            steps = (1, 1) if category == "exponentiation" else (2, 10)
+            spec = GenSpec(category, digits, steps, seed=61)
+            for i in range(500):
+                expr, t, ops, width = datagen._build(spec, i)
+                assert (ops, width) == (count_atomic_ops(expr), max_operand_digits(expr))
+                assert build_record(spec, i) == (render_trace(t), ops, width)
+                rng = datagen._record_rng(spec, i)
+                expr, ops, width = datagen._SAMPLERS[category](rng, spec, pool="+-")
+                assert (ops, width) == (count_atomic_ops(expr), max_operand_digits(expr))
+
+    def test_draws_match_random(self):
+        # the draw helpers skip the argument checks of randint and choice, not
+        # their bits: the same seed gives the same values and the same state
+        ours, theirs = random.Random(5), random.Random(5)
+        widths = [1, 2, 3] + [9 * 10 ** k for k in range(12)]
+        sequences = ["+", "+-", (1, 1, 2), "+-*/"]
+        for k in range(10_000):
+            width, lo = widths[k % len(widths)], k - 5_000
+            assert datagen._randint(ours, lo, lo + width - 1) == \
+                theirs.randint(lo, lo + width - 1)
+            seq = sequences[k % len(sequences)]
+            assert datagen._choice(ours, seq) == theirs.choice(seq)
+            d = k % 12 + 1
+            assert datagen._int_of_digits(ours, d) == theirs.randint(10 ** (d - 1), 10 ** d - 1)
+        assert ours.getstate() == theirs.getstate()
 
     def test_records_are_sound_and_parseable(self):
         for category in CATEGORIES:

@@ -22,6 +22,8 @@ from stepmath.numeric import Frac
 from stepmath.steps import render_trace, trace
 
 GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
+# sha256 of the whole manifest JSON of that schedule: digest and histograms
+MANIFEST_DIGEST = "sha256:99be6919e90cf67497559ac8ba26538e62b0437dcf40ca1c08ce90a51b1eb1c7"
 CORPUS_DIGEST = "sha256:be1d2bcc367645f59ef9eac719e577d073e40629716c6e7e05c29267232f5539"
 # 2,000 int-mixed records per digit phase: line, op count and digit count
 INT_MIXED_DIGESTS = {
@@ -115,10 +117,17 @@ def _outcome(text: str, mode: str) -> str:
     return render_trace(t) + "#" + ",".join(t.rules)
 
 
-def test_generate_digest_is_pinned():
-    buf = io.BytesIO()
-    manifest = generate_dataset(default_curriculum(3000, seed=777, tail_count=500), buf)
+@pytest.fixture(scope="module")
+def manifest():
+    return generate_dataset(default_curriculum(3000, seed=777, tail_count=500), io.BytesIO())
+
+
+def test_generate_digest_is_pinned(manifest):
     assert manifest.content_digest == GENERATE_DIGEST
+
+
+def test_generate_manifest_is_pinned(manifest):
+    assert "sha256:" + hashlib.sha256(manifest.to_json().encode()).hexdigest() == MANIFEST_DIGEST
 
 
 @pytest.mark.parametrize("digits", sorted(INT_MIXED_DIGESTS))
