@@ -121,21 +121,21 @@ def reconstruct_file(in_path: str, out_path: str, rejects_path: str) -> tuple[in
     """Returns (reconstructed count, reject count). Each record that fails,
     including a line that is not a JSON object holding the record fields,
     becomes a rejects row {id, line, reason}. The rejects file is always
-    created, even when empty."""
+    created, even when empty. A run that fails leaves neither (`cli._replacing`)."""
+    from .cli import _replacing  # cli imports this module
     written = rejected = 0
     rows = read_jsonl(in_path)  # opens the input before the outputs exist
-    with open(out_path, "w", encoding="utf-8") as fout, \
-            open(rejects_path, "w", encoding="utf-8") as frej:
+    with _replacing(out_path, rejects_path) as (fout, frej):
         for line_no, obj in rows:
             try:
                 rec = reconstruct(record_from_obj(obj))
             except StepmathError as err:
                 id_ = obj.get("id", "?") if isinstance(obj, dict) else "?"
                 row = {"id": str(id_), "line": line_no, "reason": str(err)}
-                frej.write(json.dumps(row, ensure_ascii=False) + "\n")
+                frej.write((json.dumps(row, ensure_ascii=False) + "\n").encode())
                 rejected += 1
             else:
-                fout.write(json.dumps(rec.to_json_obj(), ensure_ascii=False) + "\n")
+                fout.write((json.dumps(rec.to_json_obj(), ensure_ascii=False) + "\n").encode())
                 written += 1
     return written, rejected
 

@@ -21,15 +21,20 @@ splicing the pair into one literal. A step costs about what it changes. One
 walk records only what a rule can fire on (ready head pairs, fraction
 divisions and reducible fractions, each filed under its innermost bracket
 group, the leftmost percent, the negative factors of each mul/div chain);
-a flat chain of plain literals needs none. The rewrite then rebuilds the
-changed nodes' ancestors bottom-up along parent links, in one routine for
-every rule, sharing every subtree a step did not touch. Each snapshot's text
-is the previous one with the changed span spliced, and a trace keeps only
-that text: it holds one tree at a time.
+a flat chain of plain literals needs none. Each step hands the next a focus,
+so that a trace walks the tree about once: a flat chain's search resumes
+where it stopped, and a step in the first leaf group of a walk leads the next
+to that group, or to the walk's next leaf once a group outside any other is
+gone. Where the focus cannot vouch for a step, the whole tree is walked. The
+rewrite rebuilds the changed nodes' ancestors bottom-up along parent links,
+in one routine for every rule, sharing every subtree a step did not touch.
+Each snapshot's text is the previous one with the changed span spliced, and
+a trace keeps only that text: it holds one tree at a time.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
@@ -146,11 +151,8 @@ def _is_operand(node: Node) -> bool:
 
 
 def _is_negative_literal(node: Node) -> bool:
-    if isinstance(node, Lit):
-        return node.text.startswith("-")
-    if isinstance(node, FractionLit):
-        return node.value.num < 0
-    return False
+    cls = node.__class__
+    return cls is Lit and node.text[0] == "-" or cls is FractionLit and node.value.num < 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +182,15 @@ class _Region:
 _DEPTH = attrgetter("depth")
 
 
-def _scan(tree: Node, fraction: bool) -> tuple:
-    """One walk in print order. Returns (chains, percent, leaves, whole):
-    per mul/div chain, (node, start) of the chain and then its negative
-    factors, each (link, node, start, end); the leftmost percent literal, as
-    (link, node, start, end); the regions of the groups that hold no group;
-    and the region of the whole tree. A mul/div chain takes in the factors of
-    a `*/` chain among them and, in fraction mode, of a bracketed one, so a
-    sign inside a bracketed product cancels one outside."""
+def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int = 0) -> tuple:
+    """One walk in print order of the whole tree, or of the group at `link`
+    at `offset`. Returns (chains, percent, leaves, whole): per mul/div chain,
+    (node, start) of the chain and then its negative factors, each (link,
+    node, start, end); the leftmost percent literal, as (link, node, start,
+    end); the regions of the groups that hold no group; and the region of
+    the walk. A mul/div chain takes in the factors of a `*/` chain among
+    them and, in fraction mode, of a bracketed one, so a sign inside a
+    bracketed product cancels one outside."""
     chains = []
     leaves = []
     whole = _Region(None, None, 0, -1)
@@ -287,7 +290,7 @@ def _scan(tree: Node, fraction: bool) -> tuple:
             chain.append((link, node, offset, end))
         return end
 
-    rec(tree, None, 0, None, None)
+    rec(tree, link, offset, None, None)
     return chains, percent, leaves, whole
 
 
@@ -371,36 +374,43 @@ def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     """Apply the single highest-priority rewrite: (the tree to rewrite next,
     rule), or None when e is a literal."""
-    step = _next_step(e, print_expr(e), mode)
+    step = _next_step(e, print_expr(e), mode, None)
     return step and step[:2]
 
 
-def _next_step(tree: Node, text: str, mode: str) -> Optional[tuple[Node, str, str, str]]:
+def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
     """For `tree`, printed as `text`: (the tree to rewrite next, rule, its
-    text, snapshot text). The snapshot differs from the text only by the `+`
-    head marker of a fraction-mode sign step."""
+    text, snapshot text, focus), the same for the focus the step before gave
+    (a `_flat_binop` resume or `_Leaves`) as for None. The snapshot differs
+    from the text only by the `+` head marker of a fraction-mode sign step."""
     if isinstance(tree, Lit) and not tree.percent:
         return None
     if isinstance(tree, FractionLit) and not tree.reducible:
         return None
 
-    found = _flat_binop(tree)
-    if found is not None:
-        new, text = _binop(text, found, None)
-        return new, R_BINOP, text, text
     fraction = mode == FRACTION
+    if focus.__class__ is _Leaves:
+        step = _leaf_step(tree, text, fraction, focus)
+        if step is not None:
+            return step
+        focus = None
+    found = _flat_binop(tree, focus)
+    if found is not None:
+        found, resume = found
+        new, text = _binop(text, found, None)
+        return new, R_BINOP, text, text, resume
     chains, percent, leaves, whole = _scan(tree, fraction)
 
     for chain in chains:
         if len(chain) > 2:
             new, text, snapshot = _cancel_signs(text, chain, fraction)
-            return new, R_SIGN, text, snapshot
+            return new, R_SIGN, text, snapshot, None
 
     if percent is not None:
         link, node, start, end = percent
         value = numeric.percent_value(node.value)
         new, text = _edit(text, link, _lit_from_value(value), start, end)
-        return new, R_PERCENT, text, text
+        return new, R_PERCENT, text, text, None
 
     # Work inside the deepest bracket group without inner groups first,
     # leftmost breaking ties (the leaves are in print order and the sort is
@@ -408,47 +418,117 @@ def _next_step(tree: Node, text: str, mode: str) -> Optional[tuple[Node, str, st
     # brackets are pinned as a power base, in which case the search cascades
     # outward to the whole tree and the power rule consumes the bracketed
     # literal directly.
-    for region in sorted(leaves, key=_DEPTH, reverse=True) + [whole] if leaves else (whole,):
+    regions = sorted(leaves, key=_DEPTH, reverse=True) + [whole] if leaves else (whole,)
+    for region in regions:
         step = _region_step(text, region)
         if step is not None:
-            new, text, rule = step
-            return new, rule, text, text
+            new, new_text, rule = step
+            focus = None
+            if leaves and region is regions[0]:
+                order = leaves if region.depth == 0 else (region,)  # then all are at depth 0
+                focus = _Leaves([(_path(r.link), r.start) for r in order],
+                                0, region.start, len(text))
+            return new, rule, new_text, new_text, focus
 
     raise NonTerminating(f"no rule applies to {text!r}")
 
 
-def _flat_binop(tree: Node) -> Optional[tuple]:
-    """The binop candidate of a flat tree, found without a scan; None for any
-    other tree. A flat tree is a `*/` chain of plain literals at most one of
-    them negative, or a `+-` chain of plain literals and such chains: no rule
-    but binop can fire in it (cancelling signs takes two negative factors),
-    and its binop is the head pair of its first `*/` chain, else its own head
-    pair."""
+def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
+    """The binop candidate of a flat tree, found without a scan, and where
+    the search resumes after it: (candidate, resume); None for any other
+    tree. A flat tree is a `*/` chain of plain literals at most one of them
+    negative, or a `+-` chain of plain literals and such chains: no rule but
+    binop can fire in it (cancelling signs takes two negative factors), and
+    its binop is the head pair of its first `*/` chain, else its own head
+    pair. A binop leaves it flat, so a search from `resume`, the (operand
+    index, text offset) the step before gave, checks nothing again."""
     if tree.__class__ is not Chain or tree.ops == "^":
         return None
     sums = tree.ops[0] in "+-"
-    found = None
-    offset = 0
-    for i, x in enumerate(tree.operands if sums else (tree,)):
-        if x.__class__ is Lit and not x.percent:
-            offset += len(x.text) + 1
-            continue
-        if x.__class__ is not Chain or x.ops[0] not in "*/":
-            return None
-        negative = False
-        for y in x.operands:
-            if y.__class__ is not Lit or y.percent:
+    operands = tree.operands if sums else (tree,)
+    if resume is None:
+        for x in operands:
+            if x.__class__ is Lit and not x.percent:
+                continue
+            if x.__class__ is not Chain or x.ops[0] not in "*/":
                 return None
-            if y.text[0] == "-":
-                if negative:
+            negative = False
+            for y in x.operands:
+                if y.__class__ is not Lit or y.percent:
                     return None
-                negative = True
-        if found is None:
+                if y.text[0] == "-":
+                    if negative:
+                        return None
+                    negative = True
+    i, offset = resume or (0, 0)
+    for i in range(i, len(operands)):
+        x = operands[i]
+        if x.__class__ is Chain:
             a, b = x.operands[:2]
-            found = ((None, tree, i) if sums else None, x, offset,
-                     offset + len(a.text) + 1 + len(b.text), 2, a)
+            return (((None, tree, i) if sums else None, x, offset,
+                     offset + len(a.text) + 1 + len(b.text), 2, a), (i, offset))
+        offset += len(x.text) + 1
+    # every operand is a literal, and stays one: none is left to walk
     a, b = tree.operands[:2]
-    return found or (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a)
+    return (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a), (len(operands) - 1, 0)
+
+
+# The focus a step in the first leaf group of a scan gives: the scan's
+# `leaves`, each (index path, start), the one it worked in at `k`, whose text
+# starts at `start` now, and the text's `length` at the scan.
+_Leaves = namedtuple("_Leaves", "leaves k start length")
+
+
+def _path(link: Optional[tuple]) -> list:
+    """The operand indices that lead from the root to the node at `link`."""
+    return [] if link is None else _path(link[0]) + [link[2]]
+
+
+def _resolve(tree: Node, path: list) -> tuple[Node, Optional[tuple]]:
+    """The node at `path` in `tree` and its link. A literal on the way, a
+    sign folded into what replaced its group, stands for the rest."""
+    node, link = tree, None
+    for i in path:
+        cls = node.__class__
+        if cls is Lit or cls is FractionLit:
+            break
+        link = (link, node, i)
+        node = node.operands[i] if cls is Chain else node.inner if cls is Group else node.operand
+    return node, link
+
+
+def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
+    """Whether the literal `top`, put at `link` where a group outside any
+    other stood, may cancel signs with another factor: with any in fraction
+    mode, where a mul/div chain takes in bracketed factors."""
+    _, parent, i = link
+    return _is_negative_literal(top) and parent.__class__ is Chain and parent.ops[0] in "*/" \
+        and (fraction or any(_is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
+                             for x in parent.operands[:i] + parent.operands[i + 1:]))
+
+
+def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optional[tuple]:
+    """The step `_next_step` takes in the leaf group of `focus`, or in the
+    next leaf once that group became a literal; None when only a search of
+    the whole tree can tell. Only the leaves changed since the scan, which
+    found no sign pair or percent. No step makes a percent, nor a sign pair
+    in a group: a pair of factors gives a negative only if one of them was."""
+    leaves, k, start, length = focus
+    node, link = _resolve(tree, leaves[k][0])
+    if node.__class__ is not Group:
+        # The group became `node`. A leaf outside any group leaves the rest
+        # as they were, to its right, as far from the text's end as before.
+        k += 1  # a group at the root was the only leaf
+        if k == len(leaves) or _new_sign_pair(node, link, fraction):
+            return None
+        path, start = leaves[k]
+        start += len(text) - length
+        node, link = _resolve(tree, path)
+    step = _region_step(text, _scan(node, fraction, link, start)[2][0])
+    if step is not None:
+        new, text, rule = step
+        return new, rule, text, text, _Leaves(leaves, k, start, length)
+    return None
 
 
 def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:
@@ -544,17 +624,17 @@ def trace(e: Node, mode: str = "standard") -> StepTrace:
     snapshots = [text]
     bound = 4 * len(text) + 4
     rules = []
-    tree = e
+    tree, focus = e, None
     while True:
         try:
-            step = _next_step(tree, text, mode)
+            step = _next_step(tree, text, mode, focus)
         except DivByZero as err:
             raise DivByZero(f"{err.detail} (step {len(rules)})") from None
         if step is None:
             return StepTrace(snapshots, rules, tree.value, _ambiguous)
         if len(rules) >= bound:
             raise NonTerminating(f"trace of {snapshots[0]!r} exceeded {bound} steps")
-        tree, rule, text, snapshot = step
+        tree, rule, text, snapshot, focus = step
         snapshots.append(snapshot)
         rules.append(rule)
 

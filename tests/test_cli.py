@@ -791,6 +791,20 @@ def test_non_utf8_input_files_exit_64(capsys, tmp_path):
                                        "not UTF-8: byte 0xff, invalid start byte"), argv
 
 
+def test_reconstruct_stopped_by_a_bad_byte_leaves_no_file(capsys, tmp_path):
+    # hundreds of records, a reject, then a byte that is not UTF-8: the run
+    # has written to both files when it stops
+    good = json.dumps({"id": "a", "equation": "1+2*3", "ans": "7"})
+    bad = json.dumps({"id": "b", "equation": "1+1", "ans": "3"})
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(((good + "\n") * 400 + bad + "\n").encode() + b"\xff\n")
+    out = tmp_path / "out.jsonl"
+    rc, stdout, err = run(capsys, "reconstruct", "--in", str(src), "--out", str(out))
+    assert (rc, stdout) == (64, "")
+    assert "not UTF-8: byte 0xff" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 class TestExitTable:
     ROWS = [
         (ExprSyntaxError("unexpected '+'", 3), 2, "stepmath: parse error: "),

@@ -1,14 +1,15 @@
 import gc
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepmath import numeric, steps
 from stepmath.datagen import GenSpec, sample_expression
-from stepmath.errors import DivByZero, ExprSyntaxError, NonTerminating
-from stepmath.expr import count_atomic_ops, parse, print_expr
+from stepmath.errors import DivByZero, ExprSyntaxError, MathError, NonTerminating, StepmathError
+from stepmath.expr import Chain, count_atomic_ops, parse, print_expr
 from stepmath.numeric import Frac
 from stepmath.steps import (
     R_BINOP,
@@ -293,17 +294,140 @@ _near_flat = st.lists(
 @given(_near_flat, st.sampled_from(("standard", "fraction")))
 def test_flat_shortcut_agrees_with_the_scan(text, mode):
     # the binop a flat tree takes without a scan is the one the scan finds,
-    # and no other rule could fire first
+    # and no other rule could fire first; at each later step the walk resumed
+    # where the step before left it finds what a full walk finds
     try:
         tree = parse(text, mode)
     except ExprSyntaxError:
         return
     found = steps._flat_binop(tree)
-    if found is None:
+    while found is not None:
+        candidate, resume = found
+        chains, percent, leaves, whole = steps._scan(tree, mode == "fraction")
+        assert all(len(chain) < 3 for chain in chains)
+        assert percent is None and not leaves and whole.recip is None and whole.frac is None
+        link, node, *rest = whole.binop
+        assert (node, rest) == (candidate[1], list(candidate[2:]))
+        assert (link and link[1:]) == (candidate[0] and candidate[0][1:])
+        try:
+            tree = steps._binop(print_expr(tree), candidate, None)[0]
+        except MathError:
+            return
+        if not isinstance(tree, Chain):
+            return
+        found = steps._flat_binop(tree, resume)
+        assert found == steps._flat_binop(tree)
+
+
+# Grammar-shaped text with the corners of the pinned corpus: nested `(`/`[`
+# groups, negative power bases, signs on groups, percents and, in fraction
+# mode, products of signed fractions across brackets. Runs put several groups
+# side by side, so a focus moves from one leaf group to the next.
+@st.composite
+def _grammar_text(draw, mode, depth=0):
+    def atom():
+        kind = draw(st.integers(0, 9 if depth < 2 else 3))
+        if kind <= 3:
+            choices = ["7", "12", "0", "2", "3.5", "40%", "-4", "-15"]
+            if mode == "fraction":
+                choices += ["(1/2)", "(3/4)", "-(5/6)", "(2/4)"]
+            return draw(st.sampled_from(choices))
+        inner = draw(_grammar_text(mode, depth + 1))
+        kind_open = draw(st.sampled_from("(["))
+        group = kind_open + inner + {"(": ")", "[": "]"}[kind_open]
+        if kind <= 5:
+            return group
+        if kind == 6:
+            return draw(st.sampled_from(["(-2)", "(-3)", "[-1]", group])) + "^2"
+        if kind == 7:
+            return "-" + group
+        if kind == 8:
+            return "(" + group + ")"
+        return draw(st.sampled_from(["2", "3", group])) + "^3"
+
+    ops = "*/*-" if mode == "fraction" else "+-*/"
+    n = draw(st.integers(1, 10 if depth == 0 else 4))
+    text = atom()
+    for _ in range(n - 1):
+        text += draw(st.sampled_from(ops)) + draw(st.sampled_from(["", "", "-"])) + atom()
+    return text
+
+
+def _step_or_error(tree, text, mode, focus):
+    try:
+        return steps._next_step(tree, text, mode, focus)
+    except StepmathError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("standard", "fraction")).flatmap(
+    lambda mode: st.tuples(_grammar_text(mode), st.just(mode))))
+# a group that becomes a negative factor: with a sign folded in, and in
+# fraction mode beside a sign inside a bracketed product
+@example(("1+(2-3)*(4+5)-(6-1)*-2+[3*(1-4)]", "standard"))
+@example(("2*+(3-5)*-1+(1+1)", "standard"))
+@example(("(2-5)*[(1/2)*-(3/4)]", "fraction"))
+def test_focused_step_is_the_whole_tree_step(case):
+    # at every step of a trace, the step the focus leads to is the one a
+    # search of the whole tree takes
+    text, mode = case
+    try:
+        tree = parse(text, mode)
+    except StepmathError:
         return
-    chains, percent, leaves, whole = steps._scan(tree, mode == "fraction")
-    assert all(len(chain) < 3 for chain in chains)
-    assert percent is None and not leaves and whole.recip is None and whole.frac is None
-    link, node, *rest = whole.binop
-    assert (node, rest) == (found[1], list(found[2:]))
-    assert (link and link[1:]) == (found[0] and found[0][1:])
+    focus = None
+    for _ in range(4 * len(text) + 4):
+        step = _step_or_error(tree, text, mode, focus)
+        fresh = _step_or_error(tree, text, mode, None)
+        if step is None or len(step) == 2:
+            assert step == fresh
+            return
+        new, rule, text, snapshot, focus = step
+        assert (print_expr(new), rule, text, snapshot) == (
+            print_expr(fresh[0]), *fresh[1:4])
+        assert print_expr(new) == text
+        tree = new
+
+
+def _bracketed(rng, terms):
+    """About one in eight terms wrapped in groups of 2-5, none nested."""
+    i = rng.randint(0, 3)
+    while i < len(terms) - 2:
+        j = min(i + rng.randint(2, 5) - 1, len(terms) - 1)
+        terms[i] = "(" + terms[i]
+        terms[j] += ")"
+        i = j + rng.randint(3, 12)
+    return terms
+
+
+@pytest.mark.parametrize("n,ops,bracketed,scans,flat_walks", [
+    (1000, "+-*", False, 0, 1),
+    (300, "+*", True, 1, 2),
+])
+def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
+                                                 scans, flat_walks):
+    # whole-tree scans and flat walks not resumed from the step before: a
+    # return to one of either per step would make a trace cost O(n^2)
+    counts = {"scan": 0, "flat": 0}
+    scan, flat_binop = steps._scan, steps._flat_binop
+
+    def counting_scan(tree, fraction, link=None, offset=0):
+        counts["scan"] += link is None
+        return scan(tree, fraction, link, offset)
+
+    def counting_flat_binop(tree, resume=None):
+        counts["flat"] += resume is None
+        return flat_binop(tree, resume)
+
+    monkeypatch.setattr(steps, "_scan", counting_scan)
+    monkeypatch.setattr(steps, "_flat_binop", counting_flat_binop)
+    rng = random.Random(n)
+    terms = [str(rng.randint(1, 99)) for _ in range(n)]
+    if bracketed:
+        terms = _bracketed(rng, terms)
+    text = terms[0] + "".join(rng.choice(ops) + x for x in terms[1:])
+    tree = parse(text)
+    t = trace(tree)
+    assert t.final == direct_eval(tree) and len(t.rules) >= n - 1
+    assert counts["scan"] <= scans and counts["flat"] <= flat_walks
