@@ -333,8 +333,8 @@ def _grammar_text(draw, mode, depth=0):
                 choices += ["(1/2)", "(3/4)", "-(5/6)", "(2/4)"]
             return draw(st.sampled_from(choices))
         inner = draw(_grammar_text(mode, depth + 1))
-        kind_open = draw(st.sampled_from("(["))
-        group = kind_open + inner + {"(": ")", "[": "]"}[kind_open]
+        opener = draw(st.sampled_from("(["))
+        group = opener + inner + {"(": ")", "[": "]"}[opener]
         if kind <= 5:
             return group
         if kind == 6:
