@@ -9,14 +9,12 @@ configuration as one JSON line on stderr so it can be reproduced exactly;
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
 import re
 import stat
 import sys
-import tempfile
 from typing import Iterator, Optional
 
 from . import datagen, metrics, mwp, packing, tokenizer
@@ -58,51 +56,6 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
-def _temp_beside(path: str) -> Optional[tuple[str, str]]:
-    """(temporary file, file) for `path` with symlinks resolved: a fresh file
-    beside it, with the mode it has or would be created with. None when it is
-    written in place: it exists and is not a regular file of this user with
-    one link (a device such as /dev/null, a FIFO, a hard link), or its
-    directory takes no new file."""
-    target = os.path.realpath(path)
-    try:
-        st = os.lstat(target)
-        if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1 or st.st_uid != os.geteuid():
-            return None
-        mode = stat.S_IMODE(st.st_mode)
-    except FileNotFoundError:
-        mode = 0o666 & ~os.umask(os.umask(0))
-    except OSError:
-        return None
-    try:
-        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(target) + ".",
-                                   os.path.dirname(target))
-    except OSError:  # open(path) then names the error, or writes a writable file
-        return None
-    os.fchmod(fd, mode)
-    os.close(fd)
-    return tmp, target
-
-
-@contextlib.contextmanager
-def _replacing(*paths: str):
-    """Binary files to write, one per path, at the temporary file _temp_beside
-    gives or else in place. When the block ends without error each temporary
-    file replaces its file, in the order given; when it fails they are
-    removed, so a failed run leaves no partial file behind."""
-    temps = [_temp_beside(path) for path in paths]
-    try:
-        with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(temp[0] if temp else path, "wb"))
-                   for temp, path in zip(temps, paths)]
-        for temp in filter(None, temps):
-            os.replace(*temp)
-    finally:
-        for tmp, _ in filter(None, temps):
-            if os.path.exists(tmp):  # left by a failure
-                os.remove(tmp)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,7 +86,7 @@ def _cmd_generate(args) -> int:
         schedule = datagen.default_curriculum(args.total, args.seed)
     manifest_path = args.manifest or args.out + ".manifest.json"
     # the manifest is renamed last: one on disk describes the trace file beside it
-    with _replacing(args.out, manifest_path) as (out, manifest_file):
+    with metrics.replacing(args.out, manifest_path) as (out, manifest_file):
         manifest = datagen.generate_dataset(schedule, out, path_label=args.out,
                                             workers=args.workers)
         manifest_file.write((manifest.to_json() + "\n").encode())
@@ -199,7 +152,7 @@ def _cmd_pack(args) -> int:
             yield line
 
     try:
-        with _replacing(args.out) as (out,):
+        with metrics.replacing(args.out) as (out,):
             blocks = packing.pack_sequences(lines(), args.block_length, out)
     except RecordTooLong as err:  # pack_sequences numbers records, not file lines
         raise RecordTooLong(line_no, err.length, err.block_length, args.infile) from None

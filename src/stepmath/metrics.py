@@ -9,9 +9,13 @@ exception. Scoring is pure and order-independent.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
 import re
+import stat
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -346,6 +350,51 @@ def utf8_lines(path: str) -> Iterator[str]:
     started = lines(open(path, encoding="utf-8"))
     next(started)
     return started
+
+
+def _temp_beside(path: str) -> Optional[tuple[str, str]]:
+    """(temporary file, file) for `path` with symlinks resolved: a fresh file
+    beside it, with the mode it has or would be created with. None when it is
+    written in place: it exists and is not a regular file of this user with
+    one link (a device such as /dev/null, a FIFO, a hard link), or its
+    directory takes no new file."""
+    target = os.path.realpath(path)
+    try:
+        st = os.lstat(target)
+        if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1 or st.st_uid != os.geteuid():
+            return None
+        mode = stat.S_IMODE(st.st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~os.umask(os.umask(0))
+    except OSError:
+        return None
+    try:
+        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(target) + ".",
+                                   os.path.dirname(target))
+    except OSError:  # open(path) then names the error, or writes a writable file
+        return None
+    os.fchmod(fd, mode)
+    os.close(fd)
+    return tmp, target
+
+
+@contextlib.contextmanager
+def replacing(*paths: str):
+    """Binary files to write, one per path, at the temporary file _temp_beside
+    gives or else in place. When the block ends without error each temporary
+    file replaces its file, in the order given; when it fails they are
+    removed, so a failed run leaves no partial file behind."""
+    temps = [_temp_beside(path) for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp[0] if temp else path, "wb"))
+                   for temp, path in zip(temps, paths)]
+        for temp in filter(None, temps):
+            os.replace(*temp)
+    finally:
+        for tmp, _ in filter(None, temps):
+            if os.path.exists(tmp):  # left by a failure
+                os.remove(tmp)
 
 
 def read_lines(path: str) -> Iterator[tuple[int, str]]:

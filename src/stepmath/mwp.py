@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from . import numeric
 from .errors import AnswerMismatch, EquationParseError, MalformedInput, MathError, StepmathError
 from .expr import STANDARD, parse
-from .metrics import extract_answer, is_correct, parse_number_text, read_jsonl
+from .metrics import extract_answer, is_correct, parse_number_text, read_jsonl, replacing
 from .numeric import Number
 from .steps import direct_eval, render_trace, trace
 
@@ -121,11 +121,10 @@ def reconstruct_file(in_path: str, out_path: str, rejects_path: str) -> tuple[in
     """Returns (reconstructed count, reject count). Each record that fails,
     including a line that is not a JSON object holding the record fields,
     becomes a rejects row {id, line, reason}. The rejects file is always
-    created, even when empty. A run that fails leaves neither (`cli._replacing`)."""
-    from .cli import _replacing  # cli imports this module
+    created, even when empty. A run that fails leaves neither (`replacing`)."""
     written = rejected = 0
     rows = read_jsonl(in_path)  # opens the input before the outputs exist
-    with _replacing(out_path, rejects_path) as (fout, frej):
+    with replacing(out_path, rejects_path) as (fout, frej):
         for line_no, obj in rows:
             try:
                 rec = reconstruct(record_from_obj(obj))

@@ -151,8 +151,11 @@ def _is_operand(node: Node) -> bool:
 
 
 def _is_negative_literal(node: Node) -> bool:
-    cls = node.__class__
-    return cls is Lit and node.text[0] == "-" or cls is FractionLit and node.value.num < 0
+    if isinstance(node, Lit):
+        return node.text.startswith("-")
+    if isinstance(node, FractionLit):
+        return node.value.num < 0
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +386,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     text, snapshot text, focus), the same for the focus the step before gave
     (a `_flat_binop` resume or `_Leaves`) as for None. The snapshot differs
     from the text only by the `+` head marker of a fraction-mode sign step."""
-    if isinstance(tree, Lit) and not tree.percent:
-        return None
-    if isinstance(tree, FractionLit) and not tree.reducible:
+    if _is_operand(tree):
         return None
 
     fraction = mode == FRACTION
@@ -395,10 +396,9 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
             return step
         focus = None
     found = _flat_binop(tree, focus)
-    if found is not None:
-        found, resume = found
-        new, text = _binop(text, found, None)
-        return new, R_BINOP, text, text, resume
+    if found is not None:  # (candidate, resume)
+        new, text = _binop(text, found[0], None)
+        return new, R_BINOP, text, text, found[1]
     chains, percent, leaves, whole = _scan(tree, fraction)
 
     for chain in chains:
@@ -426,8 +426,8 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
             focus = None
             if leaves and region is regions[0]:
                 order = leaves if region.depth == 0 else (region,)  # then all are at depth 0
-                focus = _Leaves([(_path(r.link), r.start) for r in order],
-                                0, region.start, len(text))
+                focus = _Leaves([(_path(r.link), r.start) for r in order], 0,
+                                region.start, len(text))
             return new, rule, new_text, new_text, focus
 
     raise NonTerminating(f"no rule applies to {text!r}")
@@ -437,11 +437,11 @@ def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
     """The binop candidate of a flat tree, found without a scan, and where
     the search resumes after it: (candidate, resume); None for any other
     tree. A flat tree is a `*/` chain of plain literals at most one of them
-    negative, or a `+-` chain of plain literals and such chains: no rule but
-    binop can fire in it (cancelling signs takes two negative factors), and
-    its binop is the head pair of its first `*/` chain, else its own head
-    pair. A binop leaves it flat, so a search from `resume`, the (operand
-    index, text offset) the step before gave, checks nothing again."""
+    signed (`+-4` too, which no sign cancels but makes a product negative),
+    or a `+-` chain of plain literals and such chains: no rule but binop can
+    fire in it, and its binop is the head pair of its first `*/` chain, else
+    its own head pair. A binop leaves it flat, so a search from `resume`, the
+    (operand index, text offset) the step before gave, checks nothing again."""
     if tree.__class__ is not Chain or tree.ops == "^":
         return None
     sums = tree.ops[0] in "+-"
@@ -452,14 +452,13 @@ def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
                 continue
             if x.__class__ is not Chain or x.ops[0] not in "*/":
                 return None
-            negative = False
+            signs = 0
             for y in x.operands:
                 if y.__class__ is not Lit or y.percent:
                     return None
-                if y.text[0] == "-":
-                    if negative:
-                        return None
-                    negative = True
+                signs += y.text[0] in "+-"
+            if signs > 1:
+                return None
     i, offset = resume or (0, 0)
     for i in range(i, len(operands)):
         x = operands[i]
@@ -473,9 +472,8 @@ def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
     return (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a), (len(operands) - 1, 0)
 
 
-# The focus a step in the first leaf group of a scan gives: the scan's
-# `leaves`, each (index path, start), the one it worked in at `k`, whose text
-# starts at `start` now, and the text's `length` at the scan.
+# The focus after a step in a scan's first leaf group: the scan's `leaves` as
+# (index path, start), the one worked in at `k`, now at `start`, and its text's `length`.
 _Leaves = namedtuple("_Leaves", "leaves k start length")
 
 
@@ -498,9 +496,8 @@ def _resolve(tree: Node, path: list) -> tuple[Node, Optional[tuple]]:
 
 
 def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
-    """Whether the literal `top`, put at `link` where a group outside any
-    other stood, may cancel signs with another factor: with any in fraction
-    mode, where a mul/div chain takes in bracketed factors."""
+    """Whether the literal `top`, at `link` where a group outside any other
+    stood, may cancel signs with another factor: any in fraction mode."""
     _, parent, i = link
     return _is_negative_literal(top) and parent.__class__ is Chain and parent.ops[0] in "*/" \
         and (fraction or any(_is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
@@ -511,8 +508,10 @@ def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optiona
     """The step `_next_step` takes in the leaf group of `focus`, or in the
     next leaf once that group became a literal; None when only a search of
     the whole tree can tell. Only the leaves changed since the scan, which
-    found no sign pair or percent. No step makes a percent, nor a sign pair
-    in a group: a pair of factors gives a negative only if one of them was."""
+    found no sign pair or percent. No step makes a percent, but one can make
+    a negative factor of one the scan did not count (`-3*+-2^2` gives
+    `-3*-4`), so a sign pair in the group, or in fraction mode any negative
+    factor, which may pair with one outside, leaves it to the whole tree."""
     leaves, k, start, length = focus
     node, link = _resolve(tree, leaves[k][0])
     if node.__class__ is not Group:
@@ -521,11 +520,11 @@ def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optiona
         k += 1  # a group at the root was the only leaf
         if k == len(leaves) or _new_sign_pair(node, link, fraction):
             return None
-        path, start = leaves[k]
-        start += len(text) - length
-        node, link = _resolve(tree, path)
-    step = _region_step(text, _scan(node, fraction, link, start)[2][0])
-    if step is not None:
+        node, link = _resolve(tree, leaves[k][0])
+        start = leaves[k][1] + len(text) - length
+    chains, _, (region,), _ = _scan(node, fraction, link, start)
+    step = not any(len(c) > (1 if fraction else 2) for c in chains) and _region_step(text, region)
+    if step:
         new, text, rule = step
         return new, rule, text, text, _Leaves(leaves, k, start, length)
     return None

@@ -349,7 +349,7 @@ def _grammar_text(draw, mode, depth=0):
     n = draw(st.integers(1, 10 if depth == 0 else 4))
     text = atom()
     for _ in range(n - 1):
-        text += draw(st.sampled_from(ops)) + draw(st.sampled_from(["", "", "-"])) + atom()
+        text += draw(st.sampled_from(ops)) + draw(st.sampled_from(["", "", "-", "+", "+-"])) + atom()
     return text
 
 
@@ -368,6 +368,11 @@ def _step_or_error(tree, text, mode, focus):
 @example(("1+(2-3)*(4+5)-(6-1)*-2+[3*(1-4)]", "standard"))
 @example(("2*+(3-5)*-1+(1+1)", "standard"))
 @example(("(2-5)*[(1/2)*-(3/4)]", "fraction"))
+# a sign folded into a new negative factor inside a group
+@example(("1+(-3*+-2^2)", "standard"))
+@example(("-(1/2)*[(1/3)*+-2^2]", "fraction"))
+# a product of a `+-` literal, which no sign cancels, is a negative factor
+@example(("7*+-4*-7", "standard"))
 def test_focused_step_is_the_whole_tree_step(case):
     # at every step of a trace, the step the focus leads to is the one a
     # search of the whole tree takes
