@@ -143,11 +143,11 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_pack(args) -> int:
     records = line_no = 0
-    checked = _checked_lines(args.infile)  # --in opens before --out is made
+    numbered = metrics.read_lines(args.infile)  # --in opens before --out is made
 
     def lines():
         nonlocal records, line_no
-        for line_no, line in checked:
+        for line_no, line in numbered:
             records += 1
             yield line
 
@@ -156,6 +156,8 @@ def _cmd_pack(args) -> int:
             blocks = packing.pack_sequences(lines(), args.block_length, out)
     except RecordTooLong as err:  # pack_sequences numbers records, not file lines
         raise RecordTooLong(line_no, err.length, err.block_length, args.infile) from None
+    except UnknownSymbol as err:
+        raise MalformedInput(f"{args.infile}:{line_no}: {err}") from None
     payload = {"records": records, "blocks": blocks, "block_length": args.block_length}
     print(json.dumps(payload) if args.json else
           f"packed {records} records into {blocks} blocks of {args.block_length}")

@@ -117,23 +117,24 @@ def classify_problem(problem: str) -> Optional[tuple[str, str]]:
         tree = parse(problem, mode)
     except StepmathError:
         return None
-    ops = [op for n in iter_nodes(tree) if isinstance(n, Chain) for op in n.ops]
+    ops, has_frac, has_neg = [], False, False
+    for n in iter_nodes(tree):
+        if isinstance(n, Chain):
+            ops.extend(n.ops)
+        has_frac = has_frac or isinstance(n, FractionLit)
+        has_neg = has_neg or (isinstance(n, Lit) and n.text.startswith("-")
+                              or isinstance(n, Unary) and n.op == "-")
     if not ops:
         return None
     op_label = _OP_LABEL[ops[0]] if len(ops) == 1 else "MIX"
 
-    has_frac = any(isinstance(n, FractionLit) for n in iter_nodes(tree))
     if has_frac:
         fmt = "Frac"
     elif "%" in problem:
         fmt = "Perc"
     elif "." in problem:
         fmt = "Dec"
-    elif any(
-        (isinstance(n, Lit) and n.text.startswith("-"))
-        or (isinstance(n, Unary) and n.op == "-")
-        for n in iter_nodes(tree)
-    ):
+    elif has_neg:
         fmt = "Neg"
     else:
         fmt = "Int"

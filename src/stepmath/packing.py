@@ -7,17 +7,19 @@ unambiguous.
 
 Block file layout: 16-byte header (magic, version, block length, block count,
 all little-endian u32 apart from the 4-byte magic) followed by the blocks as
-little-endian u32 ids.
+little-endian u32 ids. Blocks are written and read whole, as bytes: an id is
+0x4E00 plus a low byte (see tokenizer), so a block is its low bytes at every
+fourth byte from 0, with 0x4E after each and zeros between.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .errors import MalformedInput, RecordTooLong
-from .tokenizer import DEFAULT_VOCAB
+from .errors import MalformedInput, RecordTooLong, UnknownSymbol
+from .tokenizer import _HIGH, _LOW_TO_SYMBOL, _SYMBOL_TO_LOW, DEFAULT_VOCAB
 
 MAGIC = b"SMPK"
 PACK_VERSION = 1
@@ -25,14 +27,25 @@ _HEADER = struct.Struct("<4sIII")
 # Most ids in one block (4 MiB in the file): a block is read and written
 # whole, so this bounds the memory one block takes.
 MAX_BLOCK_LENGTH = 1 << 20
+_PAD_LOW = bytes([DEFAULT_VOCAB.pad_id & 0xFF])
+_MARKER_LOW = bytes([DEFAULT_VOCAB.marker_id & 0xFF])
+
+
+def _block(block_length: int) -> bytearray:
+    """The bytes of one block with each id's upper three bytes written: a
+    block of vocabulary ids once its low bytes go to [0::4]."""
+    block = bytearray(4 * block_length)
+    block[1::4] = bytes([_HIGH]) * block_length
+    return block
 
 
 def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> int:
     """Pack records into fixed blocks; returns the number of blocks written.
-    Each line is encoded and checked before the next is pulled, so a caller
-    streaming `lines` knows which one a RecordTooLong is about. `out` must be
-    seekable, since the block count is written last; an unseekable `out` is
-    refused before anything is written to it."""
+    Each line is checked against the vocabulary (UnknownSymbol) and the block
+    length (RecordTooLong) before the next is pulled, so a caller streaming
+    `lines` knows which one an error is about. `out` must be seekable, since
+    the block count is written last; an unseekable `out` is refused before
+    anything is written to it."""
     if not 2 <= block_length <= MAX_BLOCK_LENGTH:
         raise ValueError(f"block length must be from 2 to {MAX_BLOCK_LENGTH}")
     if not out.seekable():
@@ -41,26 +54,31 @@ def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> in
                                       "since its block count is written last")
     out.write(_HEADER.pack(MAGIC, PACK_VERSION, block_length, 0))
 
-    pad = DEFAULT_VOCAB.pad_id
-    block: list[int] = []
-    count = 0
+    block = _block(block_length)
+    records: list[bytes] = []  # low bytes of the records of the block being filled
+    used = count = 0  # ids in those records
 
     def flush():
-        nonlocal block, count
-        if not block:
+        nonlocal records, used, count
+        if not records:
             return
-        block.extend([pad] * (block_length - len(block)))
-        out.write(struct.pack(f"<{block_length}I", *block))
-        block = []
+        block[0::4] = (_MARKER_LOW + _MARKER_LOW.join(records)).ljust(block_length, _PAD_LOW)
+        out.write(block)
+        records, used = [], 0
         count += 1
 
     for line_no, line in enumerate(lines, start=1):
-        ids = DEFAULT_VOCAB.encode(line)
-        if len(ids) > block_length:
-            raise RecordTooLong(line_no, len(ids), block_length)
-        if len(block) + len(ids) > block_length:
+        low = line.encode(errors="surrogatepass").translate(_SYMBOL_TO_LOW)
+        if _PAD_LOW in low:  # a symbol outside the vocabulary
+            bad = DEFAULT_VOCAB.unknown_symbol.search(line)
+            raise UnknownSymbol(bad[0], bad.start())
+        ids = len(low) + 1  # the marker, then one id per character
+        if ids > block_length:
+            raise RecordTooLong(line_no, ids, block_length)
+        if used + ids > block_length:
             flush()
-        block.extend(ids)
+        records.append(low)
+        used += ids
     flush()
 
     out.seek(0)
@@ -69,11 +87,11 @@ def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> in
     return count
 
 
-def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
-    """The blocks of a pack file as id lists; raises MalformedInput, naming
-    the byte offset, on a short header, a bad magic, version or block length
-    (below 2 or above MAX_BLOCK_LENGTH), a cut-off block, or bytes past the
-    last block."""
+def iter_blocks(f: BinaryIO, *, raw: bool = False) -> Iterator:
+    """The blocks of a pack file as id lists, or with `raw` as their bytes;
+    raises MalformedInput, naming the byte offset, on a short header, a bad
+    magic, version or block length (below 2 or above MAX_BLOCK_LENGTH), a
+    cut-off block, or bytes past the last block."""
     name = getattr(f, "name", "pack file")
     header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -89,34 +107,48 @@ def iter_blocks(f: BinaryIO) -> Iterator[list[int]]:
                              f"is not from 2 to {MAX_BLOCK_LENGTH}")
     block = struct.Struct(f"<{block_length}I")
     for k in range(count):
-        raw = f.read(block.size)
-        if len(raw) < block.size:
-            offset = _HEADER.size + k * block.size + len(raw)
+        data = f.read(block.size)
+        if len(data) < block.size:
+            offset = _HEADER.size + k * block.size + len(data)
             raise MalformedInput(f"{name}: block {k} of {count} ends at byte offset "
-                                 f"{offset}, {block.size - len(raw)} bytes short")
-        yield list(block.unpack(raw))
+                                 f"{offset}, {block.size - len(data)} bytes short")
+        yield data if raw else list(block.unpack(data))
     if f.read(1):
         raise MalformedInput(f"{name}: bytes past the last of {count} blocks at byte offset "
                              f"{_HEADER.size + count * block.size}")
 
 
-def _index(block: list[int], tid: int, start: int, end: int) -> int:
-    """Position of the first tid in block[start:end], or end."""
+def _walk(ids: tuple[int, ...]) -> Iterator[str]:
+    """The records of a block decoded id by id, each led by the marker, up to
+    the first pad (ids before the first marker belong to no record): those
+    before an id outside the vocabulary, then its UnknownId."""
+    marker, pad = DEFAULT_VOCAB.marker_id, DEFAULT_VOCAB.pad_id
+    ids = ids[:ids.index(pad)] if pad in ids else ids
+    starts = [k for k, tid in enumerate(ids) if tid == marker]
+    for start, end in zip(starts, starts[1:] + [len(ids)]):
+        yield DEFAULT_VOCAB.decode(ids[start + 1:end])
+
+
+def _records(raw: bytes) -> Optional[list[str]]:
+    """The records of a block read whole as bytes, or None when it holds an id
+    that is not 0x4E00 plus a byte, or an id outside the vocabulary between its
+    first marker and its first pad."""
+    low = raw[0::4]
+    block = _block(len(low))
+    block[0::4] = low
+    if block != raw:
+        return None
+    _, marker, region = low.partition(_PAD_LOW)[0].partition(_MARKER_LOW)
     try:
-        return block.index(tid, start, end)
-    except ValueError:
-        return end
+        return region.translate(_LOW_TO_SYMBOL).decode("ascii").split("\n") if marker else []
+    except UnicodeDecodeError:
+        return None
 
 
 def unpack_sequences(f: BinaryIO) -> Iterator[str]:
-    """Recover the original record stream from a packed block file."""
-    marker, pad = DEFAULT_VOCAB.marker_id, DEFAULT_VOCAB.pad_id
-    for block in iter_blocks(f):
-        # records, each led by the marker, then padding; ids before the first
-        # marker belong to no record
-        end = _index(block, pad, 0, len(block))
-        start = _index(block, marker, 0, end)
-        while start < end:
-            nxt = _index(block, marker, start + 1, end)
-            yield DEFAULT_VOCAB.decode(block[start + 1:nxt])
-            start = nxt
+    """Recover the original record stream from a packed block file. A block
+    is checked and decoded whole, as bytes; one that fails the check (only a
+    hand-made or corrupt file has one) is walked id by id to name its error."""
+    for raw in iter_blocks(f, raw=True):
+        records = _records(raw)
+        yield from _walk(struct.unpack(f"<{len(raw) // 4}I", raw)) if records is None else records

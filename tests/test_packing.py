@@ -2,11 +2,11 @@ import io
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
-from stepmath.errors import MalformedInput, RecordTooLong, UnknownId
+from stepmath.errors import MalformedInput, RecordTooLong, UnknownId, UnknownSymbol
 from stepmath.packing import (MAGIC, MAX_BLOCK_LENGTH, PACK_VERSION, iter_blocks, pack_sequences,
                               unpack_sequences)
 from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD
@@ -71,6 +71,12 @@ class TestPackingArithmetic:
         assert list(unpack_sequences(buf)) == []
 
 
+POWERS = [line for k, (b, e) in enumerate([(9999, 260), (2, 3500), (4321, 290), (7, 1300)])
+          for line in [f"{b}^{e}={b ** e}"] + [
+              build_record(GenSpec("exponentiation", (1, 4), seed=74), 5 * k + i)[0]
+              for i in range(5)]]
+
+
 class TestRoundTrip:
     def test_generated_records_round_trip(self):
         # single-digit two-op records stay under 64 tokens even when both
@@ -84,9 +90,15 @@ class TestRoundTrip:
 
     def test_longer_records_round_trip(self):
         spec = GenSpec("lengthy-mixed", (1, 4), (2, 6), seed=72)
-        lines = [build_record(spec, i)[0] for i in range(500)]
-        buf, _ = _pack(lines, 1024)
-        assert list(unpack_sequences(buf)) == lines
+        lengthy = [build_record(spec, i)[0] for i in range(500)]
+        # exponentiation records of over 1,000 characters among short ones, in
+        # blocks one and two ids longer than the longest, as the benchmark packs
+        longest = max(map(len, POWERS))
+        for lines, block_length in [(lengthy, 1024), (POWERS, longest + 1),
+                                    (POWERS, longest + 2)]:
+            buf, _ = _pack(lines, block_length)
+            assert buf.getvalue() == reference_pack(lines, block_length)[0]
+            assert list(unpack_sequences(buf)) == lines
 
     def test_exact_fill_no_padding(self):
         line = "1+2=3"  # 6 ids with marker
@@ -101,21 +113,29 @@ class TestRoundTrip:
 
 
 def reference_pack(lines, block_length):
-    blocks, block = [], []
-    for line_no, line in enumerate(lines, start=1):
-        ids = reference_encode(DEFAULT_VOCAB, line)
-        if len(ids) > block_length:
-            raise RecordTooLong(line_no, len(ids), block_length)
-        if len(block) + len(ids) > block_length:
+    """The bytes pack writes, and the UnknownSymbol or RecordTooLong that
+    stops it (None when nothing does): then the blocks written so far follow
+    the header, whose count is still 0."""
+    blocks, block, error = [], [], None
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            ids = reference_encode(DEFAULT_VOCAB, line)
+            if len(ids) > block_length:
+                raise RecordTooLong(line_no, len(ids), block_length)
+            if len(block) + len(ids) > block_length:
+                blocks.append(block)
+                block = []
+            block.extend(ids)
+    except (UnknownSymbol, RecordTooLong) as err:
+        error = err
+    else:
+        if block:
             blocks.append(block)
-            block = []
-        block.extend(ids)
-    if block:
-        blocks.append(block)
-    out = struct.pack("<4sIII", MAGIC, PACK_VERSION, block_length, len(blocks))
+    count = 0 if error else len(blocks)
+    out = struct.pack("<4sIII", MAGIC, PACK_VERSION, block_length, count)
     for b in blocks:
         out += struct.pack(f"<{block_length}I", *b, *[PAD_ID] * (block_length - len(b)))
-    return out
+    return out, error
 
 
 def reference_unpack(blocks):
@@ -154,28 +174,38 @@ def drain(records):
 
 
 RECORD_SYMBOLS = sorted(s for s in DEFAULT_VOCAB.provenance if s not in (MARKER, PAD))
+# symbols outside the vocabulary, most with a record symbol's low byte ("1" is
+# 0x31, "丱" U+4E31), and a lone surrogate, which UTF-8 cannot encode
+BAD_SYMBOLS = [chr(0x100 + ord("1")), "\u4e31", MARKER, "\x00", "\n", "\ud800"]
 ALL_IDS = sorted(DEFAULT_VOCAB.id_of(s) for s in DEFAULT_VOCAB.provenance)
+# ids outside the vocabulary that share a vocabulary id's low byte
+NEAR_IDS = st.one_of(st.sampled_from(ALL_IDS).flatmap(lambda tid: st.sampled_from(
+    [tid - 256, tid + 256, tid + 2 ** 16, tid + 2 ** 24])), st.just(2 ** 32 - 1))
 
 
 class TestFastPathsMatchReference:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text(st.sampled_from(RECORD_SYMBOLS), max_size=12), max_size=20),
+    @given(st.lists(st.text(st.sampled_from(RECORD_SYMBOLS * 4 + BAD_SYMBOLS), max_size=12),
+                    max_size=20),
            st.integers(2, 24))
+    @example(["1+2=3", "4\u4e31"], 24)
+    @example(["1+2=3", "11+22=33", "1" + chr(0x131)], 8)
+    @example(["12", "3\ud800"], 4)
     def test_pack_bytes(self, lines, block_length):
-        try:
-            expected = reference_pack(lines, block_length)
-        except RecordTooLong as err:
-            with pytest.raises(RecordTooLong) as exc:
-                _pack(lines, block_length)
-            assert exc.value.line_no == err.line_no
-            return
-        buf, _ = _pack(lines, block_length)
+        expected, error = reference_pack(lines, block_length)
+        buf = io.BytesIO()
+        if error is None:
+            pack_sequences(lines, block_length, buf)
+        else:
+            with pytest.raises(type(error)) as exc:
+                pack_sequences(lines, block_length, buf)
+            assert (str(exc.value), vars(exc.value)) == (str(error), vars(error))
         assert buf.getvalue() == expected
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(2, 10).flatmap(lambda n: st.lists(
         st.lists(st.one_of(st.sampled_from(ALL_IDS), st.just(MARKER_ID), st.just(PAD_ID),
-                           st.integers(19998, 20002)), min_size=n, max_size=n),
+                           st.integers(19998, 20002), NEAR_IDS), min_size=n, max_size=n),
         max_size=5).map(lambda blocks, n=n: (n, blocks))))
     def test_unpack_hand_built_blocks(self, case):
         block_length, blocks = case
@@ -192,6 +222,20 @@ class TestFastPathsMatchReference:
     def test_unpack_edge_blocks(self, block, records):
         assert list(unpack_sequences(pack_file([block], len(block)))) == records
         assert list(reference_unpack([block])) == records
+
+    @pytest.mark.parametrize("block,records,bad_id", [
+        # before the first marker and after the first pad they are ignored
+        ([MARKER_ID + 2 ** 16, 20009, MARKER_ID, 20013], ["3"], None),
+        ([MARKER_ID, 20009, PAD_ID, 20010 + 2 ** 24, 2 ** 32 - 1], ["1"], None),
+        # inside a record they are unknown, though their low byte is a pad's,
+        # a marker's or a symbol's
+        ([MARKER_ID, 20009, MARKER_ID, 20010, PAD_ID + 256, PAD_ID], ["1"], PAD_ID + 256),
+        ([MARKER_ID, 20009, MARKER_ID - 256, 20010], [], MARKER_ID - 256),
+        ([MARKER_ID, 20013, MARKER_ID, 20009 + 2 ** 24], ["3"], 20009 + 2 ** 24),
+    ])
+    def test_unpack_ids_that_share_a_low_byte(self, block, records, bad_id):
+        assert drain(unpack_sequences(pack_file([block], len(block)))) == (records, bad_id)
+        assert drain(reference_unpack([block])) == (records, bad_id)
 
 
 class TestMalformedPackFiles:
