@@ -497,11 +497,23 @@ def _resolve(tree: Node, path: list) -> tuple[Node, Optional[tuple]]:
 
 def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
     """Whether the literal `top`, at `link` where a group outside any other
-    stood, may cancel signs with another factor: any in fraction mode."""
-    _, parent, i = link
-    return _is_negative_literal(top) and parent.__class__ is Chain and parent.ops[0] in "*/" \
-        and (fraction or any(_is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
-                             for x in parent.operands[:i] + parent.operands[i + 1:]))
+    stood, may cancel signs with another factor: any in fraction mode. The
+    factors are those of the whole mul/div chain, a `*/` chain among them
+    and any it is one of, as `_scan` counts them."""
+    link, parent, _ = link
+    if not _is_negative_literal(top) or parent.__class__ is not Chain or parent.ops[0] not in "*/":
+        return False
+    if fraction:
+        return True
+    while link is not None and link[1].__class__ is Chain and link[1].ops[0] in "*/":
+        link, parent, _ = link
+
+    def negatives(chain: Chain) -> int:
+        return sum(negatives(x) if x.__class__ is Chain and x.ops[0] in "*/"
+                   else _is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
+                   for x in chain.operands)
+
+    return negatives(parent) > 1
 
 
 def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optional[tuple]:
