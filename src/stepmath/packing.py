@@ -7,8 +7,8 @@ unambiguous.
 
 Block file layout: 16-byte header (magic, version, block length, block count,
 all little-endian u32 apart from the 4-byte magic) followed by the blocks as
-little-endian u32 ids. Blocks are written and read whole, as bytes: an id is
-0x4E00 plus a low byte (see tokenizer), so a block is its low bytes at every
+little-endian u32 ids. Blocks are written and read whole, as bytes: every
+id is 0x4E00 plus a distinct low byte, so a block is its low bytes at every
 fourth byte from 0, with 0x4E after each and zeros between.
 """
 
@@ -19,7 +19,7 @@ import struct
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .errors import MalformedInput, RecordTooLong, UnknownSymbol
-from .tokenizer import _HIGH, _LOW_TO_SYMBOL, _SYMBOL_TO_LOW, DEFAULT_VOCAB
+from .tokenizer import DEFAULT_VOCAB, MARKER, PAD
 
 MAGIC = b"SMPK"
 PACK_VERSION = 1
@@ -27,8 +27,25 @@ _HEADER = struct.Struct("<4sIII")
 # Most ids in one block (4 MiB in the file): a block is read and written
 # whole, so this bounds the memory one block takes.
 MAX_BLOCK_LENGTH = 1 << 20
-_PAD_LOW = bytes([DEFAULT_VOCAB.pad_id & 0xFF])
-_MARKER_LOW = bytes([DEFAULT_VOCAB.marker_id & 0xFF])
+
+# Blocks go to and from record text through two translate tables: a record
+# symbol's byte to its low byte (any other byte to the pad's, which no record
+# holds), and a low byte to its symbol's byte (the marker's to "\n", any other
+# to the non-ASCII 0xFF). Checked at import, so a vocabulary edit that breaks
+# the layout fails here rather than packing wrong bytes.
+_HIGH = 0x4E
+_LOW = {sym: DEFAULT_VOCAB.id_of(sym) & 0xFF for sym in DEFAULT_VOCAB.provenance}
+if len(set(_LOW.values())) != len(_LOW) \
+        or any(DEFAULT_VOCAB.id_of(sym) >> 8 != _HIGH for sym in _LOW) \
+        or not all(len(sym) == 1 and sym.isascii() for sym in _LOW if sym != PAD):
+    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte, "
+                         "and every symbol but the pad a single ASCII character")
+_RECORD_LOW = {ord(sym): low for sym, low in _LOW.items() if sym not in (MARKER, PAD)}
+_SYMBOL_TO_LOW = bytes(_RECORD_LOW.get(byte, _LOW[PAD]) for byte in range(256))
+_SYMBOL_OF_LOW = {low: "\n" if sym == MARKER else sym for sym, low in _LOW.items() if sym != PAD}
+_LOW_TO_SYMBOL = bytes(ord(_SYMBOL_OF_LOW.get(low, "\xff")) for low in range(256))
+_PAD_LOW = bytes([_LOW[PAD]])
+_MARKER_LOW = bytes([_LOW[MARKER]])
 
 
 def _block(block_length: int) -> bytearray:
@@ -87,11 +104,11 @@ def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> in
     return count
 
 
-def iter_blocks(f: BinaryIO, *, raw: bool = False) -> Iterator:
-    """The blocks of a pack file as id lists, or with `raw` as their bytes;
-    raises MalformedInput, naming the byte offset, on a short header, a bad
-    magic, version or block length (below 2 or above MAX_BLOCK_LENGTH), a
-    cut-off block, or bytes past the last block."""
+def iter_blocks(f: BinaryIO) -> Iterator[bytes]:
+    """The blocks of a pack file, each as its bytes; raises MalformedInput,
+    naming the byte offset, on a short header, a bad magic, version or block
+    length (below 2 or above MAX_BLOCK_LENGTH), a cut-off block, or bytes past
+    the last block."""
     name = getattr(f, "name", "pack file")
     header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -105,17 +122,17 @@ def iter_blocks(f: BinaryIO, *, raw: bool = False) -> Iterator:
     if not 2 <= block_length <= MAX_BLOCK_LENGTH:
         raise MalformedInput(f"{name}: block length {block_length} at byte offset 8 "
                              f"is not from 2 to {MAX_BLOCK_LENGTH}")
-    block = struct.Struct(f"<{block_length}I")
+    size = 4 * block_length
     for k in range(count):
-        data = f.read(block.size)
-        if len(data) < block.size:
-            offset = _HEADER.size + k * block.size + len(data)
+        data = f.read(size)
+        if len(data) < size:
+            offset = _HEADER.size + k * size + len(data)
             raise MalformedInput(f"{name}: block {k} of {count} ends at byte offset "
-                                 f"{offset}, {block.size - len(data)} bytes short")
-        yield data if raw else list(block.unpack(data))
+                                 f"{offset}, {size - len(data)} bytes short")
+        yield data
     if f.read(1):
         raise MalformedInput(f"{name}: bytes past the last of {count} blocks at byte offset "
-                             f"{_HEADER.size + count * block.size}")
+                             f"{_HEADER.size + count * size}")
 
 
 def _walk(ids: tuple[int, ...]) -> Iterator[str]:
@@ -149,6 +166,6 @@ def unpack_sequences(f: BinaryIO) -> Iterator[str]:
     """Recover the original record stream from a packed block file. A block
     is checked and decoded whole, as bytes; one that fails the check (only a
     hand-made or corrupt file has one) is walked id by id to name its error."""
-    for raw in iter_blocks(f, raw=True):
+    for raw in iter_blocks(f):
         records = _records(raw)
         yield from _walk(struct.unpack(f"<{len(raw) // 4}I", raw)) if records is None else records

@@ -45,21 +45,6 @@ _ENTRIES = [
     ("+", 20065, "verified"),
 ]
 
-# Every id is 0x4E00 plus a distinct low byte, so packing reads and writes
-# blocks as bytes through two translate tables: a record symbol's byte to its
-# low byte (any other byte to the pad's, which no record holds), and a low byte
-# to its symbol's byte (the marker's to "\n", any other to the non-ASCII 0xFF).
-_HIGH = 0x4E
-_LOW = {sym: tid & 0xFF for sym, tid, _ in _ENTRIES}
-if len(set(_LOW.values())) != len(_ENTRIES) or any(tid >> 8 != _HIGH for _, tid, _ in _ENTRIES) \
-        or not all(len(sym) == 1 and sym.isascii() for sym in _LOW if sym != PAD):
-    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte, "
-                         "and every symbol but the pad a single ASCII character")
-_RECORD_LOW = {ord(sym): low for sym, low in _LOW.items() if sym not in (MARKER, PAD)}
-_SYMBOL_TO_LOW = bytes(_RECORD_LOW.get(byte, _LOW[PAD]) for byte in range(256))
-_SYMBOL_OF_LOW = {low: "\n" if sym == MARKER else sym for sym, low in _LOW.items() if sym != PAD}
-_LOW_TO_SYMBOL = bytes(ord(_SYMBOL_OF_LOW.get(low, "\xff")) for low in range(256))
-
 
 class Vocab:
     """The symbol/id map of _ENTRIES, both ways."""
