@@ -13,7 +13,10 @@ with ``^`` binding tighter than a unary sign on its left and taking a signed
 exponent on its right. Equal precedence associates left: a run of ``+ -``
 or of ``* /`` parses to one `Chain`, the left fold of its operands. Square
 brackets are interchangeable with parentheses; the kind is preserved for
-printing only.
+printing only. The parser walks one token list, numbers, fraction literals
+and single characters: both chain tiers in one loop, an operand (signs, atom,
+exponent) in one frame, a plain integer inline; only an error works out its
+text offset.
 
 `TIERS` is the operator table: the binary operators of each precedence tier,
 lowest first. `TIER` maps an operator to its tier (1, 2 or 3).
@@ -41,8 +44,11 @@ TIER = {op: tier for tier, ops in enumerate(TIERS, 1) for op in ops}
 # The first character outside the language, or the first digit run too long
 # to convert: a lexical error anywhere wins over any syntax error.
 _LEXICAL_ERROR = re.compile(rf"[^0-9+\-*/^()\[\]=.%]|(?<![0-9])[0-9]{{{DIGIT_LIMIT + 1}}}")
-_NUMBER = re.compile(r"([0-9]+(\.[0-9]*)?)%?")
-_FRACTION_LITERAL = re.compile(r"\((-?[0-9]+)/([0-9]+)\)")
+# A number (a `.` without digits after it is an error), in fraction mode a
+# fraction literal, or any other character.
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?%?|."
+_TOKENS = {STANDARD: re.compile(_NUMBER),
+           FRACTION: re.compile(r"\(-?[0-9]+/[0-9]+\)|" + _NUMBER)}
 _DIGITS = re.compile(r"[0-9]*")
 
 
@@ -196,104 +202,111 @@ def signed(op: str, lit: Node, text: Optional[str] = None) -> Node:
 
 
 class _Parser:
-    """Recursive descent over the characters of `src`, from index `i`."""
+    """Recursive descent over the tokens of `src`, from token `k`."""
 
     def __init__(self, src: str, mode: str):
         self.src = src
-        self.mode = mode
-        self.i = 0
+        self.tokens = _TOKENS[mode].findall(src) + [""]  # "" marks the end
+        self.k = 0
         self.depth = 0
         self.run = 0
 
-    def peek(self) -> str:
-        """The next character, or "" at the end."""
-        return self.src[self.i:self.i + 1]
+    def offset(self, k: int) -> int:
+        """The text offset of token `k`."""
+        return len("".join(self.tokens[:k]))
 
     def parse(self) -> Node:
-        e = self.parse_chain(1)
-        i = self.i
-        if i < len(self.src):
+        e = self.parse_chain()
+        if self.tokens[self.k]:
+            i = self.offset(self.k)
             lexeme = _DIGITS.match(self.src, i)[0] or self.src[i]
             raise ExprSyntaxError(f"trailing input {lexeme!r}", i)
         return e
 
-    def parse_chain(self, tier: int) -> Node:
-        """Operands joined by the operators of tier 1 (``+ -``) or 2 (``* /``):
-        one chain, or the lone operand when no such operator follows it."""
-        ops = ""
-        operands = [self.parse_chain(2) if tier == 1 else self.parse_unary()]
-        op = self.peek()
-        while TIER.get(op) == tier:
-            self.i += 1
-            ops += op
-            operands.append(self.parse_chain(2) if tier == 1 else self.parse_unary())
-            op = self.peek()
-        return chain(ops, operands)
+    def parse_chain(self) -> Node:
+        """Operands joined by ``+ -`` and ``* /``: a ``+ -`` chain of ``* /``
+        chains, each the lone operand where no such operator follows it."""
+        tokens = self.tokens
+        k = self.k
+        terms, term_ops = [], ""
+        factors, ops = [], ""
+        while True:
+            token = tokens[k]
+            if token.isdigit() and tokens[k + 1] != "^":  # a plain integer
+                factors.append(Lit(int(token), token))
+                k += 1
+            else:
+                self.k = k
+                factors.append(self.parse_operand())
+                k = self.k
+            op = tokens[k]
+            tier = TIER.get(op)
+            if tier == 2:
+                ops += op
+            elif tier == 1:
+                terms.append(Chain(ops, tuple(factors)) if ops else factors[0])
+                term_ops += op
+                factors, ops = [], ""
+            else:
+                break
+            k += 1
+        self.k = k
+        terms.append(Chain(ops, tuple(factors)) if ops else factors[0])
+        return chain(term_ops, terms)
 
-    def parse_unary(self) -> Node:
-        op = self.peek()
-        if TIER.get(op) == 1:
-            start = self.i
-            self.i += 1
-            operand = self.parse_nested(start)
-            if isinstance(operand, (Lit, FractionLit)):  # folds into the literal
-                return signed(op, operand, self.src[start:start + 1 + len(operand.text)])
-            return Unary(op, operand)
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.i += 1
+    def parse_operand(self) -> Node:
+        """Signs, an atom and the ``^`` exponent after it, itself an operand:
+        ``^`` binds tighter than the signs, which fold into a literal."""
+        tokens = self.tokens
+        k = first = self.k
+        token = tokens[k]
+        while TIER.get(token) == 1:
+            self.run += 1
+            if self.run > MAX_RUN:
+                raise DepthExceeded(self.offset(k), MAX_RUN, "sign and exponent nesting")
+            k += 1
+            token = tokens[k]
+        signs = k - first
+        if "0" <= token[:1] <= "9":
+            number = token[:-1] if token[-1] == "%" else token
+            if number[-1] == ".":
+                raise ExprSyntaxError("expected digits", self.offset(k) + len(number))
+            atom = Lit(float(number) if "." in number else int(number), token)
+        elif len(token) > 1:  # a fraction literal
+            num, den = token[1:-1].split("/")
+            atom = FractionLit(Frac(int(num), int(den)), token)
+        elif token in _CLOSERS:
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise DepthExceeded(self.offset(k), MAX_DEPTH)
+            self.k = k + 1
+            atom = Group(token, self.parse_chain())
+            if tokens[self.k] != _CLOSERS[token]:
+                raise ExprSyntaxError(f"unbalanced {token!r}", self.offset(k))
+            self.depth -= 1
+            k = self.k
+        elif token:
+            raise ExprSyntaxError(f"unexpected {token!r}", self.offset(k))
+        else:
+            raise ExprSyntaxError("unexpected end of input", self.offset(k))
+        k += 1
+        if tokens[k] == "^":
             # signed exponents parse; evaluation rejects them
-            return chain("^", (base, self.parse_nested(self.i - 1)))
-        return base
-
-    def parse_nested(self, offset: int) -> Node:
-        """The operand of the sign or `^` at `offset`, one level deeper."""
-        self.run += 1
-        if self.run > MAX_RUN:
-            raise DepthExceeded(offset, MAX_RUN, "sign and exponent nesting")
-        operand = self.parse_unary()
-        self.run -= 1
-        return operand
-
-    def parse_atom(self) -> Node:
-        c = self.peek()
-        if not c:
-            raise ExprSyntaxError("unexpected end of input", self.i)
-        if "0" <= c <= "9":
-            return self.parse_number()
-        if c in _CLOSERS:
-            if self.mode == FRACTION and c == "(":
-                m = _FRACTION_LITERAL.match(self.src, self.i)
-                if m is not None:
-                    self.i = m.end()
-                    return FractionLit(Frac(int(m[1]), int(m[2])), m[0])
-            return self.parse_group()
-        raise ExprSyntaxError(f"unexpected {c!r}", self.i)
-
-    def parse_number(self) -> Lit:
-        m = _NUMBER.match(self.src, self.i)
-        number, decimals = m.groups()
-        if decimals == ".":
-            raise ExprSyntaxError("expected digits", m.start(2) + 1)
-        self.i = m.end()
-        return Lit(float(number) if decimals else int(number), m[0])
-
-    def parse_group(self) -> Group:
-        start = self.i
-        opener = self.src[start]
-        self.i += 1
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise DepthExceeded(start, MAX_DEPTH)
-        inner = self.parse_chain(1)
-        if self.peek() != _CLOSERS[opener]:
-            raise ExprSyntaxError(f"unbalanced {opener!r}", start)
-        self.i += 1
-        self.depth -= 1
-        return Group(opener, inner)
+            self.run += 1
+            if self.run > MAX_RUN:
+                raise DepthExceeded(self.offset(k), MAX_RUN, "sign and exponent nesting")
+            self.k = k + 1
+            atom = Chain("^", (atom, self.parse_operand()))
+            self.run -= 1
+            k = self.k
+        self.k = k
+        self.run -= signs
+        for sign in reversed(tokens[first:first + signs]):
+            if atom.__class__ is Lit or atom.__class__ is FractionLit:  # folds into the literal
+                atom = signed(sign, atom, sign + atom.text)
+            else:
+                atom = Unary(sign, atom)
+        return atom
 
 
 def parse(src: str, mode: str = STANDARD) -> Node:

@@ -122,7 +122,7 @@ def classify_problem(problem: str) -> Optional[tuple[str, str]]:
         if isinstance(n, Chain):
             ops.extend(n.ops)
         has_frac = has_frac or isinstance(n, FractionLit)
-        has_neg = has_neg or (isinstance(n, Lit) and n.text.startswith("-")
+        has_neg = has_neg or (isinstance(n, Lit) and "-" in n.text
                               or isinstance(n, Unary) and n.op == "-")
     if not ops:
         return None

@@ -21,11 +21,13 @@ splicing the pair into one literal. A step costs about what it changes. One
 walk records only what a rule can fire on (ready head pairs, fraction
 divisions and reducible fractions, each filed under its innermost bracket
 group, the leftmost percent, the negative factors of each mul/div chain);
-a flat chain of plain literals needs none. Each step hands the next a focus,
-so that a trace walks the tree about once: a flat chain's search resumes
-where it stopped, and a step in the first leaf group of a walk leads the next
-to that group, or to the walk's next leaf once a group outside any other is
-gone. Where the focus cannot vouch for a step, the whole tree is walked. The
+a flat chain of plain literals needs none, nor does a step in a bracket
+group of them, which takes its binop from the same head-pair search. Each
+step hands the next a focus, so that a trace walks the tree about once: a
+flat chain's search resumes where it stopped, and a step in the first leaf
+group of a walk leads the next to that group, or to the walk's next leaf
+once a group outside any other is gone. Where the focus cannot vouch for a
+step, the whole tree is walked. The
 rewrite rebuilds the changed nodes' ancestors bottom-up along parent links,
 in one routine for every rule, sharing every subtree a step did not touch.
 Each snapshot's text is the previous one with the changed span spliced, and
@@ -298,9 +300,10 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
 
 
 def _pinned_by_power_base(link: Optional[tuple], content: Node) -> bool:
-    """Brackets around a negative literal must stay when the bracket is the
-    base of a power: printing `(-1)^0` without them re-reads as `-(1^0)`."""
-    if link is None or not _is_negative_literal(content):
+    """Brackets around a literal written with a `-` (`-1`, `+-5`) must stay
+    when the bracket is the base of a power: printing `(-1)^0` without them
+    re-reads as `-(1^0)`."""
+    if link is None or "-" not in content.text:
         return False
     _, parent, i = link
     return parent.__class__ is Chain and parent.ops[0] == "^" and i == 0
@@ -436,40 +439,52 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
 def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
     """The binop candidate of a flat tree, found without a scan, and where
     the search resumes after it: (candidate, resume); None for any other
-    tree. A flat tree is a `*/` chain of plain literals at most one of them
+    tree. A binop leaves a flat tree flat, so a search from `resume`, the
+    (operand index, text offset) the step before gave, checks nothing again."""
+    if resume is None and not _is_flat(tree):
+        return None
+    return _head_pair(tree, None, 0, *(resume or (0, 0)))
+
+
+def _is_flat(tree: Node) -> bool:
+    """Whether `tree` is a `*/` chain of plain literals at most one of them
     signed (`+-4` too, which no sign cancels but makes a product negative),
     or a `+-` chain of plain literals and such chains: no rule but binop can
     fire in it, and its binop is the head pair of its first `*/` chain, else
-    its own head pair. A binop leaves it flat, so a search from `resume`, the
-    (operand index, text offset) the step before gave, checks nothing again."""
+    its own head pair."""
     if tree.__class__ is not Chain or tree.ops == "^":
-        return None
+        return False
+    for x in tree.operands if tree.ops[0] in "+-" else (tree,):
+        if x.__class__ is Lit and not x.percent:
+            continue
+        if x.__class__ is not Chain or x.ops[0] not in "*/":
+            return False
+        signs = 0
+        for y in x.operands:
+            if y.__class__ is not Lit or y.percent:
+                return False
+            signs += y.text[0] in "+-"
+        if signs > 1:
+            return False
+    return True
+
+
+def _head_pair(tree: Chain, link: Optional[tuple], start: int, i: int, offset: int) -> tuple:
+    """The binop candidate of the flat `tree` at `link`, whose text starts at
+    `start`, searched from its operand `i` at text offset `offset`, and where
+    the search resumes after it: (candidate, (operand index, text offset))."""
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
-    if resume is None:
-        for x in operands:
-            if x.__class__ is Lit and not x.percent:
-                continue
-            if x.__class__ is not Chain or x.ops[0] not in "*/":
-                return None
-            signs = 0
-            for y in x.operands:
-                if y.__class__ is not Lit or y.percent:
-                    return None
-                signs += y.text[0] in "+-"
-            if signs > 1:
-                return None
-    i, offset = resume or (0, 0)
     for i in range(i, len(operands)):
         x = operands[i]
         if x.__class__ is Chain:
             a, b = x.operands[:2]
-            return (((None, tree, i) if sums else None, x, offset,
+            return (((link, tree, i) if sums else link, x, offset,
                      offset + len(a.text) + 1 + len(b.text), 2, a), (i, offset))
         offset += len(x.text) + 1
     # every operand is a literal, and stays one: none is left to walk
     a, b = tree.operands[:2]
-    return (None, tree, 0, len(a.text) + 1 + len(b.text), 1, a), (len(operands) - 1, 0)
+    return (link, tree, start, start + len(a.text) + 1 + len(b.text), 1, a), (len(operands) - 1, 0)
 
 
 # The focus after a step in a scan's first leaf group: the scan's `leaves` as
@@ -534,6 +549,10 @@ def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optiona
             return None
         node, link = _resolve(tree, leaves[k][0])
         start = leaves[k][1] + len(text) - length
+    if not fraction and _is_flat(node.inner):
+        found = _head_pair(node.inner, (link, node, 0), start + 1, 0, start + 1)[0]
+        new, text = _binop(text, found, node)
+        return new, R_BINOP, text, text, _Leaves(leaves, k, start, length)
     chains, _, (region,), _ = _scan(node, fraction, link, start)
     step = not any(len(c) > (1 if fraction else 2) for c in chains) and _region_step(text, region)
     if step:
@@ -560,7 +579,7 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:
     # binop: leftmost head pair of the highest precedence tier with two
     # literal operands
     if region.binop is not None:
-        return *_binop(text, region.binop, group and region), R_BINOP
+        return *_binop(text, region.binop, group), R_BINOP
 
     # simplify: leftmost computed fraction not in lowest terms
     if region.frac is not None:
@@ -576,9 +595,9 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:
     return None
 
 
-def _binop(text: str, found: tuple, region: Optional[_Region]) -> tuple[Node, str]:
+def _binop(text: str, found: tuple, group: Optional[Group]) -> tuple[Node, str]:
     """The tree of `text` with the head pair `found` evaluated, and its text:
-    the pair becomes one literal, or replaces its two-operand chain. `region`
+    the pair becomes one literal, or replaces its two-operand chain. `group`
     is the bracket group the pair is in, if any."""
     link, node, start, end, _, base = found
     op = node.ops[0]
@@ -594,14 +613,15 @@ def _binop(text: str, found: tuple, region: Optional[_Region]) -> tuple[Node, st
     # same step, unless the literal is negative and the bracket either is not
     # at the very start of the expression or is pinned as a power base; those
     # keep their brackets.
-    if region is not None and node is region.node.inner:
+    if group is not None and node is group.inner:  # the group spans one more each side
+        group_link = link[0]
         if isinstance(result, FractionLit):
             result = FractionLit(result.value, reducible=result.reducible)
         elif _is_negative_literal(result) and (
-            region.start != 0 or _pinned_by_power_base(region.link, result)
+            start != 1 or _pinned_by_power_base(group_link, result)
         ):
             return _edit(text, link, result, start, end)
-        return _edit(text, region.link, result, region.start, region.end)
+        return _edit(text, group_link, result, start - 1, end + 1)
     return _edit(text, link, result, start, end)
 
 

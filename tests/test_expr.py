@@ -14,11 +14,12 @@ from stepmath.expr import (
     FractionLit,
     Group,
     Lit,
+    Unary,
     count_atomic_ops,
     parse,
     print_expr,
 )
-from stepmath.numeric import DIGIT_LIMIT
+from stepmath.numeric import DIGIT_LIMIT, Frac
 
 from conftest import GOLDEN_TRACES
 
@@ -48,6 +49,35 @@ _PARSE_ERRORS = [
     ("-" * (MAX_RUN + 1) + "1", STANDARD, DepthExceeded, MAX_RUN,
      f"sign and exponent nesting deeper than {MAX_RUN} (offset {MAX_RUN})"),
     ("(5/0)", FRACTION, DivByZero, None, "fraction with zero denominator"),
+]
+
+# Edge cases of the same raise sites: brackets next to fraction literals,
+# malformed numbers, a dangling sign or `^`.
+_PARSE_EDGE_ERRORS = [
+    ("2(3/4)", FRACTION, ExprSyntaxError, 1, "trailing input '(' (offset 1)"),
+    ("(1/2)(3/4)", FRACTION, ExprSyntaxError, 5, "trailing input '(' (offset 5)"),
+    ("(1/2)3", FRACTION, ExprSyntaxError, 5, "trailing input '3' (offset 5)"),
+    ("((1/2)", FRACTION, ExprSyntaxError, 0, "unbalanced '(' (offset 0)"),
+    ("(-1/0)", FRACTION, DivByZero, None, "fraction with zero denominator"),
+    ("1+(2", STANDARD, ExprSyntaxError, 2, "unbalanced '(' (offset 2)"),
+    ("1..2", STANDARD, ExprSyntaxError, 2, "expected digits (offset 2)"),
+    ("5%%", STANDARD, ExprSyntaxError, 2, "trailing input '%' (offset 2)"),
+    ("12.5.1", STANDARD, ExprSyntaxError, 4, "trailing input '.' (offset 4)"),
+    ("1%.5", STANDARD, ExprSyntaxError, 2, "trailing input '.' (offset 2)"),
+    ("2^", STANDARD, ExprSyntaxError, 2, "unexpected end of input (offset 2)"),
+    ("-", STANDARD, ExprSyntaxError, 1, "unexpected end of input (offset 1)"),
+    ("(12)3", STANDARD, ExprSyntaxError, 4, "trailing input '3' (offset 4)"),
+]
+
+# Shapes at the edges of the grammar: a fraction literal's brackets, signs
+# folded into a literal, a signed exponent.
+_PARSE_EDGE_TREES = [
+    ("(1/-2)", FRACTION, Group("(", Chain("/", (Lit(1, "1"), Lit(-2, "-2"))))),
+    ("[1/2]", FRACTION, Group("[", Chain("/", (Lit(1, "1"), Lit(2, "2"))))),
+    ("(-1/2)^2", FRACTION, Chain("^", (FractionLit(Frac(-1, 2), "(-1/2)"), Lit(2, "2")))),
+    ("+-5%", STANDARD, Lit(-5, "+-5%")),
+    ("2^-3^2", STANDARD,
+     Chain("^", (Lit(2, "2"), Unary("-", Chain("^", (Lit(3, "3"), Lit(2, "2"))))))),
 ]
 
 
@@ -170,6 +200,22 @@ class TestParser:
         assert getattr(exc.value, "offset", None) == offset
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("src,mode,error,offset,message", _PARSE_EDGE_ERRORS,
+                             ids=[f"{mode}-{src}" for src, mode, *_ in _PARSE_EDGE_ERRORS])
+    def test_edge_case_errors(self, src, mode, error, offset, message):
+        with pytest.raises(StepmathError) as exc:
+            parse(src, mode)
+        assert type(exc.value) is error
+        assert getattr(exc.value, "offset", None) == offset
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("src,mode,tree", _PARSE_EDGE_TREES,
+                             ids=[f"{mode}-{src}" for src, mode, _ in _PARSE_EDGE_TREES])
+    def test_edge_case_trees(self, src, mode, tree):
+        got = parse(src, mode)
+        assert got == tree and repr(got) == repr(tree)
+        assert print_expr(got) == src
+
     def test_depth_limit(self):
         ok = "(" * 16 + "1" + ")" * 16
         parse(ok)
@@ -254,10 +300,15 @@ class TestCountAtomicOps:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789.+-*/^()[]=%", max_size=24))
-def test_parse_accepts_or_raises_syntax_error(src):
+@given(st.text(alphabet="0123456789.+-*/^()[]=%", max_size=24),
+       st.sampled_from((STANDARD, FRACTION)))
+def test_parse_accepts_or_raises_syntax_error(src, mode):
+    # fraction mode also refuses a fraction literal with a zero denominator
     try:
-        tree = parse(src)
+        tree = parse(src, mode)
     except ExprSyntaxError:
+        return
+    except DivByZero:
+        assert mode == FRACTION
         return
     assert print_expr(tree) == src

@@ -238,6 +238,7 @@ class TestClassify:
         assert classify_problem("(1/2)-(1/3)") == ("SUB", "Frac")
         assert classify_problem("5%*3%") == ("MUL", "Perc")
         assert classify_problem("-5--4") == ("SUB", "Neg")
+        assert classify_problem("3*+-5") == classify_problem("3*-5") == ("MUL", "Neg")
         assert classify_problem("2^10") == ("POW", "Int")
 
     def test_multi_op_is_mix(self):

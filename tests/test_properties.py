@@ -69,6 +69,9 @@ def test_print_parse_round_trip_on_arbitrary_trees(tree):
 
 @settings(max_examples=400, deadline=None)
 @given(expressions())
+# a power base written with a `-` after a `+` keeps its brackets
+@example(parse("(+-5)^2"))
+@example(parse("2*(+-5)^2"))
 def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
     text = print_expr(tree)
     tree = parse(text, "standard")  # normalized the way real input arrives

@@ -436,3 +436,25 @@ def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
     t = trace(tree)
     assert t.final == direct_eval(tree) and len(t.rules) >= n - 1
     assert counts["scan"] <= scans and counts["flat"] <= flat_walks
+
+
+@pytest.mark.parametrize("ops", ["+*", "+-*"])
+def test_a_flat_group_is_stepped_without_a_group_scan(monkeypatch, ops):
+    # a group of plain literals, at most one signed per product, takes its
+    # binop from the flat search; only an ungroup step scans the group (a
+    # `-` makes some groups a negative literal, kept until ungrouped)
+    counts = {"group scan": 0}
+    scan = steps._scan
+
+    def counting_scan(tree, fraction, link=None, offset=0):
+        counts["group scan"] += link is not None
+        return scan(tree, fraction, link, offset)
+
+    monkeypatch.setattr(steps, "_scan", counting_scan)
+    rng = random.Random(300)
+    terms = _bracketed(rng, [str(rng.randint(1, 99)) for _ in range(300)])
+    text = terms[0] + "".join(rng.choice(ops) + x for x in terms[1:])
+    tree = parse(text)
+    t = trace(tree)
+    assert t.final == direct_eval(tree)
+    assert counts["group scan"] == t.rules.count(R_UNGROUP) == (0 if ops == "+*" else 8)
