@@ -215,6 +215,12 @@ class _Parser:
         """The text offset of token `k`."""
         return len("".join(self.tokens[:k]))
 
+    def nest(self, k: int) -> None:
+        """The sign or `^` at token `k` nests what follows one level deeper."""
+        self.run += 1
+        if self.run > MAX_RUN:
+            raise DepthExceeded(self.offset(k), MAX_RUN, "sign and exponent nesting")
+
     def parse(self) -> Node:
         e = self.parse_chain()
         if self.tokens[self.k]:
@@ -261,9 +267,7 @@ class _Parser:
         k = first = self.k
         token = tokens[k]
         while TIER.get(token) == 1:
-            self.run += 1
-            if self.run > MAX_RUN:
-                raise DepthExceeded(self.offset(k), MAX_RUN, "sign and exponent nesting")
+            self.nest(k)
             k += 1
             token = tokens[k]
         signs = k - first
@@ -292,9 +296,7 @@ class _Parser:
         k += 1
         if tokens[k] == "^":
             # signed exponents parse; evaluation rejects them
-            self.run += 1
-            if self.run > MAX_RUN:
-                raise DepthExceeded(self.offset(k), MAX_RUN, "sign and exponent nesting")
+            self.nest(k)
             self.k = k + 1
             atom = Chain("^", (atom, self.parse_operand()))
             self.run -= 1

@@ -538,7 +538,8 @@ def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optiona
     found no sign pair or percent. No step makes a percent, but one can make
     a negative factor of one the scan did not count (`-3*+-2^2` gives
     `-3*-4`), so a sign pair in the group, or in fraction mode any negative
-    factor, which may pair with one outside, leaves it to the whole tree."""
+    factor, which may pair with one outside, leaves it to the whole tree.
+    A flat group takes its binop from the flat search, without a scan."""
     leaves, k, start, length = focus
     node, link = _resolve(tree, leaves[k][0])
     if node.__class__ is not Group:
@@ -551,10 +552,11 @@ def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optiona
         start = leaves[k][1] + len(text) - length
     if not fraction and _is_flat(node.inner):
         found = _head_pair(node.inner, (link, node, 0), start + 1, 0, start + 1)[0]
-        new, text = _binop(text, found, node)
-        return new, R_BINOP, text, text, _Leaves(leaves, k, start, length)
-    chains, _, (region,), _ = _scan(node, fraction, link, start)
-    step = not any(len(c) > (1 if fraction else 2) for c in chains) and _region_step(text, region)
+        step = *_binop(text, found, node), R_BINOP
+    else:
+        chains, _, (region,), _ = _scan(node, fraction, link, start)
+        step = (not any(len(c) > (1 if fraction else 2) for c in chains)
+                and _region_step(text, region))
     if step:
         new, text, rule = step
         return new, rule, text, text, _Leaves(leaves, k, start, length)
