@@ -99,45 +99,38 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _checked(path: str, line_no: int, line: str) -> tuple[int, str]:
-    bad = tokenizer.DEFAULT_VOCAB.unknown_symbol.search(line)
-    if bad is not None:
-        raise MalformedInput(f"{path}:{line_no}: {UnknownSymbol(bad[0], bad.start())}")
-    return line_no, line
-
-
-def _checked_lines(path: str) -> Iterator[tuple[int, str]]:
-    """metrics.read_lines of `path`, opened at the call, each line checked as
-    it is read: a symbol outside the vocabulary is malformed input, and the
-    error names the line."""
-    return (_checked(path, *numbered) for numbered in metrics.read_lines(path))
-
-
-# ids come from a vocabulary of a few dozen symbols: look their text up, not
-# rebuild it for every id
-_id_text = functools.lru_cache(maxsize=64)(str)
+def _checked_lines(path: str) -> Iterator[tuple[str, bytes]]:
+    """Each line of metrics.read_lines(path) with its tokenizer.low_bytes: a
+    symbol outside the vocabulary is malformed input naming the line."""
+    for line_no, line in metrics.read_lines(path):
+        try:
+            low = tokenizer.low_bytes(line)
+        except UnknownSymbol as err:
+            raise MalformedInput(f"{path}:{line_no}: {err}") from None
+        yield line, low
 
 
 def _cmd_tokenize(args) -> int:
     if args.text is not None:
-        lines = [args.text]
+        records = [(args.text, tokenizer.low_bytes(args.text))]
     elif stat.S_ISREG(os.stat(args.infile).st_mode):
         # a bad line anywhere prints nothing: one pass checks, a second prints
         for _ in _checked_lines(args.infile):
             pass
-        lines = (line for _, line in _checked_lines(args.infile))
-    else:  # a pipe or FIFO can be read only once
-        lines = [line for _, line in _checked_lines(args.infile)]
+        records = _checked_lines(args.infile)
+    else:  # a pipe or FIFO can be read only once: hold its lines alone
+        lines = [line for line, _ in _checked_lines(args.infile)]
+        records = ((line, tokenizer.low_bytes(line)) for line in lines)
     if args.json:
         # the bytes of json.dumps of the whole list, written item by item
         sep = "["
-        for line in lines:
+        for line, _ in records:
             sys.stdout.write(sep + json.dumps({"text": line, "ids": tokenizer.encode(line)}))
             sep = ", "
         print("[]" if sep == "[" else "]")
     else:
-        for line in lines:
-            print(" ".join(map(_id_text, tokenizer.encode(line))))
+        for _, low in records:
+            sys.stdout.write(tokenizer.id_text(low))
     return EXIT_OK
 
 

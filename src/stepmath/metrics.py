@@ -353,12 +353,12 @@ def utf8_lines(path: str) -> Iterator[str]:
     return started
 
 
-def _temp_beside(path: str) -> Optional[tuple[str, str]]:
-    """(temporary file, file) for `path` with symlinks resolved: a fresh file
-    beside it, with the mode it has or would be created with. None when it is
-    written in place: it exists and is not a regular file of this user with
-    one link (a device such as /dev/null, a FIFO, a hard link), or its
-    directory takes no new file."""
+def _temp_beside(path: str) -> Optional[tuple[int, str, str]]:
+    """(descriptor, temporary file, file) for `path` with symlinks resolved:
+    a fresh file beside it, open for writing, with the mode it has or would be
+    created with. None when it is written in place: it exists and is not a
+    regular file of this user with one link (a device such as /dev/null, a
+    FIFO, a hard link), or its directory takes no new file."""
     target = os.path.realpath(path)
     try:
         st = os.lstat(target)
@@ -375,25 +375,27 @@ def _temp_beside(path: str) -> Optional[tuple[str, str]]:
     except OSError:  # open(path) then names the error, or writes a writable file
         return None
     os.fchmod(fd, mode)
-    os.close(fd)
-    return tmp, target
+    return fd, tmp, target
 
 
 @contextlib.contextmanager
 def replacing(*paths: str):
-    """Binary files to write, one per path, at the temporary file _temp_beside
-    gives or else in place. When the block ends without error each temporary
-    file replaces its file, in the order given; when it fails they are
-    removed, so a failed run leaves no partial file behind."""
+    """Binary files to write, one per path: the temporary file _temp_beside
+    opens, through its descriptor, or else the path in place. When the block
+    ends without error each temporary file replaces its file, in the order
+    given; when it fails they are removed, so a failed run leaves no partial
+    file behind."""
     temps = [_temp_beside(path) for path in paths]
     try:
         with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(temp[0] if temp else path, "wb"))
+            for fd, _, _ in filter(None, temps):
+                stack.callback(os.close, fd)
+            yield [stack.enter_context(open(temp[0] if temp else path, "wb", closefd=not temp))
                    for temp, path in zip(temps, paths)]
-        for temp in filter(None, temps):
+        for _, *temp in filter(None, temps):
             os.replace(*temp)
     finally:
-        for tmp, _ in filter(None, temps):
+        for _, tmp, _ in filter(None, temps):
             if os.path.exists(tmp):  # left by a failure
                 os.remove(tmp)
 

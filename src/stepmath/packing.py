@@ -9,7 +9,8 @@ Block file layout: 16-byte header (magic, version, block length, block count,
 all little-endian u32 apart from the 4-byte magic) followed by the blocks as
 little-endian u32 ids. Blocks are written and read whole, as bytes: every
 id is 0x4E00 plus a distinct low byte, so a block is its low bytes at every
-fourth byte from 0, with 0x4E after each and zeros between.
+fourth byte from 0, with 0x4E after each and zeros between. The tables of
+those low bytes, and the check of record text, are the tokenizer's.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import io
 import struct
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from .errors import MalformedInput, RecordTooLong, UnknownSymbol
-from .tokenizer import DEFAULT_VOCAB, MARKER, PAD
+from .errors import MalformedInput, RecordTooLong
+from .tokenizer import DEFAULT_VOCAB, HIGH, LOW_TO_SYMBOL, MARKER_LOW, PAD_LOW, low_bytes
 
 MAGIC = b"SMPK"
 PACK_VERSION = 1
@@ -28,31 +29,12 @@ _HEADER = struct.Struct("<4sIII")
 # whole, so this bounds the memory one block takes.
 MAX_BLOCK_LENGTH = 1 << 20
 
-# Blocks go to and from record text through two translate tables: a record
-# symbol's byte to its low byte (any other byte to the pad's, which no record
-# holds), and a low byte to its symbol's byte (the marker's to "\n", any other
-# to the non-ASCII 0xFF). Checked at import, so a vocabulary edit that breaks
-# the layout fails here rather than packing wrong bytes.
-_HIGH = 0x4E
-_LOW = {sym: DEFAULT_VOCAB.id_of(sym) & 0xFF for sym in DEFAULT_VOCAB.provenance}
-if len(set(_LOW.values())) != len(_LOW) \
-        or any(DEFAULT_VOCAB.id_of(sym) >> 8 != _HIGH for sym in _LOW) \
-        or not all(len(sym) == 1 and sym.isascii() for sym in _LOW if sym != PAD):
-    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte, "
-                         "and every symbol but the pad a single ASCII character")
-_RECORD_LOW = {ord(sym): low for sym, low in _LOW.items() if sym not in (MARKER, PAD)}
-_SYMBOL_TO_LOW = bytes(_RECORD_LOW.get(byte, _LOW[PAD]) for byte in range(256))
-_SYMBOL_OF_LOW = {low: "\n" if sym == MARKER else sym for sym, low in _LOW.items() if sym != PAD}
-_LOW_TO_SYMBOL = bytes(ord(_SYMBOL_OF_LOW.get(low, "\xff")) for low in range(256))
-_PAD_LOW = bytes([_LOW[PAD]])
-_MARKER_LOW = bytes([_LOW[MARKER]])
-
 
 def _block(block_length: int) -> bytearray:
     """The bytes of one block with each id's upper three bytes written: a
     block of vocabulary ids once its low bytes go to [0::4]."""
     block = bytearray(4 * block_length)
-    block[1::4] = bytes([_HIGH]) * block_length
+    block[1::4] = bytes([HIGH]) * block_length
     return block
 
 
@@ -79,16 +61,13 @@ def pack_sequences(lines: Iterable[str], block_length: int, out: BinaryIO) -> in
         nonlocal records, used, count
         if not records:
             return
-        block[0::4] = (_MARKER_LOW + _MARKER_LOW.join(records)).ljust(block_length, _PAD_LOW)
+        block[0::4] = (MARKER_LOW + MARKER_LOW.join(records)).ljust(block_length, PAD_LOW)
         out.write(block)
         records, used = [], 0
         count += 1
 
     for line_no, line in enumerate(lines, start=1):
-        low = line.encode(errors="surrogatepass").translate(_SYMBOL_TO_LOW)
-        if _PAD_LOW in low:  # a symbol outside the vocabulary
-            bad = DEFAULT_VOCAB.unknown_symbol.search(line)
-            raise UnknownSymbol(bad[0], bad.start())
+        low = low_bytes(line)
         ids = len(low) + 1  # the marker, then one id per character
         if ids > block_length:
             raise RecordTooLong(line_no, ids, block_length)
@@ -155,9 +134,9 @@ def _records(raw: bytes) -> Optional[list[str]]:
     block[0::4] = low
     if block != raw:
         return None
-    _, marker, region = low.partition(_PAD_LOW)[0].partition(_MARKER_LOW)
+    _, marker, region = low.partition(PAD_LOW)[0].partition(MARKER_LOW)
     try:
-        return region.translate(_LOW_TO_SYMBOL).decode("ascii").split("\n") if marker else []
+        return region.translate(LOW_TO_SYMBOL).decode("ascii").split("\n") if marker else []
     except UnicodeDecodeError:
         return None
 

@@ -4,12 +4,12 @@ Every character is one token; a record is prefixed with the leading marker
 ``_``. Twenty of the ids below are pinned by published examples and must never
 change; the remaining few never appear in those examples and are assigned
 free ids nearby, flagged ``inferred`` (or ``artifact`` for the pad token) so
-they are not mistaken for published ground truth.
+they are not mistaken for published ground truth. Every table of the
+vocabulary is built here, and ``low_bytes`` is the one check of record text.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable
 
 from .errors import UnknownId, UnknownSymbol
@@ -46,33 +46,67 @@ _ENTRIES = [
 ]
 
 
+# Every id is 0x4E00 plus a distinct low byte and prints as five digits, and
+# every symbol but the pad is one ASCII character, so text goes to ids and
+# back through byte translate tables. Checked at import: a vocabulary edit
+# that breaks this fails here rather than writing wrong bytes.
+HIGH = 0x4E
+_LOW = {sym: tid & 0xFF for sym, tid, _ in _ENTRIES}
+if len(set(_LOW.values())) != len(_LOW) \
+        or any(tid >> 8 != HIGH or len(str(tid)) != 5 for _, tid, _ in _ENTRIES) \
+        or not all(len(sym) == 1 and sym.isascii() for sym in _LOW if sym != PAD):
+    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte and print "
+                         "as five digits, and every symbol but the pad a single ASCII character")
+PAD_LOW, MARKER_LOW = bytes([_LOW[PAD]]), bytes([_LOW[MARKER]])
+# a record symbol's byte to its low byte, any other byte to the pad's
+_RECORD_LOW = {ord(sym): low for sym, low in _LOW.items() if sym not in (MARKER, PAD)}
+_SYMBOL_TO_LOW = bytes(_RECORD_LOW.get(byte, _LOW[PAD]) for byte in range(256))
+# a low byte to its symbol's byte, the marker's to "\n" and any other to 0xFF
+_SYMBOL_OF_LOW = {low: "\n" if sym == MARKER else sym for sym, low in _LOW.items() if sym != PAD}
+LOW_TO_SYMBOL = bytes(ord(_SYMBOL_OF_LOW.get(low, "\xff")) for low in range(256))
+_ID_OF_LOW = [(HIGH << 8) + low for low in range(256)]
+# per decimal digit place, a low byte to that digit of its id
+_DIGITS = [bytes(ord(str(tid)[place]) for tid in _ID_OF_LOW) for place in range(5)]
+
+
+def low_bytes(text: str) -> bytes:
+    """The low byte of each symbol of record text, or UnknownSymbol for the
+    first symbol outside the vocabulary: all characters before the first pad
+    byte are one-byte record symbols, so its offset counts characters."""
+    low = text.encode(errors="surrogatepass").translate(_SYMBOL_TO_LOW)
+    offset = low.find(PAD_LOW)
+    if offset >= 0:
+        raise UnknownSymbol(text[offset], offset)
+    return low
+
+
+def id_text(low: bytes) -> str:
+    """The ids of the record of low bytes `low`, the marker's first, as
+    tokenize prints them: five digits and a space each, the last space a line
+    end. Each digit place is one strided write, as packing fills a block."""
+    low = MARKER_LOW + low
+    text = bytearray(b" ") * (6 * len(low))
+    for place, digits in enumerate(_DIGITS):
+        text[place::6] = low.translate(digits)
+    text[-1] = ord("\n")
+    return text.decode("ascii")
+
+
 class Vocab:
     """The symbol/id map of _ENTRIES, both ways."""
 
     def __init__(self):
-        self._id_of = {sym: tid for sym, tid, _ in _ENTRIES}
         self.provenance = {sym: prov for sym, _, prov in _ENTRIES}
-        self.marker_id = self._id_of[MARKER]
-        self.pad_id = self._id_of[PAD]
-        # Lookup tables for encode and decode: the marker and pad are never
-        # record text, so encode cannot find them and decode drops them.
-        self._encode_id = {s: t for s, t in self._id_of.items() if s not in (MARKER, PAD)}
-        self._decode_sym = {tid: sym for sym, tid in self._id_of.items()}
-        self._decode_sym.update({self.marker_id: "", self.pad_id: ""})
-        # finds the first character of a text that encode cannot encode
-        self.unknown_symbol = re.compile("[^" + re.escape("".join(self._encode_id)) + "]")
+        self.marker_id, self.pad_id = self.id_of(MARKER), self.id_of(PAD)
+        # the marker and pad are never record text, so decode drops them
+        self._decode_sym = {tid: "" if sym in (MARKER, PAD) else sym for sym, tid, _ in _ENTRIES}
 
     def id_of(self, symbol: str) -> int:
-        return self._id_of[symbol]
+        return _ID_OF_LOW[_LOW[symbol]]
 
     def encode(self, text: str) -> list[int]:
         """One id per character, preceded by the record marker."""
-        try:
-            return [self.marker_id, *map(self._encode_id.__getitem__, text)]
-        except KeyError as err:
-            # map stops at the first unknown symbol, so this is its first offset
-            symbol = err.args[0]
-            raise UnknownSymbol(symbol, text.index(symbol)) from None
+        return [self.marker_id, *map(_ID_OF_LOW.__getitem__, low_bytes(text))]
 
     def decode(self, ids: Iterable[int]) -> str:
         """Inverse of encode; marker and pad ids contribute nothing."""

@@ -249,6 +249,11 @@ def string_round_2dp(text: str) -> str:
 # table-driven Vocab.encode and Vocab.decode must agree with.
 
 
+# symbols outside the vocabulary, most with a record symbol's low byte ("1" is
+# 0x31, "丱" U+4E31), and a lone surrogate, which UTF-8 cannot encode
+BAD_SYMBOLS = [chr(0x100 + ord("1")), "\u4e31", MARKER, "\x00", "\n", "\ud800"]
+
+
 def reference_encode(vocab, text):
     ids = [vocab.marker_id]
     for i, ch in enumerate(text):

@@ -28,8 +28,9 @@ from stepmath.errors import (
     UnknownId,
 )
 from stepmath.packing import MAGIC, PACK_VERSION, unpack_sequences
+from stepmath.tokenizer import DEFAULT_VOCAB
 
-from conftest import GOLDEN_TRACES
+from conftest import GOLDEN_TRACES, reference_encode
 
 
 def run(capsys, *argv):
@@ -446,19 +447,46 @@ class TestTokenizePack:
 
     def test_symbol_outside_the_vocabulary_names_its_line(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
-        data.write_text("1+2=3\n\nab+1=2\n")
-        message = (f"stepmath: malformed input: {data}:3: "
-                   "symbol 'a' at offset 0 is not in the vocabulary")
-        for argv in (["tokenize", "--in", str(data)],
-                     ["pack", "--in", str(data), "--out", str(tmp_path / "d.pack"),
-                      "--block-length", "32"]):
-            rc, out, err = run(capsys, *argv)
-            assert (rc, out) == (64, ""), argv
-            assert err.splitlines()[1] == message, argv
-            assert list(tmp_path.iterdir()) == [data]
-        rc, out, err = run(capsys, "tokenize", "--text", "ab+1=2")
-        assert (rc, out) == (3, "")
-        assert err.splitlines()[1] == "stepmath: symbol 'a' at offset 0 is not in the vocabulary"
+        # an offset counts characters, not UTF-8 bytes: "×" is two bytes
+        for text, line_no, symbol, offset in (("1+2=3\n\nab+1=2\n", 3, "a", 0),
+                                              ("1+2=3\n12×3\n", 2, "×", 2)):
+            data.write_text(text, encoding="utf-8")
+            message = (f"stepmath: malformed input: {data}:{line_no}: "
+                       f"symbol {symbol!r} at offset {offset} is not in the vocabulary")
+            for argv in (["tokenize", "--in", str(data)],
+                         ["pack", "--in", str(data), "--out", str(tmp_path / "d.pack"),
+                          "--block-length", "32"]):
+                rc, out, err = run(capsys, *argv)
+                assert (rc, out) == (64, ""), argv
+                assert err.splitlines()[1] == message, argv
+                assert list(tmp_path.iterdir()) == [data]
+        for text, symbol, offset in (("ab+1=2", "a", 0), ("12×3+4", "×", 2)):
+            rc, out, err = run(capsys, "tokenize", "--text", text)
+            assert (rc, out) == (3, "")
+            assert err.splitlines()[1] == (f"stepmath: symbol {symbol!r} at offset {offset} "
+                                           "is not in the vocabulary")
+        # a lone surrogate, as a process reads an argument byte that is not UTF-8
+        env = {**os.environ, "PYTHONPATH": str(Path(stepmath.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "stepmath.cli", "tokenize", "--text",
+                               os.fsdecode(b"12\xff+4")], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines()[1] == ("stepmath: symbol '\\udcff' at offset 2 "
+                                               "is not in the vocabulary")
+
+    def test_tokenize_output_matches_the_reference(self, capsys, tmp_path):
+        lines = [datagen.build_record(GenSpec(category, (1, 4), (2, 6), seed=91), i)[0]
+                 for category in CATEGORIES for i in range(200)]
+        data = tmp_path / "d.txt"
+        data.write_text("".join(line + "\n" for line in lines))
+        ids = [reference_encode(DEFAULT_VOCAB, line) for line in lines]
+        rc, out, _ = run(capsys, "tokenize", "--in", str(data))
+        assert rc == 0
+        assert out == "".join(" ".join(map(str, row)) + "\n" for row in ids)
+        rc, out, _ = run(capsys, "tokenize", "--in", str(data), "--json")
+        assert rc == 0
+        assert out == json.dumps([{"text": line, "ids": row}
+                                  for line, row in zip(lines, ids)]) + "\n"
 
     def test_missing_input_is_named_before_the_output(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"

@@ -11,7 +11,7 @@ from stepmath.packing import (MAGIC, MAX_BLOCK_LENGTH, PACK_VERSION, iter_blocks
                               unpack_sequences)
 from stepmath.tokenizer import DEFAULT_VOCAB, MARKER, PAD
 
-from conftest import reference_decode, reference_encode
+from conftest import BAD_SYMBOLS, reference_decode, reference_encode
 
 MARKER_ID, PAD_ID = DEFAULT_VOCAB.marker_id, DEFAULT_VOCAB.pad_id
 
@@ -178,9 +178,6 @@ def drain(records):
 
 
 RECORD_SYMBOLS = sorted(s for s in DEFAULT_VOCAB.provenance if s not in (MARKER, PAD))
-# symbols outside the vocabulary, most with a record symbol's low byte ("1" is
-# 0x31, "丱" U+4E31), and a lone surrogate, which UTF-8 cannot encode
-BAD_SYMBOLS = [chr(0x100 + ord("1")), "\u4e31", MARKER, "\x00", "\n", "\ud800"]
 ALL_IDS = sorted(DEFAULT_VOCAB.id_of(s) for s in DEFAULT_VOCAB.provenance)
 # ids outside the vocabulary that share a vocabulary id's low byte
 NEAR_IDS = st.one_of(st.sampled_from(ALL_IDS).flatmap(lambda tid: st.sampled_from(

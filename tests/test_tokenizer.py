@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepmath.datagen import GenSpec, build_record
 from stepmath.errors import UnknownId, UnknownSymbol
-from stepmath.tokenizer import _ENTRIES, DEFAULT_VOCAB, MARKER, PAD, encode
+from stepmath.tokenizer import _ENTRIES, DEFAULT_VOCAB, MARKER, PAD, encode, id_text, low_bytes
 
-from conftest import GOLDEN_TOKENIZATION, reference_decode, reference_encode
+from conftest import BAD_SYMBOLS, GOLDEN_TOKENIZATION, reference_decode, reference_encode
 
 # The twenty symbol/id pairs pinned by published examples.
 VERIFIED_IDS = {
@@ -103,6 +103,15 @@ class TestFastPathsMatchReference:
                               st.characters()), max_size=40).map("".join))
     def test_encode(self, text):
         assert outcome(DEFAULT_VOCAB.encode, text) == outcome(reference_encode, DEFAULT_VOCAB, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(RECORD_SYMBOLS * 4 + BAD_SYMBOLS), max_size=40))
+    @example("12\u4e31")
+    @example("1\ud800")
+    def test_id_text(self, text):
+        def reference(text):
+            return " ".join(map(str, reference_encode(DEFAULT_VOCAB, text))) + "\n"
+        assert outcome(lambda t: id_text(low_bytes(t)), text) == outcome(reference, text)
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(ALL_IDS), st.sampled_from(ALL_IDS),
