@@ -99,37 +99,39 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _checked_lines(path: str) -> Iterator[tuple[str, bytes]]:
-    """Each line of metrics.read_lines(path) with its tokenizer.low_bytes: a
+def _checked_lines(path: str) -> Iterator[bytes]:
+    """The tokenizer.low_bytes of each line of metrics.read_lines(path): a
     symbol outside the vocabulary is malformed input naming the line."""
     for line_no, line in metrics.read_lines(path):
         try:
             low = tokenizer.low_bytes(line)
         except UnknownSymbol as err:
             raise MalformedInput(f"{path}:{line_no}: {err}") from None
-        yield line, low
+        yield low
 
 
 def _cmd_tokenize(args) -> int:
     if args.text is not None:
-        records = [(args.text, tokenizer.low_bytes(args.text))]
+        records = [tokenizer.low_bytes(args.text)]
     elif stat.S_ISREG(os.stat(args.infile).st_mode):
         # a bad line anywhere prints nothing: one pass checks, a second prints
         for _ in _checked_lines(args.infile):
             pass
         records = _checked_lines(args.infile)
-    else:  # a pipe or FIFO can be read only once: hold its lines alone
-        lines = [line for line, _ in _checked_lines(args.infile)]
-        records = ((line, tokenizer.low_bytes(line)) for line in lines)
+    else:  # a pipe or FIFO can be read only once: hold its lines' low bytes
+        records = list(_checked_lines(args.infile))
     if args.json:
-        # the bytes of json.dumps of the whole list, written item by item
+        # the bytes of json.dumps of the whole list, written item by item; no
+        # record symbol is one that JSON escapes
         sep = "["
-        for line, _ in records:
-            sys.stdout.write(sep + json.dumps({"text": line, "ids": tokenizer.encode(line)}))
+        for low in records:
+            text = low.translate(tokenizer.LOW_TO_SYMBOL).decode("ascii")
+            ids = tokenizer.id_text(low)[:-1].replace(" ", ", ")
+            sys.stdout.write(f'{sep}{{"text": "{text}", "ids": [{ids}]}}')
             sep = ", "
         print("[]" if sep == "[" else "]")
     else:
-        for _, low in records:
+        for low in records:
             sys.stdout.write(tokenizer.id_text(low))
     return EXIT_OK
 

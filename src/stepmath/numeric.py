@@ -80,7 +80,7 @@ def _as_frac(v: Number) -> Frac | None:
 def _checked(x: float) -> float:
     if math.isinf(x) or math.isnan(x):
         raise Dec64RangeError(f"binary64 result out of range: {x!r}")
-    return x + 0.0  # a zero is +0.0: an int 0 has no sign for a pair to cancel
+    return x
 
 
 def to_float(v: Number) -> float:

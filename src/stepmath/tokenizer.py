@@ -46,24 +46,23 @@ _ENTRIES = [
 ]
 
 
-# Every id is 0x4E00 plus a distinct low byte and prints as five digits, and
-# every symbol but the pad is one ASCII character, so text goes to ids and
+# Every id is 0x4E00 plus a distinct low byte (so it prints as five digits),
+# and every symbol but the pad is one ASCII character, so text goes to ids and
 # back through byte translate tables. Checked at import: a vocabulary edit
 # that breaks this fails here rather than writing wrong bytes.
 HIGH = 0x4E
 _LOW = {sym: tid & 0xFF for sym, tid, _ in _ENTRIES}
-if len(set(_LOW.values())) != len(_LOW) \
-        or any(tid >> 8 != HIGH or len(str(tid)) != 5 for _, tid, _ in _ENTRIES) \
+if len(set(_LOW.values())) != len(_LOW) or any(tid >> 8 != HIGH for _, tid, _ in _ENTRIES) \
         or not all(len(sym) == 1 and sym.isascii() for sym in _LOW if sym != PAD):
-    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte and print "
-                         "as five digits, and every symbol but the pad a single ASCII character")
+    raise AssertionError("every token id must be 0x4E00 plus a distinct low byte, "
+                         "and every symbol but the pad a single ASCII character")
 PAD_LOW, MARKER_LOW = bytes([_LOW[PAD]]), bytes([_LOW[MARKER]])
-# a record symbol's byte to its low byte, any other byte to the pad's
-_RECORD_LOW = {ord(sym): low for sym, low in _LOW.items() if sym not in (MARKER, PAD)}
-_SYMBOL_TO_LOW = bytes(_RECORD_LOW.get(byte, _LOW[PAD]) for byte in range(256))
-# a low byte to its symbol's byte, the marker's to "\n" and any other to 0xFF
-_SYMBOL_OF_LOW = {low: "\n" if sym == MARKER else sym for sym, low in _LOW.items() if sym != PAD}
-LOW_TO_SYMBOL = bytes(ord(_SYMBOL_OF_LOW.get(low, "\xff")) for low in range(256))
+# a record symbol's byte to its low byte, any other byte to the pad's; and a
+# low byte to its record symbol's byte, the marker's to "\n", any other to 0xFF
+_SYMBOL_TO_LOW, LOW_TO_SYMBOL = bytearray(PAD_LOW * 256), bytearray(b"\xff" * 256)
+for _sym in _LOW.keys() - {MARKER, PAD}:
+    _SYMBOL_TO_LOW[ord(_sym)], LOW_TO_SYMBOL[_LOW[_sym]] = _LOW[_sym], ord(_sym)
+LOW_TO_SYMBOL[_LOW[MARKER]] = ord("\n")
 _ID_OF_LOW = [(HIGH << 8) + low for low in range(256)]
 # per decimal digit place, a low byte to that digit of its id
 _DIGITS = [bytes(ord(str(tid)[place]) for tid in _ID_OF_LOW) for place in range(5)]
@@ -102,7 +101,7 @@ class Vocab:
         self._decode_sym = {tid: "" if sym in (MARKER, PAD) else sym for sym, tid, _ in _ENTRIES}
 
     def id_of(self, symbol: str) -> int:
-        return _ID_OF_LOW[_LOW[symbol]]
+        return (HIGH << 8) + _LOW[symbol]
 
     def encode(self, text: str) -> list[int]:
         """One id per character, preceded by the record marker."""

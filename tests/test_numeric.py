@@ -259,12 +259,6 @@ class TestRendering:
             numeric.render(1e21)
         assert numeric.render(9.999999e20).startswith("9999999")
 
-    def test_a_zero_result_is_positive(self):
-        for got in (numeric.mul(0, -5.0), numeric.div(0.0, -7), numeric.add(-0.0, -0.0),
-                    numeric.sub(-0.0, 0.0), numeric.percent_value(-0.0)):
-            assert numeric.render(got) == "0.0"
-        assert numeric.render(numeric.mul(-1.0, 0.5)) == "-0.5"
-
     def test_nan_and_infinity_are_errors(self):
         with pytest.raises(Dec64RangeError):
             numeric.render(float("inf"))
