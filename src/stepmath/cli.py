@@ -61,7 +61,7 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_trace(args) -> int:
-    t = trace(parse(args.expr, args.mode), args.mode)
+    t = trace(parse(args.expr, args.mode), args.mode, args.expr)
     line = render_trace(t)
     if args.json:
         print(json.dumps({

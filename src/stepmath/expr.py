@@ -42,8 +42,12 @@ TIERS = ("+-", "*/", "^")
 TIER = {op: tier for tier, ops in enumerate(TIERS, 1) for op in ops}
 
 # The first character outside the language, or the first digit run too long
-# to convert: a lexical error anywhere wins over any syntax error.
-_LEXICAL_ERROR = re.compile(rf"[^0-9+\-*/^()\[\]=.%]|(?<![0-9])[0-9]{{{DIGIT_LIMIT + 1}}}")
+# to convert: a lexical error anywhere wins over any syntax error. No such run
+# fits in a text of at most DIGIT_LIMIT characters, so those search for the
+# character alone.
+_BAD_CHARACTER = r"[^0-9+\-*/^()\[\]=.%]"
+_LEXICAL_ERROR = re.compile(rf"{_BAD_CHARACTER}|(?<![0-9])[0-9]{{{DIGIT_LIMIT + 1}}}")
+_SHORT_LEXICAL_ERROR = re.compile(_BAD_CHARACTER)
 # A number (a `.` without digits after it is an error), in fraction mode a
 # fraction literal, or any other character.
 _NUMBER = r"[0-9]+(?:\.[0-9]*)?%?|."
@@ -314,7 +318,7 @@ class _Parser:
 def parse(src: str, mode: str = STANDARD) -> Node:
     if mode not in (STANDARD, FRACTION):
         raise ValueError(f"unknown parse mode {mode!r}")
-    bad = _LEXICAL_ERROR.search(src)
+    bad = (_SHORT_LEXICAL_ERROR if len(src) <= DIGIT_LIMIT else _LEXICAL_ERROR).search(src)
     if bad is not None:
         if len(bad[0]) == 1:
             raise ExprSyntaxError(f"unexpected character {bad[0]!r}", bad.start())

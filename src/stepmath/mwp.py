@@ -113,7 +113,7 @@ def reconstruct(record: MWPRecord) -> ReconstructedRecord:
             f"equation {record.equation!r} evaluates to {numeric.render(value)}, "
             f"stored answer is {record.answer_text!r}"
         )
-    solution = render_trace(trace(tree, STANDARD))
+    solution = render_trace(trace(tree, STANDARD, record.equation))
     return ReconstructedRecord(record=record, solution_trace=solution)
 
 

@@ -14,6 +14,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_UP, Decimal
 from typing import Union
 
 from .errors import Dec64RangeError, DivByZero, RenderOverflow, UnsupportedExponent
@@ -239,14 +240,16 @@ def render_dec64(x: float) -> str:
 
 
 def render(v: Number) -> str:
-    if isinstance(v, float):
-        return render_dec64(v)
     try:
+        if v.__class__ is int:  # most values: exact ints
+            return str(v)
         if isinstance(v, Frac):
             return f"{v.num}/{v.den}"
-        return str(v)
+        if not isinstance(v, float):
+            return str(v)
     except ValueError:  # past the int-to-str limit
         raise RenderOverflow(f"a result of more than {DIGIT_LIMIT} digits cannot be printed") from None
+    return render_dec64(v)
 
 
 def values_equal(a: Number, b: Number) -> bool:
@@ -284,8 +287,6 @@ def two_decimal_cents(v: Number) -> int:
         n = 100 * abs(v.num)
         q = (2 * n + v.den) // (2 * v.den)
         return -q if v.num < 0 else q
-    from decimal import ROUND_HALF_UP, Decimal
-
     # repr() is the shortest round-trip rendering; Decimal reads its exponent
     # form directly, so magnitudes past the positional-print limit still round.
     d = Decimal(repr(v)) * 100

@@ -128,7 +128,7 @@ def _edit(text: str, link: Optional[tuple], new: Node, start: int, end: int,
     text is `text` with the span swapped for `piece`, by default the text of
     `new`, a literal. A chain whose head pair is rewritten passes the pair's
     span and new text."""
-    root, top, folded = _replace(link, new)
+    root, top, folded = (new, new, 0) if link is None else _replace(link, new)
     if piece is None:
         piece = top.text
         if root is top:
@@ -139,7 +139,7 @@ def _edit(text: str, link: Optional[tuple], new: Node, start: int, end: int,
 def _lit_from_value(v: Number) -> Lit:
     global _ambiguous
     text = numeric.render(v)
-    if "." not in text and v.__class__ is float:
+    if v.__class__ is float and "." not in text:
         _ambiguous = True
     return Lit(v, text)
 
@@ -389,7 +389,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     text, snapshot text, focus), the same for the focus the step before gave
     (a `_flat_binop` resume or `_Leaves`) as for None. The snapshot differs
     from the text only by the `+` head marker of a fraction-mode sign step."""
-    if _is_operand(tree):
+    if tree.__class__ is not Chain and _is_operand(tree):
         return None
 
     fraction = mode == FRACTION
@@ -647,13 +647,16 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def trace(e: Node, mode: str = "standard") -> StepTrace:
-    """Iterate next_step to a literal. Every rule consumes a node or an
+def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTrace:
+    """Iterate next_step to a literal. `text`, if given, must be the text `e`
+    was parsed from, which the printer gives back exactly: it is the first
+    snapshot, without a print of `e`. Every rule consumes a node or an
     operator, each of which prints as at least one character, so four steps
     per character bound any trace; past that, NonTerminating."""
     global _ambiguous
     _ambiguous = False
-    text = print_expr(e)
+    if text is None:
+        text = print_expr(e)
     snapshots = [text]
     bound = 4 * len(text) + 4
     rules = []

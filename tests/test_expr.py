@@ -49,6 +49,14 @@ _PARSE_ERRORS = [
     ("-" * (MAX_RUN + 1) + "1", STANDARD, DepthExceeded, MAX_RUN,
      f"sign and exponent nesting deeper than {MAX_RUN} (offset {MAX_RUN})"),
     ("(5/0)", FRACTION, DivByZero, None, "fraction with zero denominator"),
+    # a text of at most DIGIT_LIMIT characters holds no digit run too long, so
+    # the lexical check picks its search by length; the errors do not change
+    ("1+" * (DIGIT_LIMIT // 2 - 1) + "1a", STANDARD, ExprSyntaxError, DIGIT_LIMIT - 1,
+     f"unexpected character 'a' (offset {DIGIT_LIMIT - 1})"),
+    (_RUN, STANDARD, ExprSyntaxError, 0, f"number of more than {DIGIT_LIMIT} digits (offset 0)"),
+    ("3+x+" + _RUN, STANDARD, ExprSyntaxError, 2, "unexpected character 'x' (offset 2)"),
+    ("2*" + _RUN + "+x", STANDARD, ExprSyntaxError, 2,
+     f"number of more than {DIGIT_LIMIT} digits (offset 2)"),
 ]
 
 # Edge cases of the same raise sites: brackets next to fraction literals,
@@ -199,6 +207,10 @@ class TestParser:
         assert type(exc.value) is error
         assert getattr(exc.value, "offset", None) == offset
         assert str(exc.value) == message
+
+    def test_a_number_of_digit_limit_digits_parses(self):
+        src = "1" * DIGIT_LIMIT
+        assert parse(src) == Lit(int(src), src)
 
     @pytest.mark.parametrize("src,mode,error,offset,message", _PARSE_EDGE_ERRORS,
                              ids=[f"{mode}-{src}" for src, mode, *_ in _PARSE_EDGE_ERRORS])

@@ -94,6 +94,25 @@ def test_trace_agrees_with_direct_eval_on_arbitrary_trees(tree):
         assert numeric.values_equal(direct_eval(parse(snapshot)), want)
 
 
+def _trace_or_error(tree: Node, mode: str, text=None):
+    try:
+        return repr(trace(tree, mode, text))
+    except StepmathError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions(), st.sampled_from(("standard", "fraction")))
+def test_a_trace_given_its_source_text_is_the_same_trace(tree, mode):
+    # snapshots, rules, final value (its kind and sign too) and `ambiguous`
+    text = print_expr(tree)
+    try:
+        tree = parse(text, mode)
+    except StepmathError:
+        assume(False)
+    assert _trace_or_error(tree, mode, text) == _trace_or_error(tree, mode)
+
+
 def _uncached_copy(node: Node) -> Node:
     """The same tree built from fresh nodes, none of which has printed yet."""
     if isinstance(node, Chain):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepmath import numeric, steps
+from stepmath import cli, numeric, steps
 from stepmath.datagen import GenSpec, sample_expression
 from stepmath.errors import DivByZero, ExprSyntaxError, MathError, NonTerminating, StepmathError
 from stepmath.expr import Chain, count_atomic_ops, parse, print_expr
+from stepmath.mwp import reconstruct, record_from_obj
 from stepmath.numeric import Frac
 from stepmath.steps import (
     R_BINOP,
@@ -32,6 +33,14 @@ class TestGoldenTraces:
                              ids=[g[0] for g in GOLDEN_TRACES])
     def test_byte_exact(self, src, mode, expected):
         assert render_trace(trace(parse(src, mode), mode)) == expected
+
+    @pytest.mark.parametrize("src,mode,expected", GOLDEN_TRACES,
+                             ids=[g[0] for g in GOLDEN_TRACES])
+    def test_the_source_text_stands_for_a_print(self, src, mode, expected):
+        # the text a tree was parsed from is its first snapshot, unprinted
+        tree = parse(src, mode)
+        t = trace(tree, mode, src)
+        assert repr(t) == repr(trace(tree, mode)) and render_trace(t) == expected
 
     # A power result that lands directly under one or more signs folds them
     # in; the snapshot text must show the folded literal, never `--8`.
@@ -436,6 +445,26 @@ def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
     t = trace(tree)
     assert t.final == direct_eval(tree) and len(t.rules) >= n - 1
     assert counts["scan"] <= scans and counts["flat"] <= flat_walks
+
+
+def test_a_caller_holding_the_text_prints_no_tree(monkeypatch, capsys):
+    # `trace` and `reconstruct` pass the text they parsed, so a trace starts
+    # without a print of its tree
+    calls = []
+    print_expr = steps.print_expr
+
+    def counting_print_expr(e):
+        calls.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(steps, "print_expr", counting_print_expr)
+    assert cli.main(["trace", "12*(3-45)+6%"]) == 0
+    assert capsys.readouterr().out == (
+        "12*(3-45)+6%=12*(3-45)+0.06=12*(-42)+0.06=12*-42+0.06=-504+0.06=-503.94\n")
+    record = record_from_obj({"id": "k", "original_text": "题目",
+                              "equation": "x=20-5*(3-1)", "ans": "10"})
+    assert reconstruct(record).solution_trace == "20-5*(3-1)=20-5*2=20-10=10"
+    assert calls == []
 
 
 @pytest.mark.parametrize("ops", ["+*", "+-*"])
