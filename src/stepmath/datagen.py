@@ -31,6 +31,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Iterator, Optional
 
 from .errors import Dec64RangeError, DivByZero, MalformedInput, MathError, RenderOverflow
@@ -113,16 +114,14 @@ def default_curriculum(total: int, seed: int, tail_count: int = 50_000) -> Curri
     return CurriculumSchedule(tuple(phases), seed)
 
 
+def _spec_seed(seed: int, phase_idx: int, slot: int) -> int:
+    """The seed of the spec in `slot` of phase `phase_idx` when none is given."""
+    return (seed * 1_000_003 + phase_idx * 101 + slot * 7919) & _MASK
+
+
 def _phase_specs(seed: int, phase_idx: int, digits: tuple[int, int]) -> tuple[GenSpec, ...]:
-    return tuple(
-        GenSpec(
-            category=cat,
-            digit_range=digits,
-            step_range=(1, 1) if cat == "exponentiation" else (2, 10),
-            seed=(seed * 1_000_003 + phase_idx * 101 + slot * 7919) & _MASK,
-        )
-        for slot, cat in enumerate(CATEGORIES)
-    )
+    return tuple(GenSpec(cat, digits, seed=_spec_seed(seed, phase_idx, slot))
+                 for slot, cat in enumerate(CATEGORIES))
 
 
 def evaluation_schedule(train: CurriculumSchedule, count: int = 9_592) -> CurriculumSchedule:
@@ -267,6 +266,18 @@ def _wrap_span(nodes: list[Node], ops: list[str], i: int, j: int) -> None:
     del ops[i:j]
 
 
+def _wrap_spans(rng, nodes: list[Node], ops: list[str], k: int) -> None:
+    """Bracket k random runs in turn while two operators remain; each run
+    takes in at least one operator and leaves at least one outside."""
+    for _ in range(k):
+        remaining = len(ops)
+        if remaining < 2:
+            break
+        run = _randint(rng, 1, remaining - 1)
+        s = _randint(rng, 0, remaining - run)
+        _wrap_span(nodes, ops, s, s + run)
+
+
 # ---------------------------------------------------------------------------
 # category samplers
 #
@@ -274,11 +285,14 @@ def _wrap_span(nodes: list[Node], ops: list[str], i: int, j: int) -> None:
 # count; wrapping operands in brackets changes neither count.
 
 
-def _sample_int_mixed(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
+def _sample_chain(literal, wraps, rng, spec: GenSpec,
+                  pool: str = "+-*/") -> tuple[Node, int, int]:
+    """A chain of `literal`s with `wraps(rng)` bracketed runs."""
     n = _randint(rng, *spec.step_range)
-    nodes, digits = _literals(rng, spec, n + 1, _int_lit)
+    nodes, digits = _literals(rng, spec, n + 1, literal)
     ops = [_choice(rng, pool) for _ in range(n)]
     _cap_float_magnitudes(rng, nodes, digits, ops)
+    _wrap_spans(rng, nodes, ops, wraps(rng))
     return _chain(nodes, ops), n, max(digits)
 
 
@@ -297,17 +311,6 @@ def _bracketed_literal(rng, spec: GenSpec) -> tuple[Lit, int]:
     return _int_lit(rng, spec, negative=rng.random() < 0.15)
 
 
-def _sample_bracketed(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
-    n = _randint(rng, *spec.step_range)
-    nodes, digits = _literals(rng, spec, n + 1, _bracketed_literal)
-    ops = [_choice(rng, pool) for _ in range(n)]
-    _cap_float_magnitudes(rng, nodes, digits, ops)
-    k = _randint(rng, 1, n - 1)  # ops inside the group; at least one stays outside
-    s = _randint(rng, 0, n - k)
-    _wrap_span(nodes, ops, s, s + k)
-    return _chain(nodes, ops), n, max(digits)
-
-
 def _lengthy_literal(rng, spec: GenSpec) -> tuple[Lit, int]:
     roll = rng.random()
     if roll < 0.35:
@@ -319,22 +322,6 @@ def _lengthy_literal(rng, spec: GenSpec) -> tuple[Lit, int]:
     if roll < 0.90:
         return _int_lit(rng, spec, negative=True)
     return _decimal_lit(rng, spec, negative=True)
-
-
-def _sample_lengthy(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
-    n = _randint(rng, *spec.step_range)
-    nodes, digits = _literals(rng, spec, n + 1, _lengthy_literal)
-    ops = [_choice(rng, pool) for _ in range(n)]
-    _cap_float_magnitudes(rng, nodes, digits, ops)
-    wraps = 0 if rng.random() < 0.25 else _choice(rng, (1, 1, 2))
-    for _ in range(wraps):
-        remaining = len(ops)
-        if remaining < 2:
-            break
-        k = _randint(rng, 1, remaining - 1)
-        s = _randint(rng, 0, remaining - k)
-        _wrap_span(nodes, ops, s, s + k)
-    return _chain(nodes, ops), n, max(digits)
 
 
 def _sample_fraction(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int, int]:
@@ -355,17 +342,21 @@ def _sample_fraction(rng, spec: GenSpec, pool: str = "+-*/") -> tuple[Node, int,
         if i > l:
             _wrap_span(nodes, ops, l, i)
     elif len(ops) >= 2 and rng.random() < 0.25:
-        run = _randint(rng, 1, len(ops) - 1)
-        s = _randint(rng, 0, len(ops) - run)
-        _wrap_span(nodes, ops, s, s + run)
+        _wrap_spans(rng, nodes, ops, 1)
     return _chain(nodes, ops), n, max(digits)
 
 
+# The plain chain categories: (literal, draw of the number of bracketed runs).
+_CHAINS = {
+    "int-mixed": (_int_lit, lambda rng: 0),
+    "bracketed-int": (_bracketed_literal, lambda rng: 1),
+    "lengthy-mixed": (_lengthy_literal,
+                      lambda rng: 0 if rng.random() < 0.25 else _choice(rng, (1, 1, 2))),
+}
+
 _SAMPLERS = {
-    "int-mixed": _sample_int_mixed,
+    **{cat: partial(_sample_chain, *chain) for cat, chain in _CHAINS.items()},
     "exponentiation": _sample_exponentiation,
-    "bracketed-int": _sample_bracketed,
-    "lengthy-mixed": _sample_lengthy,
     "fraction": _sample_fraction,
 }
 
@@ -544,6 +535,9 @@ def _field(obj, path: str, key: str, kind: type):
     return value
 
 
+_RANGE_FIELDS = (("digits", "digit_range"), ("steps", "step_range"))
+
+
 def schedule_from_json(text: str, where: str = "schedule") -> CurriculumSchedule:
     """Schedule file format: {"seed": int, "phases": [{"count": int, "specs":
     [{"category", "digits": [lo, hi], "steps": [lo, hi], "seed"?}, ...]}, ...]}.
@@ -565,14 +559,12 @@ def schedule_from_json(text: str, where: str = "schedule") -> CurriculumSchedule
             for s_idx, s in enumerate(_field(p, at, "specs", list)):
                 if s.__class__ is not dict:
                     raise MalformedInput(f"{at}.specs[{s_idx}]: expected a JSON object, got {s!r}")
-                category = s.get("category")
                 spec_seed = s.get("seed")
                 if spec_seed is None:
-                    spec_seed = (seed * 1_000_003 + p_idx * 101 + s_idx * 7919) & _MASK
-                steps = (1, 1) if category == "exponentiation" else (2, 10)
+                    spec_seed = _spec_seed(seed, p_idx, s_idx)
                 try:
-                    specs.append(GenSpec(category, tuple(s.get("digits", (1, 5))),
-                                         tuple(s.get("steps", steps)), spec_seed))
+                    ranges = {name: tuple(s[key]) for key, name in _RANGE_FIELDS if key in s}
+                    specs.append(GenSpec(s.get("category"), seed=spec_seed, **ranges))
                 except (TypeError, ValueError) as err:  # GenSpec checks each field
                     raise MalformedInput(f"{at}.specs[{s_idx}]: {err}") from None
             if not specs:

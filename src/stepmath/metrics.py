@@ -17,45 +17,35 @@ import re
 import stat
 import tempfile
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from . import numeric
 from .expr import FRACTION, Chain, FractionLit, Lit, STANDARD, Unary, iter_nodes, parse
-from .errors import MalformedInput, StepmathError
+from .errors import Dec64RangeError, MalformedInput, MathError, StepmathError
 from .numeric import Frac, Number
 from .steps import direct_eval
 
 DEFAULT_RE_THRESHOLD = 0.01
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_DEC_RE = re.compile(r"[+-]?\d+\.\d+\Z")
-_FRAC_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
-_PCT_RE = re.compile(r"([+-]?\d+(?:\.\d+)?)%\Z")
+# An integer or decimal, with an optional percent sign, or a fraction.
+_NUMBER_RE = re.compile(r"([+-]?\d+(?:\.\d+)?)(%?)|([+-]?\d+)/(\d+)")
 
 
 def parse_number_text(text: str) -> Optional[Number]:
     """Integer, decimal, fraction, or percent text to a value; None otherwise,
-    also for an integer past Python's 4300-digit conversion limit."""
-    t = text.strip()
-    try:
-        if _INT_RE.fullmatch(t):
-            return int(t)
-        if _DEC_RE.fullmatch(t):
-            return float(t)
-        m = _FRAC_RE.fullmatch(t)
-        if m:
-            den = int(m.group(2))
-            if den == 0:
-                return None
-            return Frac(int(m.group(1)), den)
-        m = _PCT_RE.fullmatch(t)
-        if m:
-            payload = m.group(1)
-            return numeric.percent_value(int(payload) if "." not in payload else float(payload))
-    except ValueError:  # the digit limit
+    also for an integer past Python's 4300-digit conversion limit, a zero
+    denominator or a percent past binary64."""
+    m = _NUMBER_RE.fullmatch(text.strip())
+    if m is None:
         return None
-    return None
+    number, percent, num, den = m.groups()
+    try:
+        if num is not None:
+            return Frac(int(num), int(den))
+        value = float(number) if "." in number else int(number)
+        return numeric.percent_value(value) if percent else value
+    except (ValueError, MathError):  # the digit limit, or no value
+        return None
 
 
 def extract_answer(prediction_text: str) -> Optional[Number]:
@@ -83,18 +73,10 @@ def relative_error(y_hat: Number, y: Number) -> Optional[float]:
     if isinstance(y_hat, float) or isinstance(y, float):
         fy = numeric.to_float(y)
         return abs((numeric.to_float(y_hat) - fy) / fy)
-    fh = Fraction(*_as_pair(y_hat))
-    fy = Fraction(*_as_pair(y))
     try:
-        return float(abs((fh - fy) / fy))
-    except OverflowError:
+        return abs(numeric.to_float(numeric.div(numeric.sub(y_hat, y), y)))
+    except Dec64RangeError:
         return float("inf")
-
-
-def _as_pair(v: Number) -> tuple[int, int]:
-    if isinstance(v, Frac):
-        return v.num, v.den
-    return int(v), 1
 
 
 # ---------------------------------------------------------------------------

@@ -96,57 +96,51 @@ def to_float(v: Number) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+# The kind rule of every operation: a binary64 operand makes the result
+# binary64, else a Frac operand makes it a Frac, else both are ints.
+
+
 def add(a: Number, b: Number) -> Number:
+    if isinstance(a, float) or isinstance(b, float):
+        return _checked(to_float(a) + to_float(b))
     if isinstance(a, Frac) or isinstance(b, Frac):
         fa, fb = _as_frac(a), _as_frac(b)
-        if fa is None or fb is None:  # fraction mixed with a decimal
-            return _checked(to_float(a) + to_float(b))
         if fa.den == fb.den:  # common denominator: add numerators directly
             return Frac(fa.num + fb.num, fa.den)
         return Frac(fa.num * fb.den + fb.num * fa.den, fa.den * fb.den)
-    if isinstance(a, float) or isinstance(b, float):
-        return _checked(to_float(a) + to_float(b))
     return a + b
 
 
 def sub(a: Number, b: Number) -> Number:
+    if isinstance(a, float) or isinstance(b, float):
+        return _checked(to_float(a) - to_float(b))
     if isinstance(a, Frac) or isinstance(b, Frac):
         fa, fb = _as_frac(a), _as_frac(b)
-        if fa is None or fb is None:
-            return _checked(to_float(a) - to_float(b))
         if fa.den == fb.den:
             return Frac(fa.num - fb.num, fa.den)
         return Frac(fa.num * fb.den - fb.num * fa.den, fa.den * fb.den)
-    if isinstance(a, float) or isinstance(b, float):
-        return _checked(to_float(a) - to_float(b))
     return a - b
 
 
 def mul(a: Number, b: Number) -> Number:
-    if isinstance(a, Frac) or isinstance(b, Frac):
-        fa, fb = _as_frac(a), _as_frac(b)
-        if fa is None or fb is None:
-            return _checked(to_float(a) * to_float(b))
-        return Frac(fa.num * fb.num, fa.den * fb.den)
     if isinstance(a, float) or isinstance(b, float):
         return _checked(to_float(a) * to_float(b))
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = _as_frac(a), _as_frac(b)
+        return Frac(fa.num * fb.num, fa.den * fb.den)
     return a * b
 
 
 def div(a: Number, b: Number) -> Number:
-    if isinstance(a, Frac) or isinstance(b, Frac):
-        fa, fb = _as_frac(a), _as_frac(b)
-        if fa is None or fb is None:
-            if to_float(b) == 0.0:
-                raise DivByZero()
-            return _checked(to_float(a) / to_float(b))
-        if fb.num == 0:
-            raise DivByZero()
-        return Frac(fa.num * fb.den, fa.den * fb.num)
     if isinstance(a, float) or isinstance(b, float):
         if to_float(b) == 0.0:
             raise DivByZero()
         return _checked(to_float(a) / to_float(b))
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = _as_frac(a), _as_frac(b)
+        if fb.num == 0:
+            raise DivByZero()
+        return Frac(fa.num * fb.den, fa.den * fb.num)
     if b == 0:
         raise DivByZero()
     # Integer division stays exact when it divides evenly, otherwise binary64.
@@ -204,27 +198,8 @@ def reduce_fraction(f: Frac) -> Frac:
 
 
 def percent_value(payload: Number) -> Number:
-    """Value of ``payload%``: exact integer when divisible by 100, else binary64."""
-    if isinstance(payload, int):
-        if payload % 100 == 0:
-            return payload // 100
-        return _checked(payload / 100)
-    return _checked(to_float(payload) / 100)
-
-
-def _expand_scientific(s: str) -> str:
-    sign = ""
-    if s.startswith("-"):
-        sign, s = "-", s[1:]
-    mant, _, exp = s.partition("e")
-    int_part, _, frac_part = mant.partition(".")
-    digits = int_part + frac_part
-    point = len(int_part) + int(exp)
-    if point <= 0:
-        return sign + "0." + "0" * (-point) + digits
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return sign + digits[:point] + "." + digits[point:]
+    """Value of ``payload%``: ``payload / 100``."""
+    return div(payload, 100)
 
 
 def render_dec64(x: float) -> str:
@@ -234,9 +209,7 @@ def render_dec64(x: float) -> str:
     if abs(x) >= RENDER_LIMIT:
         raise RenderOverflow(f"|{x!r}| >= 1e21 cannot be rendered positionally")
     s = repr(x)
-    if "e" in s:
-        s = _expand_scientific(s)
-    return s
+    return format(Decimal(s), "f") if "e" in s else s
 
 
 def render(v: Number) -> str:

@@ -82,7 +82,10 @@ class TestTrace:
          "math error: a result of more than 4300 digits cannot be printed"),
         (f"({'9' * 4000}/7)*({'9' * 4000}/7)", "fraction", 3,
          "math error: a result of more than 4300 digits cannot be printed"),
-    ], ids=["5000-digit literal", "4800-digit product", "8000-digit fraction"])
+        ("1" * 400 + "%", "standard", 3, "math error: integer quotient exceeds binary64 range"),
+        ("1" * 400 + "%", "fraction", 3, "math error: integer quotient exceeds binary64 range"),
+    ], ids=["5000-digit literal", "4800-digit product", "8000-digit fraction",
+            "percent past binary64", "percent past binary64 in fraction mode"])
     def test_oversized_integer_is_a_typed_error(self, capsys, src, mode, code, message):
         # past Python's 4300-digit int/str limit, which would raise ValueError
         rc, out, err = run(capsys, "trace", src, "--mode", mode)
@@ -655,13 +658,16 @@ class TestEvalCli:
         assert f"{gold}:3: no partner line" in err
 
     def test_oversized_prediction_tail_is_an_extraction_failure(self, capsys, tmp_path):
+        # 5000 digits, and a percent and a decimal percent past binary64
+        tails = ["2" * 5000, "1" * 400 + "%", "1" * 400 + ".5%"]
         records = tmp_path / "r.jsonl"
-        records.write_text(json.dumps({"problem": "1+1", "ground_truth": "2",
-                                       "prediction": "1+1=" + "2" * 5000}) + "\n")
+        records.write_text("".join(json.dumps({"problem": "1+1", "ground_truth": "2",
+                                               "prediction": "1+1=" + tail}) + "\n"
+                                   for tail in tails))
         rc, out, _ = run(capsys, "eval", "--in", str(records), "--json")
         payload = json.loads(out)
-        assert rc == 0 and payload["total"] == 1 and payload["correct"] == 0
-        assert payload["errors"] == 0 and payload["re_defined"] == 1
+        assert rc == 0 and payload["total"] == 3 and payload["correct"] == 0
+        assert payload["errors"] == 0 and payload["re_defined"] == 3
 
     def test_no_inputs_exit_64(self, capsys, tmp_path):
         rc, _, err = run(capsys, "eval")
@@ -718,8 +724,8 @@ class TestReconstructCli:
         assert row["line"] == 1
         assert json.loads(out.read_text())["id"] == "1"
 
-    @pytest.mark.parametrize("ans", ['"' + "9" * 5000 + '"', "9" * 5000],
-                             ids=["text", "JSON number"])
+    @pytest.mark.parametrize("ans", ['"' + "9" * 5000 + '"', "9" * 5000, '"' + "1" * 400 + '%"'],
+                             ids=["text", "JSON number", "percent past binary64"])
     def test_oversized_answer_is_a_reject_row(self, capsys, tmp_path, ans):
         src = tmp_path / "ape.jsonl"
         src.write_text('\n{"id": "2", "equation": "1+2", "ans": ' + ans + "}\n")
@@ -732,8 +738,11 @@ class TestReconstructCli:
                  Path(payload["rejects_file"]).read_text().splitlines()]
         assert row["line"] == 2
 
-    def test_power_past_a_float_is_a_reject_row(self, capsys, tmp_path):
-        equation = "2^" + "9" * 400
+    @pytest.mark.parametrize("equation,reason", [
+        ("2^" + "9" * 400, "2^" + "9" * 400 + " has more than 4300 digits"),
+        ("1" * 400 + "%", "integer quotient exceeds binary64 range"),
+    ], ids=["power", "percent"])
+    def test_value_past_a_float_is_a_reject_row(self, capsys, tmp_path, equation, reason):
         src = tmp_path / "ape.jsonl"
         src.write_text(json.dumps({"id": "2", "equation": equation, "ans": "1"}) + "\n")
         out = tmp_path / "out.jsonl"
@@ -743,7 +752,7 @@ class TestReconstructCli:
         assert (payload["reconstructed"], payload["rejected"]) == (0, 1)
         [row] = [json.loads(line) for line in
                  Path(payload["rejects_file"]).read_text().splitlines()]
-        assert f"{equation} has more than 4300 digits" in row["reason"]
+        assert row["reason"].endswith(reason)
 
 
 class TestScoreMwpCli:
@@ -762,18 +771,22 @@ class TestScoreMwpCli:
         assert payload["arithmetic_accuracy"] == 1.0
         assert payload["answer_accuracy"] == 0.0
 
-    def test_power_past_a_float_scores_incorrect(self, capsys, tmp_path):
+    # a power past binary64 in the expression part, a percent past it as the answer
+    @pytest.mark.parametrize("prediction,accuracies", [
+        ("2^" + "9" * 400 + "=8", (0.0, 1.0)),
+        ("2^3=" + "1" * 400 + "%", (1.0, 0.0)),
+    ], ids=["power", "percent"])
+    def test_value_past_a_float_scores_incorrect(self, capsys, tmp_path, prediction, accuracies):
         gold = tmp_path / "gold.jsonl"
         gold.write_text(json.dumps({"id": "1", "original_text": "q", "equation": "2^3",
                                     "ans": "8", "solution_trace": "2^3=8"}) + "\n")
         pred = tmp_path / "pred.jsonl"
-        pred.write_text(json.dumps({"id": "1", "prediction": "2^" + "9" * 400 + "=8"}) + "\n")
+        pred.write_text(json.dumps({"id": "1", "prediction": prediction}) + "\n")
         rc, out, _ = run(capsys, "score-mwp", "--gold", str(gold), "--pred", str(pred),
                          "--json")
         assert rc == 0
         payload = json.loads(out)
-        assert payload["arithmetic_accuracy"] == 0.0
-        assert payload["answer_accuracy"] == 1.0
+        assert (payload["arithmetic_accuracy"], payload["answer_accuracy"]) == accuracies
 
     @pytest.mark.parametrize("bad", [
         "not json", '["1", "20-5-8=7"]', '{"prediction": "20-5-8=7"}', '{"id": "1"}',

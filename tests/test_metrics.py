@@ -42,6 +42,8 @@ class TestExtraction:
         assert parse_number_text("7/30") == Frac(7, 30)
         assert parse_number_text("1/0") is None
         assert parse_number_text("1.2.3") is None
+        assert parse_number_text("1" * 400 + "%") is None  # past binary64
+        assert parse_number_text("1" * 400 + ".5%") is None
 
 
 class TestIsCorrect:

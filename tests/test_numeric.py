@@ -60,7 +60,8 @@ class TestIntegerArithmetic:
 
 
 # add/sub/mul as they were before they tested operand kinds first: each
-# converted both operands with `_as_frac` up front. Kept as the reference the
+# converted both operands with `_as_frac` up front; and div as it was before
+# it tested for a binary64 operand ahead of a Frac. Kept as the reference the
 # current functions must match result for result and error for error.
 
 
@@ -101,6 +102,30 @@ def _ref_mul(a, b):
     return a * b
 
 
+def _ref_div(a, b):
+    if isinstance(a, Frac) or isinstance(b, Frac):
+        fa, fb = numeric._as_frac(a), numeric._as_frac(b)
+        if fa is None or fb is None:
+            if numeric.to_float(b) == 0.0:
+                raise DivByZero()
+            return numeric._checked(numeric.to_float(a) / numeric.to_float(b))
+        if fb.num == 0:
+            raise DivByZero()
+        return Frac(fa.num * fb.den, fa.den * fb.num)
+    if isinstance(a, float) or isinstance(b, float):
+        if numeric.to_float(b) == 0.0:
+            raise DivByZero()
+        return numeric._checked(numeric.to_float(a) / numeric.to_float(b))
+    if b == 0:
+        raise DivByZero()
+    if a % b == 0:
+        return a // b
+    try:
+        return numeric._checked(a / b)
+    except OverflowError:
+        raise Dec64RangeError("integer quotient exceeds binary64 range") from None
+
+
 def _outcome(fn, a, b):
     """Kind and exact value of fn(a, b), or the error it raised."""
     try:
@@ -127,7 +152,7 @@ _VALUES = st.one_of(
 @given(_VALUES, _VALUES)
 def test_add_sub_mul_match_the_convert_first_reference(a, b):
     for fn, ref in ((numeric.add, _ref_add), (numeric.sub, _ref_sub),
-                    (numeric.mul, _ref_mul)):
+                    (numeric.mul, _ref_mul), (numeric.div, _ref_div)):
         assert _outcome(fn, a, b) == _outcome(ref, a, b)
 
 
@@ -247,6 +272,12 @@ class TestRendering:
         for _ in range(100_000):
             x = rng.uniform(-1e12, 1e12)
             assert float(numeric.render(x)) == x
+        # repr writes these with an exponent: |x| < 1e-4 and 1e16 <= |x| < 1e21
+        for lo, hi in ((-320, -5), (16, 20)):
+            for _ in range(20_000):
+                x = rng.choice((-1, 1)) * rng.uniform(1, 9.99) * 10.0 ** rng.randint(lo, hi)
+                text = numeric.render(x)
+                assert float(text) == x and "e" not in text, x
 
     def test_no_exponent_notation(self):
         assert numeric.render(1e16) == "10000000000000000"

@@ -3,11 +3,16 @@ module of the package, from its own module past its definition, or from the
 benchmark in perfbench/. A name that nothing reaches is surface to delete."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "stepmath").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
 
 # name -> why it stays with no caller
 ALLOWED = {
@@ -56,3 +61,18 @@ def test_every_public_name_is_reached():
             if name not in reached and not used_past:
                 unreached.add(f"{module}.{name}")
     assert unreached == set(ALLOWED)
+
+
+def test_every_benchmark_wrap_target_exists():
+    """The benchmark's traced runs wrap package attributes by name: a renamed
+    or deleted one fails here, not first in a `--trace 1` run."""
+    tracer = spans.Tracer()
+    workloads.instrument(tracer)
+    patched = list(tracer._patched)
+    try:
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.unwrap_all()
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)
