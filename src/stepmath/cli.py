@@ -50,10 +50,12 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return integer
 
 
+_CONFIG_JSON = json.JSONEncoder(ensure_ascii=False)
+
+
 def _echo_config(command: str, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(json.dumps({"command": command, "config": cfg}, ensure_ascii=False),
-          file=sys.stderr)
+    print(_CONFIG_JSON.encode({"command": command, "config": cfg}), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,8 @@ def _cmd_eval(args) -> int:
     )
     report = metrics.evaluate(records, threshold=args.threshold)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(metrics.grouped_csv(report))
+        with metrics.replacing(args.csv) as (f,):
+            f.write(metrics.grouped_csv(report).encode())
     if args.json:
         print(report.to_json())
     else:
@@ -183,8 +185,8 @@ def _cmd_bigbench(args) -> int:
     problems = metrics.bigbench_suite(args.op, args.digits, args.n, args.seed)
     lines = [json.dumps(p) for p in problems]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + ("\n" if lines else ""))
+        with metrics.replacing(args.out) as (f,):
+            f.write("".join(line + "\n" for line in lines).encode())
         print(f"wrote {len(problems)} problems to {args.out}")
     else:
         for line in lines:
@@ -284,6 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_score_mwp)
 
+    parser.commands = sub.choices  # each subcommand's parser, by name
     return parser
 
 
@@ -292,6 +295,19 @@ def _parser() -> _Parser:
     """The parser, built once per process: parsing keeps no state on it, and
     help and error output look up sys.stdout and sys.stderr at each call."""
     return build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, with a known subcommand's arguments
+    parsed by its own parser alone. Whatever that parser leaves over, and any
+    argv that does not start with a subcommand, goes through the full parser,
+    so usage, help and errors are its own."""
+    sub = _parser().commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
 
 
 # Each error a subcommand may raise, mapped to its exit code and the label
@@ -308,7 +324,7 @@ _EXITS = (
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     _echo_config(args.command, args)
     try:
         return args.func(args)

@@ -8,6 +8,9 @@ computed one the rendering of its value. The printer is lossless, so
 * ``fraction`` -- ``(a/b)`` with integer parts is a rational literal; one
   with a zero denominator raises `DivByZero` as it is parsed
 
+In both, a decimal literal past binary64's range raises `Dec64RangeError` as
+it is parsed.
+
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary sign < ``^``,
 with ``^`` binding tighter than a unary sign on its left and taking a signed
 exponent on its right. Equal precedence associates left: a run of ``+ -``
@@ -28,7 +31,7 @@ import re
 from typing import Iterator, Optional, Union
 
 from .errors import DepthExceeded, ExprSyntaxError
-from .numeric import DIGIT_LIMIT, Frac, render
+from .numeric import DIGIT_LIMIT, Frac, decimal_value, render
 
 MAX_DEPTH = 16
 # Signs and `^` exponents nested in one another, counted across brackets: with
@@ -279,7 +282,7 @@ class _Parser:
             number = token[:-1] if token[-1] == "%" else token
             if number[-1] == ".":
                 raise ExprSyntaxError("expected digits", self.offset(k) + len(number))
-            atom = Lit(float(number) if "." in number else int(number), token)
+            atom = Lit(decimal_value(number) if "." in number else int(number), token)
         elif len(token) > 1:  # a fraction literal
             num, den = token[1:-1].split("/")
             atom = FractionLit(Frac(int(num), int(den)), token)

@@ -34,7 +34,7 @@ _NUMBER_RE = re.compile(r"([+-]?\d+(?:\.\d+)?)(%?)|([+-]?\d+)/(\d+)")
 def parse_number_text(text: str) -> Optional[Number]:
     """Integer, decimal, fraction, or percent text to a value; None otherwise,
     also for an integer past Python's 4300-digit conversion limit, a zero
-    denominator or a percent past binary64."""
+    denominator or a decimal or percent past binary64."""
     m = _NUMBER_RE.fullmatch(text.strip())
     if m is None:
         return None
@@ -42,7 +42,7 @@ def parse_number_text(text: str) -> Optional[Number]:
     try:
         if num is not None:
             return Frac(int(num), int(den))
-        value = float(number) if "." in number else int(number)
+        value = numeric.decimal_value(number) if "." in number else int(number)
         return numeric.percent_value(value) if percent else value
     except (ValueError, MathError):  # the digit limit, or no value
         return None

@@ -84,6 +84,15 @@ def _checked(x: float) -> float:
     return x
 
 
+def decimal_value(text: str) -> float:
+    """The binary64 value of decimal text, which has none past binary64's
+    range, where `float` reads it as infinity."""
+    x = float(text)
+    if math.isinf(x):
+        raise Dec64RangeError("decimal literal exceeds binary64 range")
+    return x
+
+
 def to_float(v: Number) -> float:
     if isinstance(v, Frac):
         try:

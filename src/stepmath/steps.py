@@ -18,25 +18,28 @@ reciprocal, binop, simplify, ungroup.
 A run of same-tier operators is one `Chain` node, the left fold of its
 operands, so only its head pair can be a binop: `1+2+3` steps to `3+3` by
 splicing the pair into one literal. A step costs about what it changes. One
-walk records only what a rule can fire on (ready head pairs, fraction
-divisions and reducible fractions, each filed under its innermost bracket
-group, the leftmost percent, the negative factors of each mul/div chain);
-a flat chain of plain literals needs none, nor does a step in a bracket
-group of them, which takes its binop from the same head-pair search. Each
-step hands the next a focus, so that a trace walks the tree about once: a
-flat chain's search resumes where it stopped, and a step in the first leaf
-group of a walk leads the next to that group, or to the walk's next leaf
-once a group outside any other is gone. Where the focus cannot vouch for a
-step, the whole tree is walked. The
-rewrite rebuilds the changed nodes' ancestors bottom-up along parent links,
-in one routine for every rule, sharing every subtree a step did not touch.
-Each snapshot's text is the previous one with the changed span spliced, and
-a trace keeps only that text: it holds one tree at a time.
+walk, the scan, records only what a rule can fire on (ready head pairs,
+fraction divisions and reducible fractions, each filed under its innermost
+bracket group, the leftmost percent, the negative factors of each mul/div
+chain). A flat chain of plain literals needs no scan, only its head-pair
+search, and in standard mode nor does one with bracket groups of flat content
+among its literals: a cheaper flat walk finds those groups, the scan's leaves
+in print order. Each step hands the next a focus, so that a trace walks the
+tree about once: the head-pair search of a flat tree, or of the group stepped
+in, resumes where it stopped; once that group is a literal the step moves to
+the next, and after a flat tree's last group the tree is flat again. A step in
+the first leaf group of a scan leads the next to that group, or to the scan's
+next leaf once a group outside any other is gone. Where the focus cannot vouch
+for a step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
+ancestors bottom-up along parent links, in one routine for every rule, sharing
+every subtree a step did not touch. Each snapshot's text is the previous one
+with the changed span spliced, and a trace keeps only that text: it holds one
+tree at a time.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
@@ -45,6 +48,7 @@ from . import numeric
 from .errors import DivByZero, NonTerminating
 from .expr import (
     FRACTION,
+    STANDARD,
     TIER,
     Chain,
     FractionLit,
@@ -384,24 +388,40 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
     return step and step[:2]
 
 
+# A focus is a plain tuple: a flat tree's (operand index, text offset), where
+# its head-pair search resumes, or after a step in a bracket group (regions, k,
+# start, length, resume): the (index path, start) of each group to step in, in
+# the order of the whole-tree search, then None if the tree is flat once they
+# are gone; the one stepped in at `k`, now at `start`; the text's `length` when
+# the list was made; and the group's own resume, () for its first operand, or
+# None when the group is not known to be flat.
+
+
 def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
     """For `tree`, printed as `text`: (the tree to rewrite next, rule, its
     text, snapshot text, focus), the same for the focus the step before gave
-    (a `_flat_binop` resume or `_Leaves`) as for None. The snapshot differs
-    from the text only by the `+` head marker of a fraction-mode sign step."""
+    as for None. The snapshot differs from the text only by the `+` head
+    marker of a fraction-mode sign step."""
     if tree.__class__ is not Chain and _is_operand(tree):
         return None
 
     fraction = mode == FRACTION
-    if focus.__class__ is _Leaves:
-        step = _leaf_step(tree, text, fraction, focus)
+    if focus is not None and len(focus) > 2:
+        step = _group_step(tree, text, fraction, focus)
         if step is not None:
             return step
         focus = None
-    found = _flat_binop(tree, focus)
-    if found is not None:  # (candidate, resume)
-        new, text = _binop(text, found[0], None)
-        return new, R_BINOP, text, text, found[1]
+    if focus is None:
+        groups = None if fraction else []
+        if _is_flat(tree, groups):
+            if groups:
+                regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
+                return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), ()))
+            focus = 0, 0
+    if focus is not None:
+        found, focus = _head_pair(tree, None, 0, *focus)
+        new, text = _binop(text, found, None)
+        return new, R_BINOP, text, text, focus
     chains, percent, leaves, whole = _scan(tree, fraction)
 
     for chain in chains:
@@ -429,50 +449,55 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
             focus = None
             if leaves and region is regions[0]:
                 order = leaves if region.depth == 0 else (region,)  # then all are at depth 0
-                focus = _Leaves([(_path(r.link), r.start) for r in order], 0,
-                                region.start, len(text))
+                focus = ([(_path(r.link), r.start) for r in order], 0,
+                         region.start, len(text), None)
             return new, rule, new_text, new_text, focus
 
     raise NonTerminating(f"no rule applies to {text!r}")
 
 
-def _flat_binop(tree: Node, resume: Optional[tuple] = None) -> Optional[tuple]:
-    """The binop candidate of a flat tree, found without a scan, and where
-    the search resumes after it: (candidate, resume); None for any other
-    tree. A binop leaves a flat tree flat, so a search from `resume`, the
-    (operand index, text offset) the step before gave, checks nothing again."""
-    if resume is None and not _is_flat(tree):
-        return None
-    return _head_pair(tree, None, 0, *(resume or (0, 0)))
-
-
-def _is_flat(tree: Node) -> bool:
+def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
     """Whether `tree` is a `*/` chain of plain literals at most one of them
-    signed (`+-4` too, which no sign cancels but makes a product negative),
-    or a `+-` chain of plain literals and such chains: no rule but binop can
-    fire in it, and its binop is the head pair of its first `*/` chain, else
-    its own head pair."""
+    signed (`+-4` too, which no sign cancels but makes a product negative), or
+    a `+-` chain of plain literals and such chains: no rule but binop can fire
+    in it, and its binop is the head pair of its first `*/` chain, else its
+    own head pair. Given a list `groups`, a bracket group of flat content may
+    stand for a literal, and their index paths go into it in print order: they
+    are the scan's leaves, where the whole-tree search steps first, and the
+    text's brackets are theirs. The walk goes right to left, so that it meets
+    first what steps, going left to right, have not made flat yet."""
     if tree.__class__ is not Chain or tree.ops == "^":
         return False
-    for x in tree.operands if tree.ops[0] in "+-" else (tree,):
-        if x.__class__ is Lit and not x.percent:
+    sums = tree.ops[0] in "+-"
+    operands = tree.operands if sums else (tree,)
+    i = len(operands)
+    for x in reversed(operands):
+        i -= 1
+        if x.__class__ is Lit and not x.percent:  # inline: most operands
             continue
-        if x.__class__ is not Chain or x.ops[0] not in "*/":
-            return False
-        signs = 0
-        for y in x.operands:
-            if y.__class__ is not Lit or y.percent:
+        product = x.__class__ is Chain and x.ops[0] in "*/"
+        factors = x.operands if product else (x,)
+        signs, j = 0, len(factors)
+        for y in reversed(factors):
+            j -= 1
+            if y.__class__ is Lit and not y.percent:
+                signs += y.text[0] in "+-"
+            elif groups is not None and y.__class__ is Group and _is_flat(y.inner):
+                groups.append(([i] if sums else []) + ([j] if product else []))
+            else:
                 return False
-            signs += y.text[0] in "+-"
         if signs > 1:
             return False
+    if groups:
+        groups.reverse()
     return True
 
 
 def _head_pair(tree: Chain, link: Optional[tuple], start: int, i: int, offset: int) -> tuple:
     """The binop candidate of the flat `tree` at `link`, whose text starts at
     `start`, searched from its operand `i` at text offset `offset`, and where
-    the search resumes after it: (candidate, (operand index, text offset))."""
+    the search resumes after it, since a binop leaves a flat tree flat:
+    (candidate, (operand index, text offset))."""
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
     for i in range(i, len(operands)):
@@ -485,11 +510,6 @@ def _head_pair(tree: Chain, link: Optional[tuple], start: int, i: int, offset: i
     # every operand is a literal, and stays one: none is left to walk
     a, b = tree.operands[:2]
     return (link, tree, start, start + len(a.text) + 1 + len(b.text), 1, a), (len(operands) - 1, 0)
-
-
-# The focus after a step in a scan's first leaf group: the scan's `leaves` as
-# (index path, start), the one worked in at `k`, now at `start`, and its text's `length`.
-_Leaves = namedtuple("_Leaves", "leaves k start length")
 
 
 def _path(link: Optional[tuple]) -> list:
@@ -514,7 +534,9 @@ def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
     """Whether the literal `top`, at `link` where a group outside any other
     stood, may cancel signs with another factor: any in fraction mode. The
     factors are those of the whole mul/div chain, a `*/` chain among them
-    and any it is one of, as `_scan` counts them."""
+    and any it is one of, as `_scan` counts them, and a literal written with
+    a `+` (`+-4`, which a binop can make negative, as `_is_flat` counts it):
+    without one, a flat tree's product stays flat."""
     link, parent, _ = link
     if not _is_negative_literal(top) or parent.__class__ is not Chain or parent.ops[0] not in "*/":
         return False
@@ -526,41 +548,48 @@ def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
     def negatives(chain: Chain) -> int:
         return sum(negatives(x) if x.__class__ is Chain and x.ops[0] in "*/"
                    else _is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
+                   or x.__class__ is Lit and x.text[0] == "+"
                    for x in chain.operands)
 
     return negatives(parent) > 1
 
 
-def _leaf_step(tree: Node, text: str, fraction: bool, focus: _Leaves) -> Optional[tuple]:
-    """The step `_next_step` takes in the leaf group of `focus`, or in the
-    next leaf once that group became a literal; None when only a search of
-    the whole tree can tell. Only the leaves changed since the scan, which
-    found no sign pair or percent. No step makes a percent, but one can make
-    a negative factor of one the scan did not count (`-3*+-2^2` gives
-    `-3*-4`), so a sign pair in the group, or in fraction mode any negative
-    factor, which may pair with one outside, leaves it to the whole tree.
-    A flat group takes its binop from the flat search, without a scan."""
-    leaves, k, start, length = focus
-    node, link = _resolve(tree, leaves[k][0])
+def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional[tuple]:
+    """The step `_next_step` takes in the group of a group `focus`, or in
+    the next group once that one is a literal; None when only a whole-tree
+    search can tell. Only the groups changed since the walk that made the
+    focus, which found no sign pair or percent. No step makes a percent,
+    but one can make a negative factor the walk did not count (`-3*+-2^2`
+    gives `-3*-4`), so a sign pair in the group, or in fraction mode any
+    negative factor, which may pair with one outside, leaves it to the
+    whole tree. A flat group takes its binop from its own flat search,
+    resumed where the step before left it; any other group is scanned."""
+    regions, k, start, length, resume = focus
+    node, link = _resolve(tree, regions[k][0])
     if node.__class__ is not Group:
-        # The group became `node`. A leaf outside any group leaves the rest
+        # The group became `node`. A group outside any other leaves the rest
         # as they were, to its right, as far from the text's end as before.
-        k += 1  # a group at the root was the only leaf
-        if k == len(leaves) or _new_sign_pair(node, link, fraction):
+        k += 1  # a group at the root was the only one
+        if k == len(regions) or _new_sign_pair(node, link, fraction):
             return None
-        node, link = _resolve(tree, leaves[k][0])
-        start = leaves[k][1] + len(text) - length
-    if not fraction and _is_flat(node.inner):
-        found = _head_pair(node.inner, (link, node, 0), start + 1, 0, start + 1)[0]
-        step = *_binop(text, found, node), R_BINOP
+        if regions[k] is None:  # the last group of a flat tree, which is flat again
+            return _next_step(tree, text, STANDARD, (0, 0))
+        node, link = _resolve(tree, regions[k][0])
+        start = regions[k][1] + len(text) - length
+        resume = () if regions[-1] is None else None
+    inner = node.inner
+    if inner.__class__ is Chain and (resume is not None or not fraction and _is_flat(inner)):
+        found, resume = _head_pair(inner, (link, node, 0), start + 1, *(resume or (0, start + 1)))
+        new, text = _binop(text, found, node)
+        rule = R_BINOP
     else:
         chains, _, (region,), _ = _scan(node, fraction, link, start)
         step = (not any(len(c) > (1 if fraction else 2) for c in chains)
                 and _region_step(text, region))
-    if step:
+        if not step:
+            return None
         new, text, rule = step
-        return new, rule, text, text, _Leaves(leaves, k, start, length)
-    return None
+    return new, rule, text, text, (regions, k, start, length, resume)
 
 
 def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:

@@ -84,8 +84,15 @@ class TestTrace:
          "math error: a result of more than 4300 digits cannot be printed"),
         ("1" * 400 + "%", "standard", 3, "math error: integer quotient exceeds binary64 range"),
         ("1" * 400 + "%", "fraction", 3, "math error: integer quotient exceeds binary64 range"),
+        ("1" * 400 + ".5", "standard", 3, "math error: decimal literal exceeds binary64 range"),
+        ("(" + "1" * 400 + ".5)", "standard", 3,
+         "math error: decimal literal exceeds binary64 range"),
+        ("2*" + "1" * 400 + ".5", "fraction", 3,
+         "math error: decimal literal exceeds binary64 range"),
     ], ids=["5000-digit literal", "4800-digit product", "8000-digit fraction",
-            "percent past binary64", "percent past binary64 in fraction mode"])
+            "percent past binary64", "percent past binary64 in fraction mode",
+            "decimal past binary64", "bracketed decimal past binary64",
+            "decimal past binary64 in fraction mode"])
     def test_oversized_integer_is_a_typed_error(self, capsys, src, mode, code, message):
         # past Python's 4300-digit int/str limit, which would raise ValueError
         rc, out, err = run(capsys, "trace", src, "--mode", mode)
@@ -309,6 +316,22 @@ class TestUsageErrors:
         assert exc.value.code == 64
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and f"{argv[-2]}: {argv[-1]} is not an integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["trace"], ["trace", "1+2", "extra"], ["trace", "1+2", "--bogus"],
+        ["--bogus", "trace", "1"], ["trace", "--mode", "bad", "1"],
+    ], ids=["no argument", "unknown command", "no expression", "extra argument",
+            "unknown flag", "flag before the command", "bad choice"])
+    def test_usage_error_is_the_full_parsers(self, capsys, argv):
+        # main parses a subcommand's arguments with its own parser, and fails
+        # with the bytes and exit code of the full parser
+        with pytest.raises(SystemExit) as full:
+            cli._parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, capsys.readouterr()) == (full.value.code, want)
+        assert got.value.code == 64 and want.out == "" and want.err.startswith("usage: ")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -658,16 +681,19 @@ class TestEvalCli:
         assert f"{gold}:3: no partner line" in err
 
     def test_oversized_prediction_tail_is_an_extraction_failure(self, capsys, tmp_path):
-        # 5000 digits, and a percent and a decimal percent past binary64
-        tails = ["2" * 5000, "1" * 400 + "%", "1" * 400 + ".5%"]
+        # 5000 digits, a percent and a decimal percent past binary64, and a
+        # decimal past binary64, which as a ground truth has no value either
+        tails = ["2" * 5000, "1" * 400 + "%", "1" * 400 + ".5%", "1" * 400 + ".5"]
         records = tmp_path / "r.jsonl"
         records.write_text("".join(json.dumps({"problem": "1+1", "ground_truth": "2",
                                                "prediction": "1+1=" + tail}) + "\n"
-                                   for tail in tails))
+                                   for tail in tails)
+                           + json.dumps({"problem": "1+1", "ground_truth": tails[-1],
+                                         "prediction": "1+1=2"}) + "\n")
         rc, out, _ = run(capsys, "eval", "--in", str(records), "--json")
         payload = json.loads(out)
-        assert rc == 0 and payload["total"] == 3 and payload["correct"] == 0
-        assert payload["errors"] == 0 and payload["re_defined"] == 3
+        assert rc == 0 and payload["total"] == 5 and payload["correct"] == 0
+        assert payload["errors"] == 1 and payload["re_defined"] == 4
 
     def test_no_inputs_exit_64(self, capsys, tmp_path):
         rc, _, err = run(capsys, "eval")
@@ -687,6 +713,31 @@ class TestBigbenchCli:
         first = json.loads(lines[0])
         a, b = first["problem"].split("*")
         assert len(a) == 5 and len(b) == 5
+
+
+@pytest.mark.parametrize("command", ["eval", "bigbench"])
+def test_written_file_is_replaced_keeping_its_mode_and_link(capsys, tmp_path, command):
+    # `eval --csv` and `bigbench --out` replace their file, as every output
+    # does: a symlink stays one, the file keeps its mode, and no temporary
+    # file is left
+    gold, pred = tmp_path / "g.jsonl", tmp_path / "p.txt"
+    gold.write_text(json.dumps({"problem": "3*3", "ground_truth": 9}) + "\n")
+    pred.write_text("3*3=9\n")
+    argv = {"eval": ["eval", "--gold", str(gold), "--pred", str(pred), "--csv"],
+            "bigbench": ["bigbench", "--op", "MUL", "--digits", "2", "--n", "3",
+                         "--seed", "1", "--out"]}[command]
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old")
+    target.chmod(0o640)
+    old = target.stat().st_ino
+    link.symlink_to(target)
+    assert run(capsys, *argv, str(link))[0] == 0
+    want = tmp_path / "want"
+    assert run(capsys, *argv, str(want))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640 and target.stat().st_ino != old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "link", "p.txt",
+                                                          "target", "want"]
 
 
 class TestReconstructCli:
@@ -724,8 +775,10 @@ class TestReconstructCli:
         assert row["line"] == 1
         assert json.loads(out.read_text())["id"] == "1"
 
-    @pytest.mark.parametrize("ans", ['"' + "9" * 5000 + '"', "9" * 5000, '"' + "1" * 400 + '%"'],
-                             ids=["text", "JSON number", "percent past binary64"])
+    @pytest.mark.parametrize("ans", ['"' + "9" * 5000 + '"', "9" * 5000, '"' + "1" * 400 + '%"',
+                                     '"' + "1" * 400 + '.5"'],
+                             ids=["text", "JSON number", "percent past binary64",
+                                  "decimal past binary64"])
     def test_oversized_answer_is_a_reject_row(self, capsys, tmp_path, ans):
         src = tmp_path / "ape.jsonl"
         src.write_text('\n{"id": "2", "equation": "1+2", "ans": ' + ans + "}\n")
@@ -771,11 +824,13 @@ class TestScoreMwpCli:
         assert payload["arithmetic_accuracy"] == 1.0
         assert payload["answer_accuracy"] == 0.0
 
-    # a power past binary64 in the expression part, a percent past it as the answer
+    # a power past binary64 in the expression part, a percent or a decimal
+    # past it as the answer
     @pytest.mark.parametrize("prediction,accuracies", [
         ("2^" + "9" * 400 + "=8", (0.0, 1.0)),
         ("2^3=" + "1" * 400 + "%", (1.0, 0.0)),
-    ], ids=["power", "percent"])
+        ("2^3=" + "1" * 400 + ".5", (1.0, 0.0)),
+    ], ids=["power", "percent", "decimal"])
     def test_value_past_a_float_scores_incorrect(self, capsys, tmp_path, prediction, accuracies):
         gold = tmp_path / "gold.jsonl"
         gold.write_text(json.dumps({"id": "1", "original_text": "q", "equation": "2^3",

@@ -44,6 +44,7 @@ class TestExtraction:
         assert parse_number_text("1.2.3") is None
         assert parse_number_text("1" * 400 + "%") is None  # past binary64
         assert parse_number_text("1" * 400 + ".5%") is None
+        assert parse_number_text("1" * 400 + ".5") is None
 
 
 class TestIsCorrect:

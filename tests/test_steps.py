@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,9 @@ from stepmath.steps import (
 )
 
 from conftest import GOLDEN_TRACES, step_trees
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import chain_text  # noqa: E402  the benchmark's long chains
 
 
 class TestGoldenTraces:
@@ -294,7 +299,8 @@ class TestTraceShape:
 # bracketed, over every operator.
 _near_flat = st.lists(
     st.tuples(st.sampled_from("+-*/^"),
-              st.sampled_from(["7", "12", "0", "3.5", "-4", "50%", "(2)", "(1/3)"])),
+              st.sampled_from(["7", "12", "0", "3.5", "-4", "50%", "(2)", "(1/3)",
+                               "(3-50)", "[6*2-1]"])),
     min_size=1, max_size=12,
 ).map(lambda parts: "9" + "".join(op + x for op, x in parts))
 
@@ -304,13 +310,24 @@ _near_flat = st.lists(
 def test_flat_shortcut_agrees_with_the_scan(text, mode):
     # the binop a flat tree takes without a scan is the one the scan finds,
     # and no other rule could fire first; at each later step the walk resumed
-    # where the step before left it finds what a full walk finds
+    # where the step before left it finds what a full walk finds. The groups
+    # the flat walk finds in standard mode are the scan's leaves, where it
+    # steps first.
     try:
         tree = parse(text, mode)
     except ExprSyntaxError:
         return
-    found = steps._flat_binop(tree)
-    while found is not None:
+    groups = []
+    if mode == "standard" and steps._is_flat(tree, groups):
+        chains, percent, leaves, _ = steps._scan(tree, False)
+        assert all(len(chain) < 3 for chain in chains) and percent is None
+        brackets = [i for i, c in enumerate(text) if c in "(["]
+        assert [(steps._path(r.link), r.start, r.depth) for r in leaves] == [
+            (path, start, 0) for path, start in zip(groups, brackets)]
+        assert len(groups) == len(brackets)
+    found = steps._is_flat(tree) and steps._head_pair(tree, None, 0, 0, 0)
+    while found:
+        assert steps._is_flat(tree)
         candidate, resume = found
         chains, percent, leaves, whole = steps._scan(tree, mode == "fraction")
         assert all(len(chain) < 3 for chain in chains)
@@ -324,8 +341,8 @@ def test_flat_shortcut_agrees_with_the_scan(text, mode):
             return
         if not isinstance(tree, Chain):
             return
-        found = steps._flat_binop(tree, resume)
-        assert found == steps._flat_binop(tree)
+        found = steps._head_pair(tree, None, 0, *resume)
+        assert found == steps._head_pair(tree, None, 0, 0, 0)
 
 
 # Grammar-shaped text with the corners of the pinned corpus: nested `(`/`[`
@@ -369,31 +386,24 @@ def _step_or_error(tree, text, mode, focus):
         return type(err), str(err)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(("standard", "fraction")).flatmap(
-    lambda mode: st.tuples(_grammar_text(mode), st.just(mode))))
-# a group that becomes a negative factor: with a sign folded in, and in
-# fraction mode beside a sign inside a bracketed product
-@example(("1+(2-3)*(4+5)-(6-1)*-2+[3*(1-4)]", "standard"))
-@example(("2*+(3-5)*-1+(1+1)", "standard"))
-@example(("(2-5)*[(1/2)*-(3/4)]", "fraction"))
-# a sign folded into a new negative factor inside a group
-@example(("1+(-3*+-2^2)", "standard"))
-@example(("-(1/2)*[(1/3)*+-2^2]", "fraction"))
-# a product of a `+-` literal, which no sign cancels, is a negative factor
-@example(("7*+-4*-7", "standard"))
-def test_focused_step_is_the_whole_tree_step(case):
+def _whole_tree_step(tree, text, mode):
+    """The step a search of the whole tree takes: no flat walk stands in for
+    the scan."""
+    is_flat = steps._is_flat
+    steps._is_flat = lambda tree, groups=None: None
+    try:
+        return _step_or_error(tree, text, mode, None)
+    finally:
+        steps._is_flat = is_flat
+
+
+def _assert_focused_steps_are_whole_tree_steps(tree, text, mode):
     # at every step of a trace, the step the focus leads to is the one a
     # search of the whole tree takes
-    text, mode = case
-    try:
-        tree = parse(text, mode)
-    except StepmathError:
-        return
     focus = None
     for _ in range(4 * len(text) + 4):
         step = _step_or_error(tree, text, mode, focus)
-        fresh = _step_or_error(tree, text, mode, None)
+        fresh = _whole_tree_step(tree, text, mode)
         if step is None or len(step) == 2:
             assert step == fresh
             return
@@ -402,6 +412,44 @@ def test_focused_step_is_the_whole_tree_step(case):
             print_expr(fresh[0]), *fresh[1:4])
         assert print_expr(new) == text
         tree = new
+    raise AssertionError("the trace did not end")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("standard", "fraction")).flatmap(
+    lambda mode: st.tuples(_grammar_text(mode), st.just(mode))))
+# a group that becomes a negative factor: with a sign folded in, and in
+# fraction mode beside a sign inside a bracketed product
+@example(("1+(2-3)*(4+5)-(6-1)*-2+[3*(1-4)]", "standard"))
+@example(("2*+(3-5)*-1+(1+1)", "standard"))
+@example(("(2-5)*[(1/2)*-(3/4)]", "fraction"))
+# two negative group results in one product, one at the start, and a group
+# beside a negative literal; a group of a literal or of a group is not flat
+@example(("2*(3-50)*(1-9)+4", "standard"))
+@example(("(1-9)*3+2", "standard"))
+@example(("(2+3)*-4+1", "standard"))
+@example(("(5)+1", "standard"))
+@example(("[(1+2)*3]+4", "standard"))
+# a sign folded into a new negative factor inside a group
+@example(("1+(-3*+-2^2)", "standard"))
+@example(("-(1/2)*[(1/3)*+-2^2]", "fraction"))
+# a product of a `+-` literal, which no sign cancels, is a negative factor
+@example(("7*+-4*-7", "standard"))
+def test_focused_step_is_the_whole_tree_step(case):
+    text, mode = case
+    try:
+        tree = parse(text, mode)
+    except StepmathError:
+        return
+    _assert_focused_steps_are_whole_tree_steps(tree, text, mode)
+
+
+def test_focused_steps_of_long_bracketed_chains_are_whole_tree_steps():
+    # the benchmark's bracketed chains: flat groups in a `+ - *` chain
+    rng = random.Random(21)
+    for _ in range(40):
+        text = chain_text(rng, rng.choice((25, 50, 100, 200, 300)), bracketed=True)
+        _assert_focused_steps_are_whole_tree_steps(parse(text), text, "standard")
 
 
 def _bracketed(rng, terms):
@@ -417,25 +465,32 @@ def _bracketed(rng, terms):
 
 @pytest.mark.parametrize("n,ops,bracketed,scans,flat_walks", [
     (1000, "+-*", False, 0, 1),
-    (300, "+*", True, 1, 2),
+    (300, "+*", True, 0, 1),
+    (300, "+-*", True, None, 1),  # None: no more than its ungroup steps
 ])
 def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
                                                  scans, flat_walks):
-    # whole-tree scans and flat walks not resumed from the step before: a
-    # return to one of either per step would make a trace cost O(n^2)
+    # whole-tree scans and flat walks of the whole tree: a return to one of
+    # either per step would make a trace cost O(n^2)
     counts = {"scan": 0, "flat": 0}
-    scan, flat_binop = steps._scan, steps._flat_binop
+    scan, is_flat, next_step = steps._scan, steps._is_flat, steps._next_step
+    root = [None]
 
     def counting_scan(tree, fraction, link=None, offset=0):
         counts["scan"] += link is None
         return scan(tree, fraction, link, offset)
 
-    def counting_flat_binop(tree, resume=None):
-        counts["flat"] += resume is None
-        return flat_binop(tree, resume)
+    def counting_is_flat(tree, groups=None):
+        counts["flat"] += tree is root[0]
+        return is_flat(tree, groups)
+
+    def rooted_next_step(tree, text, mode, focus):
+        root[0] = tree
+        return next_step(tree, text, mode, focus)
 
     monkeypatch.setattr(steps, "_scan", counting_scan)
-    monkeypatch.setattr(steps, "_flat_binop", counting_flat_binop)
+    monkeypatch.setattr(steps, "_is_flat", counting_is_flat)
+    monkeypatch.setattr(steps, "_next_step", rooted_next_step)
     rng = random.Random(n)
     terms = [str(rng.randint(1, 99)) for _ in range(n)]
     if bracketed:
@@ -444,6 +499,8 @@ def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
     tree = parse(text)
     t = trace(tree)
     assert t.final == direct_eval(tree) and len(t.rules) >= n - 1
+    if scans is None:
+        scans = t.rules.count(R_UNGROUP)
     assert counts["scan"] <= scans and counts["flat"] <= flat_walks
 
 
