@@ -393,8 +393,8 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 # start, length, resume): the (index path, start) of each group to step in, in
 # the order of the whole-tree search, then None if the tree is flat once they
 # are gone; the one stepped in at `k`, now at `start`; the text's `length` when
-# the list was made; and the group's own resume, () for its first operand, or
-# None when the group is not known to be flat.
+# the list was made; and the group's own resume, None until a step in it finds
+# it flat.
 
 
 def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
@@ -416,7 +416,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
         if _is_flat(tree, groups):
             if groups:
                 regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
-                return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), ()))
+                return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), None))
             focus = 0, 0
     if focus is not None:
         found, focus = _head_pair(tree, None, 0, *focus)
@@ -576,7 +576,7 @@ def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional
             return _next_step(tree, text, STANDARD, (0, 0))
         node, link = _resolve(tree, regions[k][0])
         start = regions[k][1] + len(text) - length
-        resume = () if regions[-1] is None else None
+        resume = None
     inner = node.inner
     if inner.__class__ is Chain and (resume is not None or not fraction and _is_flat(inner)):
         found, resume = _head_pair(inner, (link, node, 0), start + 1, *(resume or (0, start + 1)))
