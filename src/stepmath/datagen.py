@@ -30,6 +30,7 @@ import multiprocessing
 import os
 import random
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, Iterator, Optional
@@ -451,27 +452,19 @@ def iter_records(schedule: CurriculumSchedule, start: int = 0,
         yield line, spec.category, ops, digits
 
 
-def _chunk_worker(args: tuple[int, int]) -> tuple[bytes, Counter, Counter, Counter]:
-    start, end = args
-    cats: Counter = Counter()
-    steps_hist: Counter = Counter()
-    digits_hist: Counter = Counter()
+def _chunk_worker(args: tuple[CurriculumSchedule, int, int]) -> tuple[bytes, Counter]:
+    """The records [start, end) of `schedule` as bytes, and their counts keyed
+    ("category", category), ("step", op count) and ("digit", digit count)."""
+    schedule, start, end = args
+    counts: Counter = Counter()
     parts = []
-    for line, category, ops, digits in iter_records(_WORKER_SCHEDULE, start, end):
+    for line, category, ops, digits in iter_records(schedule, start, end):
         parts.append(line)
-        cats[category] += 1
-        steps_hist[ops] += 1
-        digits_hist[digits] += 1
+        counts["category", category] += 1
+        counts["step", ops] += 1
+        counts["digit", digits] += 1
     blob = ("\n".join(parts) + "\n").encode() if parts else b""
-    return blob, cats, steps_hist, digits_hist
-
-
-_WORKER_SCHEDULE: CurriculumSchedule = None  # set per worker via initializer
-
-
-def _init_worker(schedule: CurriculumSchedule) -> None:
-    global _WORKER_SCHEDULE
-    _WORKER_SCHEDULE = schedule
+    return blob, counts
 
 
 def generate_dataset(
@@ -485,38 +478,26 @@ def generate_dataset(
     At most one process per chunk and per CPU is started."""
     total = schedule.total
     digest = hashlib.sha256()
-    cats: Counter = Counter()
-    steps_hist: Counter = Counter()
-    digits_hist: Counter = Counter()
-
-    chunks = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
-
-    def consume(blob: bytes, c: Counter, s: Counter, d: Counter) -> None:
-        out.write(blob)
-        digest.update(blob)
-        cats.update(c)
-        steps_hist.update(s)
-        digits_hist.update(d)
-
+    counts: Counter = Counter()
+    chunks = [(schedule, s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
     processes = min(workers, len(chunks), os.cpu_count() or 1)
-    if processes <= 1:
-        _init_worker(schedule)
-        for chunk in chunks:
-            consume(*_chunk_worker(chunk))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes, initializer=_init_worker, initargs=(schedule,)) as pool:
-            for result in pool.imap(_chunk_worker, chunks):
-                consume(*result)
-
+    with (multiprocessing.get_context("fork").Pool(processes) if processes > 1
+          else nullcontext()) as pool:
+        for blob, chunk_counts in (map if pool is None else pool.imap)(_chunk_worker, chunks):
+            out.write(blob)
+            digest.update(blob)
+            counts.update(chunk_counts)
+    histograms = {"category": {}, "step": {}, "digit": {}}
+    for (kind, key), n in counts.items():
+        histograms[kind][key] = n
     return DatasetManifest(
         path=path_label,
         record_count=total,
         seed=schedule.seed,
         content_digest="sha256:" + digest.hexdigest(),
-        category_histogram=dict(cats),
-        step_histogram=dict(steps_hist),
-        digit_histogram=dict(digits_hist),
+        category_histogram=histograms["category"],
+        step_histogram=histograms["step"],
+        digit_histogram=histograms["digit"],
     )
 
 

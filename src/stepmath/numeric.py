@@ -271,5 +271,5 @@ def two_decimal_cents(v: Number) -> int:
         return -q if v.num < 0 else q
     # repr() is the shortest round-trip rendering; Decimal reads its exponent
     # form directly, so magnitudes past the positional-print limit still round.
-    d = Decimal(repr(v)) * 100
-    return int(d.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    # scaleb and to_integral_value stay exact past the 28-digit context, where quantize raises.
+    return int(Decimal(repr(v)).scaleb(2).to_integral_value(rounding=ROUND_HALF_UP))

@@ -27,7 +27,8 @@ among its literals: a cheaper flat walk finds those groups, the scan's leaves
 in print order. Each step hands the next a focus, so that a trace walks the
 tree about once: the head-pair search of a flat tree, or of the group stepped
 in, resumes where it stopped; once that group is a literal the step moves to
-the next, and after a flat tree's last group the tree is flat again. A step in
+the next, unless the flat walk finds the product it joined not flat, and
+after a flat tree's last group the tree is flat again. A step in
 the first leaf group of a scan leads the next to that group, or to the scan's
 next leaf once a group outside any other is gone. Where the focus cannot vouch
 for a step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
@@ -92,29 +93,20 @@ _ambiguous = False
 # operands of a parent chain, and 0 under a group or a sign.
 
 
-def _replace(link: Optional[tuple], new: Node, done: Optional[dict] = None) -> tuple:
+def _replace(link: Optional[tuple], new: Node) -> tuple:
     """Put `new` where the node at `link` is and rebuild its ancestors in one
     walk up the parent links. A sign the rewrite leaves directly on a literal
     folds into it. Returns (root, top, folded): `top` is `new` or the literal
     it folded into, whose text starts `folded` characters left of the old
-    node's.
-
-    Edits to one tree share `done`, which maps each rebuilt chain (by id) to
-    its latest version, so that each edit builds on the ones before it."""
+    node's."""
     top = new
     folded = 0
     while link is not None:
         link, parent, i = link
         cls = parent.__class__
         if cls is Chain:
-            if done is None:
-                operands = parent.operands
-            else:
-                key = id(parent)
-                operands = done.get(key, parent).operands
+            operands = parent.operands
             new = Chain(parent.ops, operands[:i] + (new,) + operands[i + 1:])
-            if done is not None:
-                done[key] = new
         elif cls is Group:
             new = Group(parent.kind, new)
         elif not (new.__class__ is Lit or new.__class__ is FractionLit):
@@ -295,8 +287,6 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
                 group.frac = found
             if whole.frac is None:
                 whole.frac = found
-        if chain is not None and node.value.num < 0:
-            chain.append((link, node, offset, end))
         return end
 
     rec(tree, link, offset, None, None)
@@ -332,12 +322,13 @@ def _cancel_signs(text: str, chain: list, fraction: bool) -> tuple[Node, str, st
     mode marks the chain head with a `+` unless the head is the first negative
     factor."""
     (node, start), first, second = chain[:3]
-    done: dict = {}
     pieces = []
     pos = 0
     for factor_link, factor, factor_start, factor_end in (first, second):
         stripped = _strip_sign(factor)
-        unmarked = _replace(factor_link, stripped, done)[0]
+        if pos:  # the second edit is on the first's tree, where a strip moved no path
+            factor_link = _resolve(unmarked, _path(factor_link))[1]
+        unmarked = _replace(factor_link, stripped)[0]
         # a factor's parent is a mul/div chain, so nothing folds
         pieces.append(text[pos:factor_start])
         pieces.append(text[factor_start + 1:factor_end] if factor.__class__ is Unary
@@ -532,26 +523,14 @@ def _resolve(tree: Node, path: list) -> tuple[Node, Optional[tuple]]:
 
 def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
     """Whether the literal `top`, at `link` where a group outside any other
-    stood, may cancel signs with another factor: any in fraction mode. The
-    factors are those of the whole mul/div chain, a `*/` chain among them
-    and any it is one of, as `_scan` counts them, and a literal written with
-    a `+` (`+-4`, which a binop can make negative, as `_is_flat` counts it):
-    without one, a flat tree's product stays flat."""
-    link, parent, _ = link
+    stood, may cancel signs with another factor: any in fraction mode, and
+    in standard mode unless the flat walk finds its product flat still. In
+    standard mode no step puts a `*/` chain directly in a `*/` chain, so the
+    product is the chain `top` is a factor of."""
+    _, parent, _ = link
     if not _is_negative_literal(top) or parent.__class__ is not Chain or parent.ops[0] not in "*/":
         return False
-    if fraction:
-        return True
-    while link is not None and link[1].__class__ is Chain and link[1].ops[0] in "*/":
-        link, parent, _ = link
-
-    def negatives(chain: Chain) -> int:
-        return sum(negatives(x) if x.__class__ is Chain and x.ops[0] in "*/"
-                   else _is_negative_literal(x) or x.__class__ is Unary and x.op == "-"
-                   or x.__class__ is Lit and x.text[0] == "+"
-                   for x in chain.operands)
-
-    return negatives(parent) > 1
+    return fraction or not _is_flat(parent, [])
 
 
 def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional[tuple]:

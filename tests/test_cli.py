@@ -651,6 +651,16 @@ class TestEvalCli:
         payload = json.loads(out)
         assert payload["total"] == 2 and payload["accuracy"] == 0.5
 
+    def test_exact_prediction_of_1e26_or_more_is_correct(self, capsys, tmp_path):
+        records = tmp_path / "r.jsonl"
+        records.write_text("".join(
+            json.dumps({"problem": "1+1", "ground_truth": value,
+                        "prediction": "1+1=" + value}) + "\n"
+            for value in ("123456789012345678901234567.5", "3.0")))
+        rc, out, _ = run(capsys, "eval", "--in", str(records), "--json")
+        payload = json.loads(out)
+        assert rc == 0 and payload["accuracy"] == payload["re_accuracy"] == 1.0
+
     def test_gold_plus_pred_files_and_csv(self, capsys, tmp_path):
         gold = tmp_path / "g.jsonl"
         pred = tmp_path / "p.jsonl"

@@ -21,7 +21,8 @@ from stepmath.datagen import (
     schedule_from_json,
     spec_for_index,
 )
-from stepmath.expr import FractionLit, Lit, count_atomic_ops, iter_nodes, parse, print_expr
+from stepmath.errors import DivByZero
+from stepmath.expr import Chain, FractionLit, Lit, count_atomic_ops, iter_nodes, parse, print_expr
 from stepmath.steps import direct_eval, render_trace, trace
 
 
@@ -108,6 +109,32 @@ class TestSampling:
                 rng = datagen._record_rng(spec, i)
                 expr, ops, width = datagen._SAMPLERS[category](rng, spec, pool="+-")
                 assert (ops, width) == (count_atomic_ops(expr), max_operand_digits(expr))
+
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_fallback_after_too_many_rejects(self, monkeypatch, category):
+        # every draw rejected: the record is the add/subtract-only draw that
+        # follows them in the record's stream
+        calls = []
+
+        def rejecting_trace(expr, mode):
+            calls.append(expr)
+            if len(calls) <= datagen._MAX_ATTEMPTS:
+                raise DivByZero("rejected")
+            return trace(expr, mode)
+
+        monkeypatch.setattr(datagen, "trace", rejecting_trace)
+        steps = (1, 1) if category == "exponentiation" else (2, 10)
+        spec = GenSpec(category, (1, 5), steps, seed=5)
+        expr, t, ops, width = datagen._build(spec, 0)
+        assert len(calls) == datagen._MAX_ATTEMPTS + 1
+        assert numeric.values_equal(t.final, direct_eval(expr, spec.mode))
+        rng = datagen._record_rng(spec, 0)
+        sampler = datagen._SAMPLERS[category]
+        for _ in range(datagen._MAX_ATTEMPTS):
+            sampler(rng, spec)
+        assert (expr, ops, width) == sampler(rng, spec, pool="+-")
+        operators = {op for n in iter_nodes(expr) if isinstance(n, Chain) for op in n.ops}
+        assert operators <= ({"^"} if category == "exponentiation" else {"+", "-"})
 
     def test_draws_match_random(self):
         # the draw helpers skip the argument checks of randint and choice, not
@@ -234,9 +261,8 @@ class TestGenerateDataset:
         sizes = []
 
         class Pool:
-            def __init__(self, size, initializer, initargs):
+            def __init__(self, size):
                 sizes.append(size)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self

@@ -76,6 +76,15 @@ class TestIsCorrect:
         # mixed kinds fall back to two-decimal rounding
         assert is_correct(Frac(1, 2), 0.5)
 
+    def test_binary64_past_the_decimal_context_rounds(self):
+        # 1e26 and up have more than 28 digits in cents
+        big = 123456789012345678901234567.5
+        assert is_correct(big, big)
+        assert is_correct(1.7976931348623157e308, 1.7976931348623157e308)
+        assert is_correct(1e30, 10**30)
+        assert not is_correct(1e26, 2e26)
+        assert not is_correct(-big, big)
+
     def test_symmetry(self):
         pairs = [(2.004, 2.0044), (1889.901400862069, 1890.0226293103449),
                  (Frac(1, 3), 0.33), (83, 84)]
@@ -114,6 +123,7 @@ class TestRelativeError:
         big = 10**400
         assert relative_error(big, big) == 0.0
         assert relative_error(big + 10**396, big) == pytest.approx(1e-4)
+        assert relative_error(big, 3) == float("inf")  # past binary64
 
 
 class TestEvaluate:

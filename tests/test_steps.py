@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepmath import cli, numeric, steps
-from stepmath.datagen import GenSpec, sample_expression
+from stepmath.datagen import CATEGORIES, GenSpec, build_record, sample_expression
 from stepmath.errors import DivByZero, ExprSyntaxError, MathError, NonTerminating, StepmathError
-from stepmath.expr import Chain, count_atomic_ops, parse, print_expr
+from stepmath.expr import Chain, count_atomic_ops, iter_nodes, parse, print_expr
 from stepmath.mwp import reconstruct, record_from_obj
 from stepmath.numeric import Frac
 from stepmath.steps import (
@@ -28,6 +28,7 @@ from stepmath.steps import (
 )
 
 from conftest import GOLDEN_TRACES, step_trees
+from test_pinned_outputs import _corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import chain_text  # noqa: E402  the benchmark's long chains
@@ -397,11 +398,19 @@ def _whole_tree_step(tree, text, mode):
         steps._is_flat = is_flat
 
 
+def _has_product_in_a_product(tree):
+    return any(n.__class__ is Chain and n.ops[0] in "*/"
+               and any(x.__class__ is Chain and x.ops[0] in "*/" for x in n.operands)
+               for n in iter_nodes(tree))
+
+
 def _assert_focused_steps_are_whole_tree_steps(tree, text, mode):
     # at every step of a trace, the step the focus leads to is the one a
-    # search of the whole tree takes
+    # search of the whole tree takes; and no `*/` chain is an operand of a
+    # `*/` chain, so a group's result is a factor of its parent chain only
     focus = None
     for _ in range(4 * len(text) + 4):
+        assert not _has_product_in_a_product(tree), text
         step = _step_or_error(tree, text, mode, focus)
         fresh = _whole_tree_step(tree, text, mode)
         if step is None or len(step) == 2:
@@ -450,6 +459,11 @@ def test_focused_steps_of_long_bracketed_chains_are_whole_tree_steps():
     for _ in range(40):
         text = chain_text(rng, rng.choice((25, 50, 100, 200, 300)), bracketed=True)
         _assert_focused_steps_are_whole_tree_steps(parse(text), text, "standard")
+
+
+def test_focused_steps_of_the_pinned_corpus_are_whole_tree_steps():
+    for text, mode in _corpus():
+        _assert_focused_steps_are_whole_tree_steps(parse(text, mode), text, mode)
 
 
 def _bracketed(rng, terms):
@@ -502,6 +516,38 @@ def test_a_trace_walks_the_whole_tree_about_once(monkeypatch, n, ops, bracketed,
     if scans is None:
         scans = t.rules.count(R_UNGROUP)
     assert counts["scan"] <= scans and counts["flat"] <= flat_walks
+
+
+def test_the_curriculum_takes_no_more_walks(monkeypatch):
+    # scans, of the whole tree or of a group, and flat walks of the whole
+    # tree (with the sign-pair check of a product that is the whole tree)
+    # while 400 records per category are built at both digit ranges: a step
+    # the focus handed to a whole-tree search instead shows here as more
+    counts = {"scan": 0, "flat": 0}
+    scan, is_flat, next_step = steps._scan, steps._is_flat, steps._next_step
+    root = [None]
+
+    def counting_scan(tree, fraction, link=None, offset=0):
+        counts["scan"] += 1
+        return scan(tree, fraction, link, offset)
+
+    def counting_is_flat(tree, groups=None):
+        counts["flat"] += tree is root[0]
+        return is_flat(tree, groups)
+
+    def rooted_next_step(tree, text, mode, focus):
+        root[0] = tree
+        return next_step(tree, text, mode, focus)
+
+    monkeypatch.setattr(steps, "_scan", counting_scan)
+    monkeypatch.setattr(steps, "_is_flat", counting_is_flat)
+    monkeypatch.setattr(steps, "_next_step", rooted_next_step)
+    for digits in ((1, 5), (5, 12)):
+        for category in CATEGORIES:
+            spec = GenSpec(category, digits, seed=9)
+            for i in range(400):
+                build_record(spec, i)
+    assert counts["scan"] <= 11_755 and counts["flat"] <= 13_284
 
 
 def test_a_caller_holding_the_text_prints_no_tree(monkeypatch, capsys):
