@@ -524,13 +524,16 @@ def _resolve(tree: Node, path: list) -> tuple[Node, Optional[tuple]]:
 def _new_sign_pair(top: Node, link: tuple, fraction: bool) -> bool:
     """Whether the literal `top`, at `link` where a group outside any other
     stood, may cancel signs with another factor: any in fraction mode, and
-    in standard mode unless the flat walk finds its product flat still. In
-    standard mode no step puts a `*/` chain directly in a `*/` chain, so the
-    product is the chain `top` is a factor of."""
-    _, parent, _ = link
+    in standard mode unless the flat walk finds its product flat still. The
+    parser puts no `*/` chain directly in a `*/` chain, and no step does, so
+    the product is the chain `top` is a factor of; a tree built otherwise
+    may nest one in another, which the scan counts as one product, and such
+    a tree is left to the whole-tree search."""
+    up, parent, _ = link
     if not _is_negative_literal(top) or parent.__class__ is not Chain or parent.ops[0] not in "*/":
         return False
-    return fraction or not _is_flat(parent, [])
+    return (fraction or not _is_flat(parent, [])
+            or up is not None and up[1].__class__ is Chain and up[1].ops[0] in "*/")
 
 
 def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional[tuple]:

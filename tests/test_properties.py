@@ -131,6 +131,9 @@ def _uncached_copy(node: Node) -> Node:
 # a sign inside a nested product pairs with one a group left outside it
 @example(Chain("*", (Group("(", _int_lit(-1)),
                      Chain("*", (_int_lit(0), Unary("-", Group("(", _int_lit(0))))))))
+# a literal a group left in a nested product pairs with a factor of the outer one
+@example(Unary("-", Chain("*", (Chain("*", (_int_lit(-1), Unary("-", Group("(", _int_lit(-1))))),
+                                Unary("-", Group("(", _int_lit(0)))))))
 def test_snapshot_text_equals_a_fresh_print(tree):
     # the engine splices each snapshot's text out of the previous one's
     try:
