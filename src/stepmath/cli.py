@@ -50,6 +50,17 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return integer
 
 
+def _threshold(text: str) -> float:
+    """An argparse type: a finite number of at least 0."""
+    x = float(text)
+    if not 0 <= x <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number of at least 0")
+    return x
+
+
+_threshold.__name__ = "float"  # a non-number gets argparse's `invalid float value`
+
+
 _CONFIG_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
@@ -260,7 +271,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", help="combined JSONL {problem, ground_truth, prediction}")
     p.add_argument("--gold", help="JSONL {problem, ground_truth}")
     p.add_argument("--pred", help="line-aligned predictions (JSONL or raw text)")
-    p.add_argument("--threshold", type=float, default=metrics.DEFAULT_RE_THRESHOLD)
+    p.add_argument("--threshold", type=_threshold, default=metrics.DEFAULT_RE_THRESHOLD)
     p.add_argument("--csv", help="write the operation-by-format accuracy grid here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)

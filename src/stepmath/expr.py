@@ -28,6 +28,7 @@ lowest first. `TIER` maps an operator to its tier (1, 2 or 3).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import DepthExceeded, ExprSyntaxError
@@ -65,32 +66,32 @@ class Node:
     __slots__ = ()
 
 
+@dataclass(init=False, slots=True)
 class Lit(Node):
     """A number literal: its value and its text. A percent literal's value is
     the number before the ``%`` (5483 for ``5483%``); ``percent`` is read off
     the text once, here, since a binop tests it on every operand."""
 
-    __slots__ = ("value", "text", "percent")
+    value: Union[int, float]
+    text: str
+    percent: bool = field(init=False, compare=False, repr=False)
 
     def __init__(self, value: Union[int, float], text: str):
         self.value = value
         self.text = text
         self.percent = text[-1] == "%"
 
-    def __eq__(self, other):
-        return isinstance(other, Lit) and self.value == other.value and self.text == other.text
 
-    def __repr__(self):
-        return f"Lit({self.text!r})"
-
-
+@dataclass(init=False, slots=True)
 class FractionLit(Node):
     """A rational literal: its value, a `Frac`, and its text. Built without a
     text, it prints as ``num/den``, in brackets if ``parens``. ``reducible``
     marks computed fractions awaiting an explicit reduction step; source
     literals are never flagged."""
 
-    __slots__ = ("value", "text", "reducible")
+    value: Frac
+    text: str
+    reducible: bool = field(compare=False)
 
     def __init__(self, value: Frac, text: Optional[str] = None,
                  parens: bool = True, reducible: bool = False):
@@ -102,31 +103,14 @@ class FractionLit(Node):
         self.text = text
         self.reducible = reducible
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FractionLit)
-            and self.value == other.value
-            and self.text == other.text
-        )
 
-    def __repr__(self):
-        return f"FractionLit({self.text!r})"
-
-
+@dataclass(slots=True)
 class Unary(Node):
-    __slots__ = ("op", "operand")
-
-    def __init__(self, op: str, operand: Node):
-        self.op = op
-        self.operand = operand
-
-    def __eq__(self, other):
-        return isinstance(other, Unary) and self.op == other.op and self.operand == other.operand
-
-    def __repr__(self):
-        return f"Unary({self.op!r}, {self.operand!r})"
+    op: str
+    operand: Node
 
 
+@dataclass(slots=True)
 class Chain(Node):
     """A run of same-tier binary operators, ``operands[0] ops[0] operands[1]
     ...``, the left fold of its operands. ``ops`` is a string with one
@@ -134,35 +118,14 @@ class Chain(Node):
     operands (at least two); a ``^`` chain holds exactly two, since ``^``
     associates right and ``2^3^2`` is a power whose exponent is one."""
 
-    __slots__ = ("ops", "operands")
-
-    def __init__(self, ops: str, operands: tuple):
-        self.ops = ops
-        self.operands = operands
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.ops == other.ops
-            and self.operands == other.operands
-        )
-
-    def __repr__(self):
-        return f"Chain({self.ops!r}, {self.operands!r})"
+    ops: str
+    operands: tuple
 
 
+@dataclass(slots=True)
 class Group(Node):
-    __slots__ = ("kind", "inner")
-
-    def __init__(self, kind: str, inner: Node):
-        self.kind = kind  # '(' or '['
-        self.inner = inner
-
-    def __eq__(self, other):
-        return isinstance(other, Group) and self.kind == other.kind and self.inner == other.inner
-
-    def __repr__(self):
-        return f"Group({self.kind!r}, {self.inner!r})"
+    kind: str  # '(' or '['
+    inner: Node
 
 
 _CLOSERS = {"(": ")", "[": "]"}

@@ -14,6 +14,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Union
 
@@ -33,10 +34,13 @@ _POWER_BOUND = 10 ** DIGIT_LIMIT
 _MAX_EXPONENT = (DIGIT_LIMIT + 1) / math.log10(2)
 
 
+@dataclass(frozen=True, init=False, slots=True)
 class Frac:
-    """An unreduced rational. Denominator is always positive; sign lives in num."""
+    """An unreduced rational. Denominator is always positive; sign lives in num.
+    Equality is structural: 1/2 != 2/4 here; use values_equal for value equality."""
 
-    __slots__ = ("num", "den")
+    num: int
+    den: int
 
     def __init__(self, num: int, den: int):
         if den == 0:
@@ -45,19 +49,6 @@ class Frac:
             num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Frac is immutable")
-
-    def __eq__(self, other):
-        # Structural equality: 1/2 != 2/4 here; use values_equal for value equality.
-        return isinstance(other, Frac) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"Frac({self.num}, {self.den})"
 
     def __neg__(self):
         return Frac(-self.num, self.den)

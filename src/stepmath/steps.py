@@ -160,24 +160,20 @@ def _is_negative_literal(node: Node) -> bool:
 # one walk records what the rules can fire on
 
 
+@dataclass(slots=True)
 class _Region:
     """The whole tree (node None) or one bracket group, with the first
     candidate of each region rule inside it."""
 
-    __slots__ = ("node", "link", "start", "end", "depth", "has_inner",
-                 "recip", "binop", "frac")
-
-    def __init__(self, node: Optional[Group], link: Optional[tuple], start: int, depth: int):
-        self.node = node
-        self.link = link
-        self.start = start
-        self.end = 0
-        self.depth = depth
-        self.has_inner = False
-        # recip and binop are chain head pairs spanning [start, end)
-        self.recip = None  # (link, node, start, end): leftmost fraction/fraction
-        self.binop = None  # (link, node, start, end, tier, base): leftmost of the top tier
-        self.frac = None  # (link, node, start, end): leftmost reducible fraction
+    node: Optional[Group]
+    link: Optional[tuple]
+    start: int
+    depth: int
+    end: int = 0
+    # recip and binop are chain head pairs spanning [start, end)
+    recip: Optional[tuple] = None  # (link, node, start, end): leftmost fraction/fraction
+    binop: Optional[tuple] = None  # (link, node, start, end, tier, base): leftmost of the top tier
+    frac: Optional[tuple] = None  # (link, node, start, end): leftmost reducible fraction
 
 
 _DEPTH = attrgetter("depth")
@@ -261,13 +257,12 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
         if cls is Group:
             inner = node.inner
             g = _Region(node, link, offset, 0 if group is None else group.depth + 1)
-            if group is not None:
-                group.has_inner = True
             sub = None
             if fraction and inner.__class__ is Chain and inner.ops[0] in "*/":
                 sub = chain
+            n = len(leaves)  # a group is a leaf when its content adds none
             end = g.end = rec(inner, (link, node, 0), offset + 1, g, sub) + 1
-            if not g.has_inner:
+            if len(leaves) == n:
                 leaves.append(g)
             return end
         if cls is Unary:
@@ -584,6 +579,8 @@ def _region_step(text: str, region: _Region) -> Optional[tuple[Node, str, str]]:
     if region.recip is not None:
         link, node, start, end = region.recip
         lhs, rhs = node.operands[:2]
+        if rhs.value.num == 0:  # no reciprocal: the division names the fault
+            _apply("/", lhs.value, rhs.value, node, 2)
         recip = FractionLit(Frac(rhs.value.den, rhs.value.num))
         new = Chain("*" + node.ops[1:], (lhs, recip) + node.operands[2:])
         piece = lhs.text + "*" + recip.text

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stepmath
@@ -230,6 +230,9 @@ def _schedule_bytes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_schedule_bytes())
+@example(b'{"seed": 1, "phases": [{"count": -1, "specs": [{"category": "int-mixed"}]}]}')
+@example(b'{"seed": 1, "phases": [{"count": 1, "specs": [3]}]}')
+@example(b'{"seed": 1, "phases": [{"count": 1, "specs": [{"category": "int-mixed", "seed": 1.5}]}]}')
 def test_arbitrary_schedule_file_through_main(raw):
     with tempfile.TemporaryDirectory() as d:
         schedule = os.path.join(d, "schedule.json")
@@ -316,6 +319,26 @@ class TestUsageErrors:
         assert exc.value.code == 64
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and f"{argv[-2]}: {argv[-1]} is not an integer" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1"])
+    def test_threshold_outside_the_finite_nonnegatives_exits_64(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--in", "r.jsonl", f"--threshold={value}"])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"--threshold: {value} is not a finite number of at least 0" in err
+
+    def test_threshold_zero_and_a_non_number(self, capsys, tmp_path):
+        records = tmp_path / "r.jsonl"
+        records.write_text(json.dumps({"problem": "1+1", "ground_truth": "2",
+                                       "prediction": "1+1=2"}) + "\n")
+        rc, out, _ = run(capsys, "eval", "--in", str(records), "--threshold", "0", "--json")
+        assert rc == 0 and json.loads(out)["threshold"] == 0.0
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--in", str(records), "--threshold", "abc"])
+        assert exc.value.code == 64
+        assert "--threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         [], ["bogus"], ["trace"], ["trace", "1+2", "extra"], ["trace", "1+2", "--bogus"],

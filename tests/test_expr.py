@@ -16,6 +16,7 @@ from stepmath.expr import (
     Lit,
     Unary,
     count_atomic_ops,
+    iter_nodes,
     parse,
     print_expr,
 )
@@ -296,6 +297,38 @@ class TestPrinter:
                 again = parse(text, mode)
                 assert print_expr(again) == text
                 assert again == e
+
+
+class TestNodeEquality:
+    """Nodes compare by class and fields; a literal by its value and text."""
+
+    def test_literals_are_equal_by_class_value_and_text(self):
+        assert Lit(1, "1") == Lit(1, "1")
+        assert Lit(1, "1") != Lit(1, "+1") and Lit(1, "1") != Lit(2, "1")
+        assert Lit(5, "5%") != Lit(5, "5")
+        half = Frac(1, 2)
+        assert FractionLit(half) == FractionLit(half, "(1/2)")
+        assert FractionLit(half) != FractionLit(half, parens=False)
+        assert FractionLit(half) != FractionLit(Frac(2, 4))
+        assert Lit(1, "1") != FractionLit(Frac(1, 1), "1")
+        assert FractionLit(Frac(1, 1), "1") != Lit(1, "1")
+
+    def test_the_reducible_flag_is_not_compared(self):
+        assert FractionLit(Frac(2, 4), reducible=True) == FractionLit(Frac(2, 4))
+
+    def test_bracket_kinds_differ(self):
+        assert parse("[1]") != parse("(1)")
+
+    @pytest.mark.parametrize("src,mode", [("-(2^3)*[4.5-6%]/+7", STANDARD),
+                                          ("-((1/2)+(3/4))*[2^2-(5/6)]/-3", FRACTION)])
+    def test_repr_rebuilds_the_tree(self, src, mode):
+        tree = parse(src, mode)
+        kinds = {Lit, Unary, Chain, Group} | ({FractionLit} if mode == FRACTION else set())
+        assert {n.__class__ for n in iter_nodes(tree)} == kinds
+        names = {cls.__name__: cls for cls in (Lit, FractionLit, Unary, Chain, Group, Frac)}
+        assert eval(repr(tree), names) == tree
+        reducible = FractionLit(Frac(2, 4), reducible=True)
+        assert eval(repr(reducible), names).reducible
 
 
 class TestCountAtomicOps:

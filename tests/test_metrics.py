@@ -124,6 +124,7 @@ class TestRelativeError:
         assert relative_error(big, big) == 0.0
         assert relative_error(big + 10**396, big) == pytest.approx(1e-4)
         assert relative_error(big, 3) == float("inf")  # past binary64
+        assert relative_error(Frac(10**400, 3), Frac(1, 3)) == float("inf")  # a Frac too
 
 
 class TestEvaluate:

@@ -236,6 +236,24 @@ class TestFractions:
         f = Frac(3, -4)
         assert (f.num, f.den) == (-3, 4)
 
+    def test_equality_is_structural(self):
+        # 1/2 and 2/4 differ as fractions; values_equal compares values
+        assert Frac(1, 2) != Frac(2, 4)
+        assert Frac(1, 2) == Frac(-1, -2)
+        assert hash(Frac(1, 2)) == hash(Frac(-1, -2)) == hash((1, 2))
+        assert Frac(1, 2) != 0.5 and not Frac(1, 2) == 0.5
+        assert Frac(2, 1) != 2 and not Frac(2, 1) == 2
+
+    def test_immutable(self):
+        f = Frac(1, 2)
+        with pytest.raises(AttributeError):
+            f.num = 3
+        assert f == Frac(1, 2)
+
+    def test_repr_rebuilds_the_fraction(self):
+        for f in (Frac(1, 2), Frac(3, -4), Frac(0, 7)):
+            assert eval(repr(f), {"Frac": Frac}) == f
+
     def test_division_is_reciprocal_multiplication(self):
         got = numeric.div(Frac(7, 30), Frac(34, 80))
         assert (got.num, got.den) == (560, 1020)
@@ -303,6 +321,9 @@ class TestComparisons:
         assert numeric.values_equal(8, Frac(8, 1))
         assert numeric.values_equal(0.5, Frac(1, 2))
         assert not numeric.values_equal(0.1, Frac(1, 10))  # binary64 0.1 is not 1/10
+        assert numeric.values_equal(Frac(1, 2), 0.5)  # the rational on the left
+        assert numeric.values_equal(3, 3.0)
+        assert not numeric.values_equal(Frac(1, 10), 0.1)
         assert numeric.values_equal(83, 83)
         assert not numeric.values_equal(83, 84)
 

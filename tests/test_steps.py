@@ -112,6 +112,19 @@ class TestNextStep:
         with pytest.raises(DivByZero) as exc:
             trace(parse("1+3/(2-2)"))
         assert "3/0" in str(exc.value)
+        with pytest.raises(DivByZero) as exc:
+            trace(parse("(1/2)/((1/3)-(1/3))", "fraction"), "fraction")
+        assert str(exc.value) == "division by zero in (1/2)/(0/1) (step 2)"
+
+    @pytest.mark.parametrize("src", ["(1/2)/(0/3)", "(1/2)/-(0/3)", "(1/2)/(0/3)*2"])
+    def test_division_by_a_zero_fraction_names_the_division(self, src):
+        # no reciprocal of a zero fraction: the division is the fault
+        tree = parse(src, "fraction")
+        with pytest.raises(DivByZero) as want:
+            direct_eval(tree)
+        with pytest.raises(DivByZero) as got:
+            trace(tree, "fraction")
+        assert str(got.value) == f"{want.value} (step 0)"
 
 
 class TestDirectEval:

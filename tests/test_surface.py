@@ -63,6 +63,22 @@ def test_every_public_name_is_reached():
     assert unreached == set(ALLOWED)
 
 
+# what `dataclass` generates from a class's fields
+_GENERATED = {"__eq__", "__hash__", "__repr__", "__setattr__"}
+
+
+def test_no_class_writes_what_dataclass_generates():
+    """A class's equality, hash, repr and immutability come from `dataclass`,
+    which lists its fields once: a hand-written one fails here."""
+    written = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                written.update(f"{path.stem}.{node.name}.{f.name}" for f in node.body
+                               if isinstance(f, ast.FunctionDef) and f.name in _GENERATED)
+    assert written == set()
+
+
 def test_every_benchmark_wrap_target_exists():
     """The benchmark's traced runs wrap package attributes by name: a renamed
     or deleted one fails here, not first in a `--trace 1` run."""
