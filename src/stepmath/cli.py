@@ -89,6 +89,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    manifest_path = args.manifest or args.out + ".manifest.json"
+    if os.path.realpath(manifest_path) == os.path.realpath(args.out):
+        # the manifest, renamed last, would take the traces' place
+        print(f"stepmath: generate --manifest {manifest_path} is the --out file",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.schedule:
         text = "".join(metrics.utf8_lines(args.schedule))
         schedule = datagen.schedule_from_json(text, args.schedule)
@@ -97,7 +103,6 @@ def _cmd_generate(args) -> int:
             print("stepmath: generate needs --total or --schedule", file=sys.stderr)
             return EXIT_USAGE
         schedule = datagen.default_curriculum(args.total, args.seed)
-    manifest_path = args.manifest or args.out + ".manifest.json"
     # the manifest is renamed last: one on disk describes the trace file beside it
     with metrics.replacing(args.out, manifest_path) as (out, manifest_file):
         manifest = datagen.generate_dataset(schedule, out, path_label=args.out,

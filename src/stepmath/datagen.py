@@ -479,8 +479,10 @@ def generate_dataset(
     total = schedule.total
     digest = hashlib.sha256()
     counts: Counter = Counter()
-    chunks = [(schedule, s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
-    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    starts = range(0, total, chunk_size)
+    # the slice keeps `len` within a C integer for any total
+    processes = min(workers, len(starts[:workers]), os.cpu_count() or 1)
+    chunks = ((schedule, s, min(s + chunk_size, total)) for s in starts)
     with (multiprocessing.get_context("fork").Pool(processes) if processes > 1
           else nullcontext()) as pool:
         for blob, chunk_counts in (map if pool is None else pool.imap)(_chunk_worker, chunks):

@@ -24,14 +24,16 @@ bracket group, the leftmost percent, the negative factors of each mul/div
 chain). A flat chain of plain literals needs no scan, only its head-pair
 search, and in standard mode nor does one with bracket groups of flat content
 among its literals: a cheaper flat walk finds those groups, the scan's leaves
-in print order. Each step hands the next a focus, so that a trace walks the
-tree about once: the head-pair search of a flat tree, or of the group stepped
-in, resumes where it stopped; once that group is a literal the step moves to
-the next, unless the flat walk finds the product it joined not flat, and
-after a flat tree's last group the tree is flat again. A step in
-the first leaf group of a scan leads the next to that group, or to the scan's
-next leaf once a group outside any other is gone. Where the focus cannot vouch
-for a step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
+in print order. In fraction mode a chain of fraction literals without groups
+needs no scan: a walk of its terms finds what the scan would, and each step
+leaves such a chain. Each step hands the next a focus, so that a trace walks
+the tree about once: the head-pair search of a flat tree, or of the group
+stepped in, resumes where it stopped; once that group is a literal the step
+moves to the next, unless the flat walk finds the product it joined not flat,
+and after a flat tree's last group the tree is flat again. A step in the first
+leaf group of a scan leads the next to that group, or to the scan's next leaf
+once a group outside any other is gone. Where the focus cannot vouch for a
+step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
 ancestors bottom-up along parent links, in one routine for every rule, sharing
 every subtree a step did not touch. Each snapshot's text is the previous one
 with the changed span spliced, and a trace keeps only that text: it holds one
@@ -375,12 +377,12 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 
 
 # A focus is a plain tuple: a flat tree's (operand index, text offset), where
-# its head-pair search resumes, or after a step in a bracket group (regions, k,
-# start, length, resume): the (index path, start) of each group to step in, in
-# the order of the whole-tree search, then None if the tree is flat once they
-# are gone; the one stepped in at `k`, now at `start`; the text's `length` when
-# the list was made; and the group's own resume, None until a step in it finds
-# it flat.
+# its head-pair search resumes; () for a tree `_flat_walk` steps; or after a
+# step in a bracket group (regions, k, start, length, resume): the (index
+# path, start) of each group to step in, in the order of the whole-tree
+# search, then None if the tree is flat once they are gone; the one stepped in
+# at `k`, now at `start`; the text's `length` when the list was made; and the
+# group's own resume, None until a step in it finds it flat.
 
 
 def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
@@ -392,28 +394,36 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
         return None
 
     fraction = mode == FRACTION
-    if focus is not None and len(focus) > 2:
-        step = _group_step(tree, text, fraction, focus)
-        if step is not None:
-            return step
-        focus = None
+    walk = None
+    if focus is not None and len(focus) != 2:
+        if focus:
+            step = _group_step(tree, text, fraction, focus)
+            if step is not None:
+                return step
+            focus = None
+        # (): the walk's tree, which its step left flat, though maybe with no fraction
+        elif (walk := _flat_walk(tree)) is None:
+            focus = None
     if focus is None:
-        groups = None if fraction else []
+        groups = []
         if _is_flat(tree, groups):
-            if groups:
+            if not groups:
+                walk = _flat_walk(tree) if fraction or tree.__class__ is FractionLit else None
+                focus = () if walk else (0, 0)
+            elif not fraction:  # a fraction-mode group is left to the scan
                 regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
                 return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), None))
-            focus = 0, 0
-    if focus is not None:
+    if focus:
         found, focus = _head_pair(tree, None, 0, *focus)
         new, text = _binop(text, found, None)
         return new, R_BINOP, text, text, focus
-    chains, percent, leaves, whole = _scan(tree, fraction)
+    chains, percent, leaves, whole = walk or _scan(tree, fraction)
+    focus = () if walk else None
 
     for chain in chains:
         if len(chain) > 2:
             new, text, snapshot = _cancel_signs(text, chain, fraction)
-            return new, R_SIGN, text, snapshot, None
+            return new, R_SIGN, text, snapshot, focus
 
     if percent is not None:
         link, node, start, end = percent
@@ -432,7 +442,6 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
         step = _region_step(text, region)
         if step is not None:
             new, new_text, rule = step
-            focus = None
             if leaves and region is regions[0]:
                 order = leaves if region.depth == 0 else (region,)  # then all are at depth 0
                 focus = ([(_path(r.link), r.start) for r in order], 0,
@@ -450,10 +459,12 @@ def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
     own head pair. Given a list `groups`, a bracket group of flat content may
     stand for a literal, and their index paths go into it in print order: they
     are the scan's leaves, where the whole-tree search steps first, and the
-    text's brackets are theirs. The walk goes right to left, so that it meets
-    first what steps, going left to right, have not made flat yet."""
+    text's brackets are theirs; and a fraction literal, which fraction mode
+    alone makes, may stand for one, of any sign or alone, for `_flat_walk`
+    to find the rule. The walk goes right to left, so that it meets first
+    what steps, going left to right, have not made flat yet."""
     if tree.__class__ is not Chain or tree.ops == "^":
-        return False
+        return groups is not None and tree.__class__ is FractionLit
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
     i = len(operands)
@@ -470,13 +481,61 @@ def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
                 signs += y.text[0] in "+-"
             elif groups is not None and y.__class__ is Group and _is_flat(y.inner):
                 groups.append(([i] if sums else []) + ([j] if product else []))
-            else:
+            elif groups is None or y.__class__ is not FractionLit:
                 return False
         if signs > 1:
             return False
     if groups:
         groups.reverse()
     return True
+
+
+def _flat_walk(tree: Node) -> Optional[tuple]:
+    """What `_scan` returns for a tree `_is_flat` calls flat given a list, with
+    no group, in one walk of its terms, listing only a product with a sign pair,
+    the first. None for a tree without a fraction literal: `_head_pair` steps it."""
+    recip = binop = frac = None
+    fractions = False
+    sums = tree.__class__ is Chain and tree.ops[0] in "+-"
+    i, end = 0, -1
+    for x in tree.operands if sums else (tree,):
+        start = end + 1
+        if x.__class__ is Chain:  # a product
+            link = (None, tree, i) if sums else None
+            signs = None  # the product, then its negative factors, as the scan lists them
+            j, end = 0, start - 1
+            for y in x.operands:
+                s = end + 1
+                end = s + len(y.text)
+                if y.__class__ is FractionLit:
+                    fractions = True
+                    if y.reducible and frac is None:
+                        frac = ((link, x, j), y, s, end)
+                    negative = y.value.num < 0
+                else:
+                    negative = y.text[0] == "-"
+                if negative:
+                    if signs:
+                        return [signs + [((link, x, j), y, s, end)]], None, [], None
+                    signs = [(x, start), ((link, x, j), y, s, end)]
+                j += 1
+            a, b = x.operands[0], x.operands[1]
+            if _is_operand(a) and _is_operand(b):
+                pair = (link, x, start, start + len(a.text) + 1 + len(b.text))
+                if x.ops[0] == "/" and a.__class__ is FractionLit and b.__class__ is FractionLit:
+                    recip = recip or pair
+                elif binop is None or binop[4] == 1:
+                    binop = (*pair, 2, a)
+        else:  # a literal term
+            end = start + len(x.text)
+            if x.__class__ is FractionLit:
+                fractions = True
+                if x.reducible and frac is None:
+                    frac = ((None, tree, i) if sums else None, x, start, end)
+            if i == 1 and _is_operand(x) and _is_operand(a := tree.operands[0]):
+                binop = (None, tree, 0, end, 1, a)  # no product yet, so no other
+        i += 1
+    return ([], None, [], _Region(None, None, 0, -1, 0, recip, binop, frac)) if fractions else None
 
 
 def _head_pair(tree: Chain, link: Optional[tuple], start: int, i: int, offset: int) -> tuple:

@@ -427,6 +427,15 @@ class TestGenerate:
         assert "stepmath: " in err and "--total" in err and "--schedule" in err
         assert not out.exists()
 
+    def test_manifest_naming_the_out_file_is_a_usage_error(self, capsys, tmp_path):
+        # renamed last, the manifest would take the place of the traces
+        out = tmp_path / "a.txt"
+        for manifest in (str(out), f"{tmp_path}/./a.txt"):
+            rc, o, err = run(capsys, "generate", "--total", "3", "--seed", "1",
+                             "--out", str(out), "--manifest", manifest)
+            assert (rc, o) == (64, "") and "--manifest" in err
+            assert list(tmp_path.iterdir()) == []
+
     def test_schedule_file(self, capsys, tmp_path):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -283,6 +284,25 @@ class TestGenerateDataset:
         generate_dataset(sched, buf, workers=workers, chunk_size=10)  # 4 chunks
         assert sizes == ([processes] if processes > 1 else [])
         assert buf.getvalue() == serial.getvalue()
+
+    def test_the_first_chunk_is_written_before_the_rest_are_listed(self):
+        # a million one-record chunks: the first write comes before any list
+        # of all of them is built
+        class Refused(Exception):
+            pass
+
+        class Unwritable:
+            def write(self, blob):
+                raise Refused
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Refused):
+                generate_dataset(default_curriculum(10**6, seed=1), Unwritable(), chunk_size=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_manifest_histograms_match_file(self):
         sched = default_curriculum(400, seed=17)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stepmath import cli, numeric, steps
 from stepmath.datagen import CATEGORIES, GenSpec, build_record, sample_expression
 from stepmath.errors import DivByZero, ExprSyntaxError, MathError, NonTerminating, StepmathError
-from stepmath.expr import Chain, count_atomic_ops, iter_nodes, parse, print_expr
+from stepmath.expr import Chain, FractionLit, count_atomic_ops, iter_nodes, parse, print_expr
 from stepmath.mwp import reconstruct, record_from_obj
 from stepmath.numeric import Frac
 from stepmath.steps import (
@@ -479,6 +479,65 @@ def test_focused_steps_of_the_pinned_corpus_are_whole_tree_steps():
         _assert_focused_steps_are_whole_tree_steps(parse(text, mode), text, mode)
 
 
+# Fraction-mode rows, with their traces: a reducible literal waits behind every
+# binop anywhere; a sign step in a sum marks the product's head with `+`; a
+# reciprocal anywhere comes before a binop to its left, and a product's pair
+# before the sum's; a literal is negative by its value, so `(-2/8)` is and
+# `-(0/1)` is not
+_FRACTION_ROWS = [
+    "(1/2)*(2/4)+(3/5)*(1/7)=(2/8)+(3/5)*(1/7)=(2/8)+(3/35)=(1/4)+(3/35)=47/140",
+    "(1/2)+(1/3)-(1/4)*-(1/5)*-(1/6)=(1/2)+(1/3)-+(1/4)*(1/5)*(1/6)"
+    "=(1/2)+(1/3)-(1/20)*(1/6)=(1/2)+(1/3)-(1/120)=(5/6)-(1/120)=594/720=33/40",
+    "(1/2)*(1/3)+(1/4)/(1/5)=(1/2)*(1/3)+(1/4)*(5/1)=(1/6)+(1/4)*(5/1)=(1/6)+(5/4)=34/24=17/12",
+    "(-1/2)*(-2/8)+(1/3)=(1/2)*(2/8)+(1/3)=(2/16)+(1/3)=(1/8)+(1/3)=11/24",
+    "-(0/1)*-(0/2)*-(1/2)=(0/2)*-(1/2)=(0/1)*-(1/2)=(0/2)=0/1",
+    "(1/2)/(1/3)*(1/4)/(1/5)=(1/2)*(3/1)*(1/4)/(1/5)=(3/2)*(1/4)/(1/5)=(3/8)/(1/5)"
+    "=(3/8)*(5/1)=15/8",
+    "(-2/8)*(1/3)*-(1/2)=(2/8)*(1/3)*(1/2)=(2/24)*(1/2)=(1/12)*(1/2)=1/24",
+]
+
+
+@pytest.mark.parametrize("row", _FRACTION_ROWS, ids=[r.split("=")[0] for r in _FRACTION_ROWS])
+def test_fraction_steps_are_whole_tree_steps(row):
+    text = row.split("=")[0]
+    tree = parse(text, "fraction")
+    assert render_trace(trace(tree, "fraction")) == row
+    _assert_focused_steps_are_whole_tree_steps(tree, text, "fraction")
+
+
+def test_fraction_steps_of_a_lone_literal_and_of_records_are_whole_tree_steps():
+    lone = FractionLit(Frac(2, 8), reducible=True)
+    for mode in ("fraction", "standard"):
+        _assert_focused_steps_are_whole_tree_steps(lone, "(2/8)", mode)
+    for digits in ((1, 5), (5, 12)):
+        spec = GenSpec("fraction", digits, seed=24)
+        for i in range(400):
+            tree = sample_expression(spec, i)
+            _assert_focused_steps_are_whole_tree_steps(tree, print_expr(tree), "fraction")
+
+
+@pytest.mark.parametrize("ops", ["+-", "*/"])
+def test_a_fraction_chain_takes_no_whole_tree_scan(monkeypatch, ops):
+    # a 200-term sum or product of fraction literals, a fifth of them
+    # negative: each step takes its rule from a walk of the terms
+    scans = []
+    scan = steps._scan
+
+    def counting_scan(tree, fraction, link=None, offset=0):
+        scans.append(link)
+        return scan(tree, fraction, link, offset)
+
+    monkeypatch.setattr(steps, "_scan", counting_scan)
+    rng = random.Random(200)
+    terms = [f"({'-' if rng.random() < 0.2 else ''}{rng.randint(1, 9)}/{rng.randint(1, 9)})"
+             for _ in range(200)]
+    text = terms[0] + "".join(rng.choice(ops) + x for x in terms[1:])
+    tree = parse(text, "fraction")
+    t = trace(tree, "fraction", text)
+    assert numeric.values_equal(t.final, direct_eval(tree, "fraction"))
+    assert scans == [] and len(t.rules) >= 199
+
+
 def _bracketed(rng, terms):
     """About one in eight terms wrapped in groups of 2-5, none nested."""
     i = rng.randint(0, 3)
@@ -560,7 +619,7 @@ def test_the_curriculum_takes_no_more_walks(monkeypatch):
             spec = GenSpec(category, digits, seed=9)
             for i in range(400):
                 build_record(spec, i)
-    assert counts["scan"] <= 11_755 and counts["flat"] <= 13_284
+    assert counts["scan"] <= 3_383 and counts["flat"] <= 13_284
 
 
 def test_a_caller_holding_the_text_prints_no_tree(monkeypatch, capsys):
