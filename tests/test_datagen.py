@@ -303,6 +303,9 @@ class TestGenerateDataset:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        # more chunks than a C integer counts: the first is written all the same
+        with pytest.raises(Refused):
+            generate_dataset(default_curriculum(10**22, seed=1), Unwritable())
 
     def test_manifest_histograms_match_file(self):
         sched = default_curriculum(400, seed=17)
