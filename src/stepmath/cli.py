@@ -178,8 +178,9 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.infile is None and (args.gold is None or args.pred is None):
-        print("stepmath: eval needs --in, or --gold and --pred", file=sys.stderr)
+    # the records come from --in alone, or from --gold and --pred
+    if (args.gold is None, args.pred is None) != (args.infile is not None,) * 2:
+        print("stepmath: eval needs --in alone, or --gold and --pred", file=sys.stderr)
         return EXIT_USAGE
     records = metrics.load_prediction_records(
         combined_path=args.infile, gold_path=args.gold, pred_path=args.pred
@@ -212,6 +213,10 @@ def _cmd_bigbench(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     rejects = args.rejects or args.out + ".rejects.jsonl"
+    if os.path.realpath(rejects) == os.path.realpath(args.out):
+        # the rejects file would take the records' place
+        print(f"stepmath: reconstruct --rejects {rejects} is the --out file", file=sys.stderr)
+        return EXIT_USAGE
     written, rejected = mwp.reconstruct_file(args.infile, args.out, rejects)
     payload = {"reconstructed": written, "rejected": rejected, "rejects_file": rejects}
     print(json.dumps(payload) if args.json else

@@ -151,11 +151,10 @@ def _is_operand(node: Node) -> bool:
 
 
 def _is_negative_literal(node: Node) -> bool:
-    if isinstance(node, Lit):
-        return node.text.startswith("-")
-    if isinstance(node, FractionLit):
-        return node.value.num < 0
-    return False
+    cls = node.__class__
+    if cls is Lit:
+        return node.text[0] == "-"
+    return cls is FractionLit and node.value.num < 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +194,13 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
     whole = _Region(None, None, 0, -1)
     percent = None
 
+    def note(group, kind, found):
+        # the leftmost candidate in the group and in the walk, of the top tier for a binop
+        for region in (whole,) if group is None else (group, whole):
+            first = getattr(region, kind)
+            if first is None or kind == "binop" and found[4] > first[4]:
+                setattr(region, kind, found)
+
     def rec(node, link, offset, group, chain):
         # returns the offset just past the node's printed text; `chain` is
         # the mul/div chain the node is a factor of, if any
@@ -212,27 +218,7 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
             end = offset - 1
             i = 0
             for x in operands:
-                start = end + 1
-                xcls = x.__class__
-                if xcls is Lit:  # inline: literals are most operands
-                    text = x.text
-                    end = start + len(text)
-                    if x.percent and percent is None:
-                        percent = ((link, node, i), x, start, end)
-                    if sub is not None and text[0] == "-":
-                        sub.append(((link, node, i), x, start, end))
-                elif xcls is FractionLit:  # as in rec below
-                    end = start + len(x.text)
-                    if x.reducible:
-                        found = ((link, node, i), x, start, end)
-                        if group is not None and group.frac is None:
-                            group.frac = found
-                        if whole.frac is None:
-                            whole.frac = found
-                    if sub is not None and x.value.num < 0:
-                        sub.append(((link, node, i), x, start, end))
-                else:
-                    end = rec(x, (link, node, i), start, group, sub)
+                end = rec(x, (link, node, i), end + 1, group, sub)
                 if i == 1:
                     # The head pair is the only pair that can be ready. A
                     # power reads its base through a bracket around a literal.
@@ -240,20 +226,10 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
                     if op == "^" and base.__class__ is Group and _is_operand(base.inner):
                         base = base.inner
                     if _is_operand(base) and _is_operand(x):
-                        if op == "/" and base.__class__ is FractionLit and xcls is FractionLit:
-                            found = (link, node, offset, end)
-                            if group is not None and group.recip is None:
-                                group.recip = found
-                            if whole.recip is None:
-                                whole.recip = found
+                        if op == "/" and base.__class__ is FractionLit and x.__class__ is FractionLit:
+                            note(group, "recip", (link, node, offset, end))
                         else:
-                            tier = TIER[op]
-                            found = (link, node, offset, end, tier, base)
-                            if group is not None and (group.binop is None
-                                                      or tier > group.binop[4]):
-                                group.binop = found
-                            if whole.binop is None or tier > whole.binop[4]:
-                                whole.binop = found
+                            note(group, "binop", (link, node, offset, end, TIER[op], base))
                 i += 1
             return end
         if cls is Group:
@@ -272,18 +248,14 @@ def _scan(tree: Node, fraction: bool, link: Optional[tuple] = None, offset: int 
             if chain is not None and node.op == "-":
                 chain.append((link, node, offset, end))
             return end
-        if cls is Lit:  # no operand of a chain, so no factor
-            end = offset + len(node.text)
+        end = offset + len(node.text)
+        if cls is Lit:
             if node.percent and percent is None:
                 percent = (link, node, offset, end)
-            return end
-        end = offset + len(node.text)
-        if node.reducible:
-            found = (link, node, offset, end)
-            if group is not None and group.frac is None:
-                group.frac = found
-            if whole.frac is None:
-                whole.frac = found
+        elif node.reducible:
+            note(group, "frac", (link, node, offset, end))
+        if chain is not None and _is_negative_literal(node):
+            chain.append((link, node, offset, end))
         return end
 
     rec(tree, link, offset, None, None)
@@ -500,25 +472,27 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
     i, end = 0, -1
     for x in tree.operands if sums else (tree,):
         start = end + 1
-        if x.__class__ is Chain:  # a product
-            link = (None, tree, i) if sums else None
-            signs = None  # the product, then its negative factors, as the scan lists them
-            j, end = 0, start - 1
-            for y in x.operands:
-                s = end + 1
-                end = s + len(y.text)
-                if y.__class__ is FractionLit:
-                    fractions = True
-                    if y.reducible and frac is None:
-                        frac = ((link, x, j), y, s, end)
-                    negative = y.value.num < 0
-                else:
-                    negative = y.text[0] == "-"
-                if negative:
-                    if signs:
-                        return [signs + [((link, x, j), y, s, end)]], None, [], None
-                    signs = [(x, start), ((link, x, j), y, s, end)]
-                j += 1
+        link = (None, tree, i) if sums else None
+        product = x.__class__ is Chain  # else a literal, a product of one factor
+        signs = None  # the product, then its negative factors, as the scan lists them
+        j = 0
+        for y in x.operands if product else (x,):
+            s = end + 1
+            end = s + len(y.text)
+            if y.__class__ is FractionLit:
+                fractions = True
+                if y.reducible and frac is None:
+                    frac = ((link, x, j) if product else link, y, s, end)
+                negative = y.value.num < 0
+            else:
+                negative = y.text[0] == "-"
+            if negative:
+                found = ((link, x, j) if product else link, y, s, end)
+                if signs:
+                    return [signs + [found]], None, [], None
+                signs = [(x, start), found]
+            j += 1
+        if product:
             a, b = x.operands[0], x.operands[1]
             if _is_operand(a) and _is_operand(b):
                 pair = (link, x, start, start + len(a.text) + 1 + len(b.text))
@@ -526,14 +500,8 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
                     recip = recip or pair
                 elif binop is None or binop[4] == 1:
                     binop = (*pair, 2, a)
-        else:  # a literal term
-            end = start + len(x.text)
-            if x.__class__ is FractionLit:
-                fractions = True
-                if x.reducible and frac is None:
-                    frac = ((None, tree, i) if sums else None, x, start, end)
-            if i == 1 and _is_operand(x) and _is_operand(a := tree.operands[0]):
-                binop = (None, tree, 0, end, 1, a)  # no product yet, so no other
+        elif i == 1 and _is_operand(x) and _is_operand(a := tree.operands[0]):
+            binop = (None, tree, 0, end, 1, a)  # no product yet, so no other
         i += 1
     return ([], None, [], _Region(None, None, 0, -1, 0, recip, binop, frac)) if fractions else None
 

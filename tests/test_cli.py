@@ -276,6 +276,7 @@ class TestRealProcess:
         proc = subprocess.run(
             [sys.executable, "-m", "stepmath.cli", "trace", "8371*(-1945+8878)"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(stepmath.__file__).parents[1])},
         )
         assert proc.returncode == 0
         assert proc.stdout == "8371*(-1945+8878)=8371*6933=58036143\n"
@@ -284,6 +285,7 @@ class TestRealProcess:
         proc = subprocess.run(
             [sys.executable, "-m", "stepmath.cli", "trace", "2^-3"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(stepmath.__file__).parents[1])},
         )
         assert proc.returncode == 3
 
@@ -371,7 +373,8 @@ class TestRepeatedCalls:
         # the parser is built once per process; a fresh interpreter shows
         # what a first call prints
         monkeypatch.setenv("COLUMNS", "80")
-        env = {**os.environ, "COLUMNS": "80"}
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": str(Path(stepmath.__file__).parents[1])}
         for argv in (["trace", "7", "--bogus"], ["--help"], ["trace", "1+2*3"]):
             try:
                 rc = main(argv)
@@ -743,6 +746,21 @@ class TestEvalCli:
         rc, _, _ = run(capsys, "eval", "--gold", str(tmp_path / "g.jsonl"))
         assert rc == 64
 
+    def test_in_with_gold_or_pred_exit_64(self, capsys, tmp_path):
+        # --in would be scored alone, and a gold and pred pair that does not
+        # line up would go unreported
+        records = tmp_path / "r.jsonl"
+        records.write_text(json.dumps({"problem": "1+1", "ground_truth": "2",
+                                       "prediction": "1+1=2"}) + "\n")
+        gold = tmp_path / "g.jsonl"
+        gold.write_text('{"problem": "1+1", "ground_truth": "2"}\n' * 2)
+        pred = tmp_path / "p.txt"
+        pred.write_text("1+1=2\n")
+        for extra in (["--gold", str(gold)], ["--pred", str(pred)],
+                      ["--gold", str(gold), "--pred", str(pred)]):
+            rc, out, err = run(capsys, "eval", "--in", str(records), *extra)
+            assert (rc, out) == (64, "") and "--in" in err and "--gold" in err
+
 
 class TestBigbenchCli:
     def test_count_and_file_output(self, capsys, tmp_path):
@@ -848,6 +866,19 @@ class TestReconstructCli:
         [row] = [json.loads(line) for line in
                  Path(payload["rejects_file"]).read_text().splitlines()]
         assert row["reason"].endswith(reason)
+
+    def test_rejects_naming_the_out_file_is_a_usage_error(self, capsys, tmp_path):
+        # written to one file, the rejects would take the records' place
+        src = tmp_path / "ape.jsonl"
+        src.write_text("not json\n" + json.dumps(
+            {"id": "1", "original_text": "q", "equation": "1+2", "ans": "3"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        (tmp_path / "link").symlink_to("out.jsonl")
+        for rejects in (str(out), f"{tmp_path}/./out.jsonl", str(tmp_path / "link")):
+            rc, o, err = run(capsys, "reconstruct", "--in", str(src), "--out", str(out),
+                             "--rejects", rejects)
+            assert (rc, o) == (64, "") and "--rejects" in err and "--out" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ape.jsonl", "link"]
 
 
 class TestScoreMwpCli:

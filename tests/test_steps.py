@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,40 @@ def test_focused_steps_of_long_bracketed_chains_are_whole_tree_steps():
 def test_focused_steps_of_the_pinned_corpus_are_whole_tree_steps():
     for text, mode in _corpus():
         _assert_focused_steps_are_whole_tree_steps(parse(text, mode), text, mode)
+
+
+_REGION_FIELDS = attrgetter("start", "end", "recip", "binop", "frac", "node", "link")
+
+
+def _assert_group_scans_are_the_whole_tree_leaves(tree, text, mode):
+    # at every step of a trace, the scan of one leaf group, which
+    # `_group_step` runs, finds what the whole-tree scan files under it
+    fraction, focus = mode == "fraction", None
+    while True:
+        for region in steps._scan(tree, fraction)[2]:
+            _, _, leaves, _ = steps._scan(region.node, fraction, region.link, region.start)
+            assert [_REGION_FIELDS(r) for r in leaves] == [_REGION_FIELDS(region)], text
+        step = _step_or_error(tree, text, mode, focus)
+        if step is None or len(step) == 2:
+            return
+        tree, _, text, _, focus = step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("standard", "fraction")).flatmap(
+    lambda mode: st.tuples(_grammar_text(mode), st.just(mode))))
+def test_a_group_scan_is_the_whole_tree_scan_of_its_leaf(case):
+    text, mode = case
+    try:
+        tree = parse(text, mode)
+    except StepmathError:
+        return
+    _assert_group_scans_are_the_whole_tree_leaves(tree, text, mode)
+
+
+def test_group_scans_of_the_pinned_corpus_are_whole_tree_leaves():
+    for text, mode in _corpus():
+        _assert_group_scans_are_the_whole_tree_leaves(parse(text, mode), text, mode)
 
 
 # Fraction-mode rows, with their traces: a reducible literal waits behind every
