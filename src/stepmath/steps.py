@@ -3,7 +3,6 @@
 Exactly one rule fires per step, chosen deterministically:
 
 * sign       -- cancel a pair of negative signs in a multiplication/division chain
-                whose value is not a binary64 zero
 * percent    -- rewrite the leftmost percent literal as its decimal value
 * reciprocal -- turn division by a fraction literal into multiplication by its
                 reciprocal
@@ -49,7 +48,7 @@ from operator import attrgetter
 from typing import Optional
 
 from . import numeric
-from .errors import DivByZero, MathError, NonTerminating
+from .errors import DivByZero, NonTerminating
 from .expr import (
     FRACTION,
     STANDARD,
@@ -286,19 +285,6 @@ def _strip_sign(node: Node) -> Node:
     return signed("-", node, text[1:] if text[0] == "-" else None)
 
 
-def _sign_pair_keeps_value(product: Node) -> bool:
-    """Whether stripping two signs in `product` keeps its value. Negation is
-    exact, and the size of a product does not hang on its signs, so it does
-    unless the value is a binary64 zero: an int or fraction zero has no sign
-    to pass on, so `-0.0*-(0)` is -0.0 where `0.0*(0)` is 0.0. The binops
-    take the signs of such a product as `direct_eval` does."""
-    try:
-        value = direct_eval(product)
-    except MathError:
-        return True  # the step that reaches the error raises it
-    return value.__class__ is not float or value != 0.0
-
-
 def _cancel_signs(text: str, chain: list, fraction: bool) -> tuple[Node, str, str]:
     """Strip the first two negative factors of `chain` in the tree of `text`.
     Returns the new tree, its text and the snapshot's text, which in fraction
@@ -407,7 +393,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     focus = () if walk else None
 
     for chain in chains:
-        if len(chain) > 2 and _sign_pair_keeps_value(chain[0][0]):
+        if len(chain) > 2:
             new, text, snapshot = _cancel_signs(text, chain, fraction)
             return new, R_SIGN, text, snapshot, focus
 
@@ -502,9 +488,9 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
                 negative = y.text[0] == "-"
             if negative:
                 found = ((link, x, j) if product else link, y, s, end)
-                if signs and _sign_pair_keeps_value(x):
+                if signs:
                     return [signs + [found]], None, [], None
-                signs = signs or [(x, start), found]
+                signs = [(x, start), found]
             j += 1
         if product:
             a, b = x.operands[0], x.operands[1]

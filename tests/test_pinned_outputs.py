@@ -24,7 +24,7 @@ from stepmath.steps import render_trace, trace
 GENERATE_DIGEST = "sha256:cb566750b5d8473308cc98bd2604bb6ec8c848695d06c8c77654bb5247f6915a"
 # sha256 of the whole manifest JSON of that schedule: digest and histograms
 MANIFEST_DIGEST = "sha256:99be6919e90cf67497559ac8ba26538e62b0437dcf40ca1c08ce90a51b1eb1c7"
-CORPUS_DIGEST = "sha256:a3295c624d49ab2b75ec30f6cc9345d0eefb3f7f7ddd1a54bb7c99536763bf36"
+CORPUS_DIGEST = "sha256:be1d2bcc367645f59ef9eac719e577d073e40629716c6e7e05c29267232f5539"
 # 2,000 int-mixed records per digit phase: line, op count and digit count
 INT_MIXED_DIGESTS = {
     (1, 5): "sha256:b489962fc9da973323c3b35d0c9970ad6751cdd3572831e911c23c7878bb1abe",
