@@ -178,9 +178,11 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # the records come from --in alone, or from --gold and --pred
-    if (args.gold is None, args.pred is None) != (args.infile is not None,) * 2:
-        print("stepmath: eval needs --in alone, or --gold and --pred", file=sys.stderr)
+    if args.infile is None and (args.gold is None or args.pred is None):
+        print("stepmath: eval needs --in, or --gold and --pred", file=sys.stderr)
+        return EXIT_USAGE
+    if args.infile is not None and (args.gold is not None or args.pred is not None):
+        print("stepmath: eval --in takes no --gold or --pred", file=sys.stderr)
         return EXIT_USAGE
     records = metrics.load_prediction_records(
         combined_path=args.infile, gold_path=args.gold, pred_path=args.pred

@@ -472,27 +472,25 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
     i, end = 0, -1
     for x in tree.operands if sums else (tree,):
         start = end + 1
-        link = (None, tree, i) if sums else None
-        product = x.__class__ is Chain  # else a literal, a product of one factor
-        signs = None  # the product, then its negative factors, as the scan lists them
-        j = 0
-        for y in x.operands if product else (x,):
-            s = end + 1
-            end = s + len(y.text)
-            if y.__class__ is FractionLit:
-                fractions = True
-                if y.reducible and frac is None:
-                    frac = ((link, x, j) if product else link, y, s, end)
-                negative = y.value.num < 0
-            else:
-                negative = y.text[0] == "-"
-            if negative:
-                found = ((link, x, j) if product else link, y, s, end)
-                if signs:
-                    return [signs + [found]], None, [], None
-                signs = [(x, start), found]
-            j += 1
-        if product:
+        if x.__class__ is Chain:  # a product
+            link = (None, tree, i) if sums else None
+            signs = None  # the product, then its negative factors, as the scan lists them
+            j, end = 0, start - 1
+            for y in x.operands:
+                s = end + 1
+                end = s + len(y.text)
+                if y.__class__ is FractionLit:
+                    fractions = True
+                    if y.reducible and frac is None:
+                        frac = ((link, x, j), y, s, end)
+                    negative = y.value.num < 0
+                else:
+                    negative = y.text[0] == "-"
+                if negative:
+                    if signs:
+                        return [signs + [((link, x, j), y, s, end)]], None, [], None
+                    signs = [(x, start), ((link, x, j), y, s, end)]
+                j += 1
             a, b = x.operands[0], x.operands[1]
             if _is_operand(a) and _is_operand(b):
                 pair = (link, x, start, start + len(a.text) + 1 + len(b.text))
@@ -500,8 +498,14 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
                     recip = recip or pair
                 elif binop is None or binop[4] == 1:
                     binop = (*pair, 2, a)
-        elif i == 1 and _is_operand(x) and _is_operand(a := tree.operands[0]):
-            binop = (None, tree, 0, end, 1, a)  # no product yet, so no other
+        else:  # a literal term
+            end = start + len(x.text)
+            if x.__class__ is FractionLit:
+                fractions = True
+                if x.reducible and frac is None:
+                    frac = ((None, tree, i) if sums else None, x, start, end)
+            if i == 1 and _is_operand(x) and _is_operand(a := tree.operands[0]):
+                binop = (None, tree, 0, end, 1, a)  # no product yet, so no other
         i += 1
     return ([], None, [], _Region(None, None, 0, -1, 0, recip, binop, frac)) if fractions else None
 
