@@ -24,11 +24,14 @@ bracket group, the leftmost percent, the negative factors of each mul/div
 chain). A flat chain of plain literals needs no scan, only its head-pair
 search, and in standard mode nor does one with bracket groups of flat content
 among its literals: a cheaper flat walk finds those groups, the scan's leaves
-in print order. In fraction mode a chain of fraction literals without groups
-needs no scan: a walk of its terms finds what the scan would, and each step
-leaves such a chain. Each step hands the next a focus, so that a trace walks
-the tree about once: the head-pair search of a flat tree, or of the group
-stepped in, resumes where it stopped; once that group is a literal the step
+in print order. Once a step leaves a chain of plain literals flat, the rest of
+its trace builds no tree: each product in turn, then the sum, folds into one
+literal on its operands, each step spliced into the last snapshot's text. In
+fraction mode a chain of fraction literals without groups needs no scan: a
+walk of its terms finds what the scan would, and each step leaves such a
+chain. Each step hands the next a focus, so that a trace walks the tree
+about once: the head-pair search of a flat tree, or of the group stepped in,
+resumes where it stopped; once that group is a literal the step
 moves to the next, unless the flat walk finds the product it joined not flat,
 and after a flat tree's last group the tree is flat again. A step in the first
 leaf group of a scan leads the next to that group, or to the scan's next leaf
@@ -687,7 +690,8 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
 
 
 def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTrace:
-    """Iterate next_step to a literal. `text`, if given, must be the text `e`
+    """Iterate next_step to a literal, and `_flat_trace` once a step leaves
+    a flat tree. `text`, if given, must be the text `e`
     was parsed from, which the printer gives back exactly: it is the first
     snapshot, without a print of `e`. Every rule consumes a node or an
     operator, each of which prints as at least one character, so four steps
@@ -712,6 +716,49 @@ def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTr
         tree, rule, text, snapshot, focus = step
         snapshots.append(snapshot)
         rules.append(rule)
+        if focus is not None and len(focus) == 2:
+            return _flat_trace(tree, *focus, snapshots, rules)
+
+
+def _flat_trace(tree: Node, i: int, offset: int, snapshots: list, rules: list) -> StepTrace:
+    """The rest of a trace from the flat `tree`, printed as the last
+    snapshot, whose head-pair search resumes at operand `i`, text offset
+    `offset`: the steps `_head_pair` and `_binop` take, with no tree built.
+    A binop leaves a flat tree flat, so each product in turn folds into one
+    literal, left to right, and then the sum does. Every step consumes an
+    operator, so none meets the step bound."""
+    sums = tree.__class__ is Chain and tree.ops[0] in "+-"
+    terms = list(tree.operands) if sums else [tree]
+    for k in range(i, len(terms)):
+        x = terms[k]
+        if x.__class__ is Chain:  # a product, whose head pair is at `offset`
+            x = terms[k] = _fold(x.ops, x.operands, offset, not sums, snapshots, rules)
+        offset += len(x.text) + 1
+    last = _fold(tree.ops, terms, 0, True, snapshots, rules) if sums else terms[0]
+    return StepTrace(snapshots, rules, last.value, _ambiguous)
+
+
+def _fold(ops: str, operands, offset: int, at_root: bool, snapshots: list,
+          rules: list) -> Node:
+    """Step the head pair of the flat chain `ops`, `operands`, whose text
+    starts at `offset` in the last snapshot, until it is one literal, which
+    it returns; at the root if `at_root`."""
+    text = snapshots[-1]
+    a, n = operands[0], len(ops)
+    for j, op, b in zip(range(n), ops, operands[1:]):
+        end = offset + len(a.text) + 1 + len(b.text)
+        try:
+            value = numeric.apply(op, a.value, b.value)
+        except DivByZero:
+            raise DivByZero(f"division by zero in {a.text}{op}{b.text} "
+                            f"(step {len(rules)})") from None
+        # a fraction only in a standard-mode tree built with fraction literals
+        a = (_lit_from_value(value) if value.__class__ is not Frac
+             else _fraction_result(op, value, at_root and j == n - 1))
+        text = text[:offset] + a.text + text[end:]
+        snapshots.append(text)
+        rules.append(R_BINOP)
+    return a
 
 
 def render_trace(t: StepTrace) -> str:
