@@ -697,3 +697,82 @@ def test_a_flat_group_is_stepped_without_a_group_scan(monkeypatch, ops):
     t = trace(tree)
     assert t.final == direct_eval(tree)
     assert counts["group scan"] == t.rules.count(R_UNGROUP) == (0 if ops == "+*" else 8)
+
+
+def _stepwise(tree, mode):
+    """What `trace` gives, from the step `next_step` takes alone (the steps
+    of `step_trees`), with its snapshot: (snapshots, rules, final, ambiguous),
+    or the error's type and message."""
+    steps._ambiguous = False
+    texts, rules = [print_expr(tree)], []
+    try:
+        while (step := steps._next_step(tree, print_expr(tree), mode, None)) is not None:
+            tree, rule, _, snapshot, _ = step
+            texts.append(snapshot)
+            rules.append(rule)
+    except DivByZero as err:
+        return DivByZero, f"{err} (step {len(rules)})"
+    except StepmathError as err:
+        return type(err), str(err)
+    return texts, rules, repr(tree.value), steps._ambiguous
+
+
+def _traced(tree, mode, text):
+    try:
+        t = trace(tree, mode, text)
+    except StepmathError as err:
+        return type(err), str(err)
+    return t.snapshots, t.rules, repr(t.final), t.ambiguous
+
+
+# Flat `+-*/` chains: zero, literals written `-`, `+` and `+-`, decimals, ints
+# and binary64 results of 1e16 or more (ambiguous) and of 1e21 or more (too
+# long to render), and a division by zero at any step.
+_flat_chain = st.lists(
+    st.tuples(st.sampled_from("+-*/"),
+              st.sampled_from(["7", "12", "0", "0.0", "-4", "+5", "+-3", "3.5", "-0.25",
+                               "12345678901234567", "10000000000000000.0",
+                               "99999999999999999999.5"])),
+    min_size=1, max_size=14,
+).map(lambda parts: "9" + "".join(op + x for op, x in parts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_flat_chain, st.sampled_from(("standard", "fraction")))
+@example("3*0/0+1", "standard")
+@example("99999999.5*999999999+1", "standard")
+@example("99999999999999999999.5*100-1", "fraction")
+def test_a_flat_trace_is_the_stepwise_trace(text, mode):
+    # the steps a flat tree takes on its operands, once its first step leaves
+    # it flat, are the ones `next_step` takes on its trees, errors included
+    try:
+        tree = parse(text, mode)
+    except StepmathError:
+        return
+    assert _traced(tree, mode, text) == _stepwise(tree, mode)
+
+
+def test_flat_traces_of_long_chains_are_stepwise_traces():
+    rng = random.Random(28)
+    for i in range(12):
+        text = chain_text(rng, (25, 50, 100, 300)[i % 4], bracketed=i % 3 == 0)
+        tree = parse(text)
+        assert _traced(tree, "standard", text) == _stepwise(tree, "standard")
+
+
+def test_a_flat_trace_rebuilds_no_tree(monkeypatch):
+    # after its first step a flat chain's trace builds no tree: the parent
+    # rebuilt one per step (999 `_binop` and 300 `_replace` calls here)
+    calls = {"_binop": 0, "_replace": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(steps, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(steps, name, counting)
+    rng = random.Random(1000)
+    terms = [str(rng.randint(1, 99)) for _ in range(1000)]
+    text = terms[0] + "".join(rng.choice("+-*") + x for x in terms[1:])
+    tree = parse(text)
+    t = trace(tree, "standard", text)
+    assert t.final == direct_eval(tree) and len(t.rules) == 999
+    assert calls["_binop"] <= 1 and calls["_replace"] <= 1
