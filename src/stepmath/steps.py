@@ -24,19 +24,23 @@ bracket group, the leftmost percent, the negative factors of each mul/div
 chain). A flat chain of plain literals needs no scan, only its head-pair
 search, and in standard mode nor does one with bracket groups of flat content
 among its literals: a cheaper flat walk finds those groups, the scan's leaves
-in print order. Once a step leaves a chain of plain literals flat, the rest of
-its trace builds no tree: each product in turn, then the sum, folds into one
-literal on its operands, each step spliced into the last snapshot's text. In
-fraction mode a chain of fraction literals without groups needs no scan: a
-walk of its terms finds what the scan would, and each step leaves such a
-chain. Each step hands the next a focus, so that a trace walks the tree
-about once: the head-pair search of a flat tree, or of the group stepped in,
-resumes where it stopped; once that group is a literal the step
-moves to the next, unless the flat walk finds the product it joined not flat,
-and after a flat tree's last group the tree is flat again. A step in the first
-leaf group of a scan leads the next to that group, or to the scan's next leaf
-once a group outside any other is gone. Where the focus cannot vouch for a
-step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
+in print order. Once a step leaves a chain of plain literals flat, or steps in
+the first group of such a chain with groups, the rest of its trace builds no
+tree: each group in turn, then each product, then the sum, folds into one
+literal on its operands, each step spliced into the last snapshot's text; a
+group's brackets go with its last pair, or around a negative literal past the
+text's start in an ungroup step of their own, and only a sign pair that a
+group's result makes is left to the whole tree. A chain with fraction
+literals and without groups, which only a tree built by hand holds in
+standard mode, needs no scan: a walk of its terms finds what the scan would,
+and each step leaves such a chain. Each step hands the next a focus, so that
+a trace walks the tree about once: the head-pair search of a flat tree, or of
+the group stepped in, resumes where it stopped; once that group is a literal
+the step moves to the next, unless the flat walk finds the product it joined
+not flat, and after a flat tree's last group the tree is flat again. A step in
+the first leaf group of a scan leads the next to that group, or to the scan's
+next leaf once a group outside any other is gone. Where the focus cannot vouch
+for a step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
 ancestors bottom-up along parent links, in one routine for every rule, sharing
 every subtree a step did not touch. Each snapshot's text is the previous one
 with the changed span spliced, and a trace keeps only that text: it holds one
@@ -62,6 +66,7 @@ from .expr import (
     Lit,
     Node,
     Unary,
+    chain,
     print_expr,
     signed,
 )
@@ -381,13 +386,14 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
             focus = None
     if focus is None:
         groups = []
-        if _is_flat(tree, groups):
-            if not groups:
-                walk = _flat_walk(tree) if fraction or tree.__class__ is FractionLit else None
-                focus = () if walk else (0, 0)
-            elif not fraction:  # a fraction-mode group is left to the scan
-                regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
-                return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), None))
+        flat = _is_flat(tree, groups)
+        if flat is FRACTION:  # a group beside a fraction literal is left to the scan
+            walk = not groups and _flat_walk(tree)
+        elif flat and not groups:
+            focus = (0, 0)
+        elif flat and not fraction:  # a fraction-mode group is left to the scan
+            regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
+            return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), None))
     if focus:
         found, focus = _head_pair(tree, None, 0, *focus)
         new, text = _binop(text, found, None)
@@ -426,7 +432,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     raise NonTerminating(f"no rule applies to {text!r}")
 
 
-def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
+def _is_flat(tree: Node, groups: Optional[list] = None):
     """Whether `tree` is a `*/` chain of plain literals at most one of them
     signed (`+-4` too, which no sign cancels but makes a product negative), or
     a `+-` chain of plain literals and such chains: no rule but binop can fire
@@ -435,13 +441,15 @@ def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
     stand for a literal, and their index paths go into it in print order: they
     are the scan's leaves, where the whole-tree search steps first, and the
     text's brackets are theirs; and a fraction literal, which fraction mode
-    alone makes, may stand for one, of any sign or alone, for `_flat_walk`
-    to find the rule. The walk goes right to left, so that it meets first
-    what steps, going left to right, have not made flat yet."""
+    alone makes, may stand for one, of any sign or alone, and then the answer
+    is FRACTION: `_flat_walk` finds the rule, or with a group the scan. The
+    walk goes right to left, so that it meets first what steps, going left to
+    right, have not made flat yet."""
     if tree.__class__ is not Chain or tree.ops == "^":
-        return groups is not None and tree.__class__ is FractionLit
+        return groups is not None and tree.__class__ is FractionLit and FRACTION
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
+    flat = True
     i = len(operands)
     for x in reversed(operands):
         i -= 1
@@ -458,11 +466,13 @@ def _is_flat(tree: Node, groups: Optional[list] = None) -> bool:
                 groups.append(([i] if sums else []) + ([j] if product else []))
             elif groups is None or y.__class__ is not FractionLit:
                 return False
+            else:
+                flat = FRACTION
         if signs > 1:
             return False
     if groups:
         groups.reverse()
-    return True
+    return flat
 
 
 def _flat_walk(tree: Node) -> Optional[tuple]:
@@ -691,7 +701,7 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
 
 def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTrace:
     """Iterate next_step to a literal, and `_flat_trace` once a step leaves
-    a flat tree. `text`, if given, must be the text `e`
+    a flat tree, with or without groups. `text`, if given, must be the text `e`
     was parsed from, which the printer gives back exactly: it is the first
     snapshot, without a print of `e`. Every rule consumes a node or an
     operator, each of which prints as at least one character, so four steps
@@ -706,6 +716,9 @@ def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTr
     tree, focus = e, None
     while True:
         try:
+            if focus and tree.__class__ is Chain and (len(focus) == 2 or focus[0][-1] is None):
+                tree, focus = _flat_trace(tree, focus, snapshots, rules), None
+                text = snapshots[-1]
             step = _next_step(tree, text, mode, focus)
         except DivByZero as err:
             raise DivByZero(f"{err.detail} (step {len(rules)})") from None
@@ -716,45 +729,84 @@ def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTr
         tree, rule, text, snapshot, focus = step
         snapshots.append(snapshot)
         rules.append(rule)
-        if focus is not None and len(focus) == 2:
-            return _flat_trace(tree, *focus, snapshots, rules)
 
 
-def _flat_trace(tree: Node, i: int, offset: int, snapshots: list, rules: list) -> StepTrace:
-    """The rest of a trace from the flat `tree`, printed as the last
-    snapshot, whose head-pair search resumes at operand `i`, text offset
-    `offset`: the steps `_head_pair` and `_binop` take, with no tree built.
-    A binop leaves a flat tree flat, so each product in turn folds into one
-    literal, left to right, and then the sum does. Every step consumes an
-    operator, so none meets the step bound."""
-    sums = tree.__class__ is Chain and tree.ops[0] in "+-"
-    terms = list(tree.operands) if sums else [tree]
-    for k in range(i, len(terms)):
-        x = terms[k]
-        if x.__class__ is Chain:  # a product, whose head pair is at `offset`
-            x = terms[k] = _fold(x.ops, x.operands, offset, not sums, snapshots, rules)
-        offset += len(x.text) + 1
-    last = _fold(tree.ops, terms, 0, True, snapshots, rules) if sums else terms[0]
-    return StepTrace(snapshots, rules, last.value, _ambiguous)
+def _flat_trace(tree: Chain, focus: tuple, snapshots: list, rules: list) -> Node:
+    """The rest of a trace from the flat `tree`, printed as the last snapshot,
+    with the flat focus or the group focus of a flat tree its last step gave:
+    the steps `_next_step` takes, with no tree built, to the literal it
+    returns. Each group left, left to right, folds into one literal at its
+    text offset, as `_group_step` steps it; the last pair drops the brackets,
+    unless its literal is negative and does not start the text, which keeps
+    them for an ungroup step of its own. Then the tree folds as `_fold_flat`
+    folds it. A group's negative result in a product with another signed
+    literal is a sign pair for the whole-tree search: the tree of the lists is
+    returned there. Every step consumes an operator or a group, so none meets
+    the step bound."""
+    if len(focus) == 5:
+        sums = tree.ops[0] in "+-"
+        ops, terms = (tree.ops, list(tree.operands)) if sums else ("", [tree])
+        regions, k, start, length, _ = focus
+        while regions[k] is not None:
+            i, *j = regions[k][0] if sums else (0, *regions[k][0])
+            x = lit = terms[i]
+            if j:  # a factor of the product `x`
+                lit = x.operands[j[0]]
+            if lit.__class__ is Group:  # else the step before left its literal
+                lit = lit.inner
+                if lit.__class__ is Chain:
+                    lit = _fold_flat(lit, start + 1, snapshots, rules)
+                text = snapshots[-1]
+                text = text[:start] + lit.text + text[start + len(lit.text) + 2:]
+                if lit.text[0] != "-" or not start:  # the brackets go with the last pair
+                    snapshots[-1] = text
+                else:
+                    snapshots.append(text)
+                    rules.append(R_UNGROUP)
+            if j:
+                operands = x.operands[:j[0]] + (lit,) + x.operands[j[0] + 1:]
+                terms[i] = Chain(x.ops, operands)
+                if lit.text[0] == "-" and sum(
+                        y.__class__ is Lit and y.text[0] in "+-" for y in operands) > 1:
+                    return chain(ops, terms)
+            else:
+                terms[i] = lit
+            k += 1
+            if regions[k] is not None:
+                start = regions[k][1] + len(snapshots[-1]) - length
+        tree = chain(ops, terms)
+    return _fold_flat(tree, 0, snapshots, rules)
 
 
-def _fold(ops: str, operands, offset: int, at_root: bool, snapshots: list,
-          rules: list) -> Node:
-    """Step the head pair of the flat chain `ops`, `operands`, whose text
-    starts at `offset` in the last snapshot, until it is one literal, which
-    it returns; at the root if `at_root`."""
+def _fold_flat(tree: Chain, offset: int, snapshots: list, rules: list) -> Lit:
+    """Fold the flat `tree` of plain literals, whose text starts at `offset`
+    in the last snapshot, into one literal, which it returns: the steps
+    `_head_pair` and `_binop` take. A binop leaves a flat tree flat, so each
+    product in turn folds, left to right, and then the sum does."""
+    if tree.ops[0] in "*/":
+        return _fold(tree.ops, tree.operands, offset, snapshots, rules)
+    terms = list(tree.operands)
+    at = offset
+    for k, x in enumerate(terms):
+        if x.__class__ is Chain:  # a product, whose head pair is at `at`
+            x = terms[k] = _fold(x.ops, x.operands, at, snapshots, rules)
+        at += len(x.text) + 1
+    return _fold(tree.ops, terms, offset, snapshots, rules)
+
+
+def _fold(ops: str, operands, offset: int, snapshots: list, rules: list) -> Lit:
+    """Step the head pair of the chain `ops`, `operands` of plain literals,
+    whose text starts at `offset` in the last snapshot, until it is one
+    literal, which it returns."""
     text = snapshots[-1]
-    a, n = operands[0], len(ops)
-    for j, op, b in zip(range(n), ops, operands[1:]):
+    a = operands[0]
+    for op, b in zip(ops, operands[1:]):
         end = offset + len(a.text) + 1 + len(b.text)
         try:
             value = numeric.apply(op, a.value, b.value)
         except DivByZero:
-            raise DivByZero(f"division by zero in {a.text}{op}{b.text} "
-                            f"(step {len(rules)})") from None
-        # a fraction only in a standard-mode tree built with fraction literals
-        a = (_lit_from_value(value) if value.__class__ is not Frac
-             else _fraction_result(op, value, at_root and j == n - 1))
+            raise DivByZero(f"division by zero in {a.text}{op}{b.text}") from None
+        a = _lit_from_value(value)
         text = text[:offset] + a.text + text[end:]
         snapshots.append(text)
         rules.append(R_BINOP)

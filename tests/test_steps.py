@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from stepmath import cli, numeric, steps
 from stepmath.datagen import CATEGORIES, GenSpec, build_record, sample_expression
 from stepmath.errors import DivByZero, ExprSyntaxError, MathError, NonTerminating, StepmathError
-from stepmath.expr import Chain, FractionLit, count_atomic_ops, iter_nodes, parse, print_expr
+from stepmath.expr import (Chain, FractionLit, Group, Lit, count_atomic_ops, iter_nodes, parse,
+                           print_expr)
 from stepmath.mwp import reconstruct, record_from_obj
 from stepmath.numeric import Frac
 from stepmath.steps import (
@@ -551,6 +552,29 @@ def test_fraction_steps_of_a_lone_literal_and_of_records_are_whole_tree_steps():
             _assert_focused_steps_are_whole_tree_steps(tree, print_expr(tree), "fraction")
 
 
+# Standard-mode trees built by hand with fraction literals, which the parser
+# makes in fraction mode alone, with their traces: the walk of their terms or
+# the scan steps them, not the head-pair search of plain literals, so a
+# reciprocal and a simplify step are not skipped, and a fraction's bracket is
+# not taken for a group's
+_HAND_BUILT = [
+    (Chain("*/", (FractionLit(Frac(1, 2)), Lit(3, "3"), FractionLit(Frac(2, 4)))),
+     "(1/2)*3/(2/4)=(3/2)/(2/4)=(3/2)*(4/2)=(12/4)=3/1"),
+    (Chain("+", (FractionLit(Frac(2, 4)), Group("(", Chain("+", (Lit(1, "1"), Lit(2, "2")))))),
+     "(2/4)+(1+2)=(2/4)+3=14/4=7/2"),
+    (Chain("-", (Lit(5, "5"), Chain("*", (FractionLit(Frac(1, 3)), Lit(6, "6"))))),
+     "5-(1/3)*6=5-(6/3)=5-(2/1)=3/1"),
+    (Chain("*", (Group("[", Chain("-", (Lit(1, "1"), Lit(4, "4")))), FractionLit(Frac(-1, 2)))),
+     "[1-4]*(-1/2)=-3*(-1/2)=3*(1/2)=3/2"),
+]
+
+
+@pytest.mark.parametrize("tree,row", _HAND_BUILT, ids=[r.split("=")[0] for _, r in _HAND_BUILT])
+def test_hand_built_fraction_trees_take_the_whole_tree_steps(tree, row):
+    assert render_trace(trace(tree, "standard")) == row
+    _assert_focused_steps_are_whole_tree_steps(tree, print_expr(tree), "standard")
+
+
 @pytest.mark.parametrize("ops", ["+-", "*/"])
 def test_a_fraction_chain_takes_no_whole_tree_scan(monkeypatch, ops):
     # a 200-term sum or product of fraction literals, a fifth of them
@@ -654,7 +678,7 @@ def test_the_curriculum_takes_no_more_walks(monkeypatch):
             spec = GenSpec(category, digits, seed=9)
             for i in range(400):
                 build_record(spec, i)
-    assert counts["scan"] <= 3_383 and counts["flat"] <= 13_284
+    assert counts["scan"] <= 3_010 and counts["flat"] <= 5_585
 
 
 def test_a_caller_holding_the_text_prints_no_tree(monkeypatch, capsys):
@@ -680,8 +704,8 @@ def test_a_caller_holding_the_text_prints_no_tree(monkeypatch, capsys):
 @pytest.mark.parametrize("ops", ["+*", "+-*"])
 def test_a_flat_group_is_stepped_without_a_group_scan(monkeypatch, ops):
     # a group of plain literals, at most one signed per product, takes its
-    # binop from the flat search; only an ungroup step scans the group (a
-    # `-` makes some groups a negative literal, kept until ungrouped)
+    # binop from the flat search, and no step scans the group, not even the
+    # ungroup step of a negative literal a `-` makes, kept one step
     counts = {"group scan": 0}
     scan = steps._scan
 
@@ -696,7 +720,8 @@ def test_a_flat_group_is_stepped_without_a_group_scan(monkeypatch, ops):
     tree = parse(text)
     t = trace(tree)
     assert t.final == direct_eval(tree)
-    assert counts["group scan"] == t.rules.count(R_UNGROUP) == (0 if ops == "+*" else 8)
+    assert counts["group scan"] == 0
+    assert t.rules.count(R_UNGROUP) == (0 if ops == "+*" else 8)
 
 
 def _stepwise(tree, mode):
@@ -727,24 +752,50 @@ def _traced(tree, mode, text):
 
 # Flat `+-*/` chains: zero, literals written `-`, `+` and `+-`, decimals, ints
 # and binary64 results of 1e16 or more (ambiguous) and of 1e21 or more (too
-# long to render), and a division by zero at any step.
+# long to render), and a division by zero at any step; and the same literals
+# in chains with bracket groups of 2-5 operands side by side, none nested, a
+# group flat when at most one literal of each of its products is signed.
+_FLAT_LITERALS = ["7", "12", "0", "0.0", "-4", "+5", "+-3", "3.5", "-0.25",
+                  "12345678901234567", "10000000000000000.0", "99999999999999999999.5"]
 _flat_chain = st.lists(
-    st.tuples(st.sampled_from("+-*/"),
-              st.sampled_from(["7", "12", "0", "0.0", "-4", "+5", "+-3", "3.5", "-0.25",
-                               "12345678901234567", "10000000000000000.0",
-                               "99999999999999999999.5"])),
+    st.tuples(st.sampled_from("+-*/"), st.sampled_from(_FLAT_LITERALS)),
     min_size=1, max_size=14,
 ).map(lambda parts: "9" + "".join(op + x for op, x in parts))
 
 
-@settings(max_examples=500, deadline=None)
-@given(_flat_chain, st.sampled_from(("standard", "fraction")))
+@st.composite
+def _grouped_chain(draw):
+    texts = draw(st.lists(st.sampled_from(["9", *_FLAT_LITERALS]), min_size=2, max_size=14))
+    ops = draw(st.lists(st.sampled_from("+-*/"), min_size=len(texts) - 1,
+                        max_size=len(texts) - 1))
+    i = draw(st.integers(0, 2))
+    while i < len(texts) - 1:
+        j = min(i + draw(st.integers(1, 4)), len(texts) - 1)
+        opener = draw(st.sampled_from("(["))
+        texts[i] = opener + texts[i]
+        texts[j] += ")" if opener == "(" else "]"
+        i = j + draw(st.integers(1, 4))
+    return texts[0] + "".join(op + x for op, x in zip(ops, texts[1:]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_flat_chain, _grouped_chain()), st.sampled_from(("standard", "fraction")))
 @example("3*0/0+1", "standard")
 @example("99999999.5*999999999+1", "standard")
 @example("99999999999999999999.5*100-1", "fraction")
+# two negative group results in one product: the sign pair leaves the lists
+@example("2*(3-50)*(1-9)+4", "standard")
+# a negative result at the start drops its brackets; elsewhere it keeps them
+# one step, then takes an ungroup step
+@example("(1-9)*3+2", "standard")
+@example("1+(3-10)*2", "standard")
+@example("1+(3/0)", "standard")
+@example("1+(2*3/0)", "standard")
+@example("(99999999.5*999999999)+1", "standard")
 def test_a_flat_trace_is_the_stepwise_trace(text, mode):
     # the steps a flat tree takes on its operands, once its first step leaves
-    # it flat, are the ones `next_step` takes on its trees, errors included
+    # it flat or steps in its first group, are the ones `next_step` takes on
+    # its trees, errors included
     try:
         tree = parse(text, mode)
     except StepmathError:
@@ -761,8 +812,10 @@ def test_flat_traces_of_long_chains_are_stepwise_traces():
 
 
 def test_a_flat_trace_rebuilds_no_tree(monkeypatch):
-    # after its first step a flat chain's trace builds no tree: the parent
-    # rebuilt one per step (999 `_binop` and 300 `_replace` calls here)
+    # after its first step a flat chain's trace builds no tree, nor does one
+    # with flat groups: rebuilding a tree per step calls `_binop` and
+    # `_replace` 999 and 300 times for the flat chain here, and 268 times
+    # each for the group steps of the bracketed one
     calls = {"_binop": 0, "_replace": 0}
     for name in calls:
         def counting(*args, _f=getattr(steps, name), _name=name):
@@ -770,9 +823,14 @@ def test_a_flat_trace_rebuilds_no_tree(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(steps, name, counting)
     rng = random.Random(1000)
-    terms = [str(rng.randint(1, 99)) for _ in range(1000)]
-    text = terms[0] + "".join(rng.choice("+-*") + x for x in terms[1:])
-    tree = parse(text)
-    t = trace(tree, "standard", text)
-    assert t.final == direct_eval(tree) and len(t.rules) == 999
-    assert calls["_binop"] <= 1 and calls["_replace"] <= 1
+    for bracketed in (False, True):
+        terms = [str(rng.randint(1, 99)) for _ in range(1000)]
+        if bracketed:
+            terms = _bracketed(rng, terms)
+        ops = "+*" if bracketed else "+-*"
+        text = terms[0] + "".join(rng.choice(ops) + x for x in terms[1:])
+        tree = parse(text)
+        calls.update(dict.fromkeys(calls, 0))
+        t = trace(tree, "standard", text)
+        assert t.final == direct_eval(tree) and len(t.rules) == 999
+        assert calls["_binop"] <= 1 and calls["_replace"] <= 1, bracketed
