@@ -58,7 +58,6 @@ from . import numeric
 from .errors import DivByZero, NonTerminating
 from .expr import (
     FRACTION,
-    STANDARD,
     TIER,
     Chain,
     FractionLit,
@@ -360,9 +359,10 @@ def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
 # its head-pair search resumes; () for a tree `_flat_walk` steps; or after a
 # step in a bracket group (regions, k, start, length, resume): the (index
 # path, start) of each group to step in, in the order of the whole-tree
-# search, then None if the tree is flat once they are gone; the one stepped in
-# at `k`, now at `start`; the text's `length` when the list was made; and the
-# group's own resume, None until a step in it finds it flat.
+# search, then None if the tree is flat once they are gone, for `trace` to
+# fold the rest on its operands; the one stepped in at `k`, now at `start`;
+# the text's `length` when the list was made; and the group's own resume,
+# None until a step in it finds it flat.
 
 
 def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
@@ -387,7 +387,7 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     if focus is None:
         groups = []
         flat = _is_flat(tree, groups)
-        if flat is FRACTION:  # a group beside a fraction literal is left to the scan
+        if flat is _WITH_FRACTIONS:  # a group beside a fraction literal is left to the scan
             walk = not groups and _flat_walk(tree)
         elif flat and not groups:
             focus = (0, 0)
@@ -432,7 +432,11 @@ def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Opti
     raise NonTerminating(f"no rule applies to {text!r}")
 
 
-def _is_flat(tree: Node, groups: Optional[list] = None):
+# What `_is_flat` answers, truthy, for a flat tree with a fraction literal.
+_WITH_FRACTIONS = "with fraction literals"
+
+
+def _is_flat(tree: Node, groups: Optional[list] = None) -> bool | str:
     """Whether `tree` is a `*/` chain of plain literals at most one of them
     signed (`+-4` too, which no sign cancels but makes a product negative), or
     a `+-` chain of plain literals and such chains: no rule but binop can fire
@@ -442,11 +446,11 @@ def _is_flat(tree: Node, groups: Optional[list] = None):
     are the scan's leaves, where the whole-tree search steps first, and the
     text's brackets are theirs; and a fraction literal, which fraction mode
     alone makes, may stand for one, of any sign or alone, and then the answer
-    is FRACTION: `_flat_walk` finds the rule, or with a group the scan. The
-    walk goes right to left, so that it meets first what steps, going left to
-    right, have not made flat yet."""
+    is _WITH_FRACTIONS: `_flat_walk` finds the rule, or with a group the
+    scan. The walk goes right to left, so that it meets first what steps,
+    going left to right, have not made flat yet."""
     if tree.__class__ is not Chain or tree.ops == "^":
-        return groups is not None and tree.__class__ is FractionLit and FRACTION
+        return groups is not None and tree.__class__ is FractionLit and _WITH_FRACTIONS
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
     flat = True
@@ -467,7 +471,7 @@ def _is_flat(tree: Node, groups: Optional[list] = None):
             elif groups is None or y.__class__ is not FractionLit:
                 return False
             else:
-                flat = FRACTION
+                flat = _WITH_FRACTIONS
         if signs > 1:
             return False
     if groups:
@@ -591,10 +595,8 @@ def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional
         # The group became `node`. A group outside any other leaves the rest
         # as they were, to its right, as far from the text's end as before.
         k += 1  # a group at the root was the only one
-        if k == len(regions) or _new_sign_pair(node, link, fraction):
+        if k == len(regions) or regions[k] is None or _new_sign_pair(node, link, fraction):
             return None
-        if regions[k] is None:  # the last group of a flat tree, which is flat again
-            return _next_step(tree, text, STANDARD, (0, 0))
         node, link = _resolve(tree, regions[k][0])
         start = regions[k][1] + len(text) - length
         resume = None
@@ -766,8 +768,7 @@ def _flat_trace(tree: Chain, focus: tuple, snapshots: list, rules: list) -> Node
             if j:
                 operands = x.operands[:j[0]] + (lit,) + x.operands[j[0] + 1:]
                 terms[i] = Chain(x.ops, operands)
-                if lit.text[0] == "-" and sum(
-                        y.__class__ is Lit and y.text[0] in "+-" for y in operands) > 1:
+                if lit.text[0] == "-" and not _is_flat(terms[i], []):
                     return chain(ops, terms)
             else:
                 terms[i] = lit
