@@ -21,26 +21,25 @@ splicing the pair into one literal. A step costs about what it changes. One
 walk, the scan, records only what a rule can fire on (ready head pairs,
 fraction divisions and reducible fractions, each filed under its innermost
 bracket group, the leftmost percent, the negative factors of each mul/div
-chain). A flat chain of plain literals needs no scan, only its head-pair
-search, and in standard mode nor does one with bracket groups of flat content
-among its literals: a cheaper flat walk finds those groups, the scan's leaves
-in print order. Once a step leaves a chain of plain literals flat, or steps in
-the first group of such a chain with groups, the rest of its trace builds no
-tree: each group in turn, then each product, then the sum, folds into one
-literal on its operands, each step spliced into the last snapshot's text; a
+chain). `next_step` is that search of the whole tree; `trace` takes the same
+steps for less. A flat chain of plain literals needs no scan, and in standard
+mode nor does one with bracket groups of flat content among its literals: a
+cheaper flat walk finds those groups, the scan's leaves in print order. From
+the first tree of a trace that the flat walk accepts, the rest of the trace
+builds no tree: each group in turn, then each product, then the sum, folds
+into one literal on its operands, each step spliced into the last text; a
 group's brackets go with its last pair, or around a negative literal past the
 text's start in an ungroup step of their own, and only a sign pair that a
 group's result makes is left to the whole tree. A chain with fraction
 literals and without groups, which only a tree built by hand holds in
 standard mode, needs no scan: a walk of its terms finds what the scan would,
-and each step leaves such a chain. Each step hands the next a focus, so that
-a trace walks the tree about once: the head-pair search of a flat tree, or of
-the group stepped in, resumes where it stopped; once that group is a literal
-the step moves to the next, unless the flat walk finds the product it joined
-not flat, and after a flat tree's last group the tree is flat again. A step in
-the first leaf group of a scan leads the next to that group, or to the scan's
-next leaf once a group outside any other is gone. Where the focus cannot vouch
-for a step, the whole tree is scanned. The rewrite rebuilds the changed nodes'
+and each step leaves such a chain. Any other step hands the next a focus, so
+that a trace walks the tree about once: a step in the first leaf group of a
+scan leads the next to that group, whose head-pair search resumes where it
+stopped once a step finds it flat, or to the scan's next leaf once a group
+outside any other is gone, unless the flat walk finds the product it joined
+not flat. Where the focus cannot vouch for a step, the whole tree is scanned,
+or walked for the fold. The rewrite rebuilds the changed nodes'
 ancestors bottom-up along parent links, in one routine for every rule, sharing
 every subtree a step did not touch. Each snapshot's text is the previous one
 with the changed span spliced, and a trace keeps only that text: it holds one
@@ -349,55 +348,54 @@ def _fraction_result(op: str, value: Frac, at_root: bool) -> FractionLit:
 
 
 def next_step(e: Node, mode: str) -> Optional[tuple[Node, str]]:
-    """Apply the single highest-priority rewrite: (the tree to rewrite next,
-    rule), or None when e is a literal."""
-    step = _next_step(e, print_expr(e), mode, None)
+    """Apply the single highest-priority rewrite, found by a search of the
+    whole tree: (the tree to rewrite next, rule), or None when e is a
+    literal. A trace takes the same steps."""
+    step = _search(e, print_expr(e), mode == FRACTION)
     return step and step[:2]
 
 
-# A focus is a plain tuple: a flat tree's (operand index, text offset), where
-# its head-pair search resumes; () for a tree `_flat_walk` steps; or after a
-# step in a bracket group (regions, k, start, length, resume): the (index
+# A focus is a plain tuple: () for a tree `_flat_walk` steps; or after a step
+# in a leaf group of a scan (regions, k, start, length, resume): the (index
 # path, start) of each group to step in, in the order of the whole-tree
-# search, then None if the tree is flat once they are gone, for `trace` to
-# fold the rest on its operands; the one stepped in at `k`, now at `start`;
-# the text's `length` when the list was made; and the group's own resume,
-# None until a step in it finds it flat.
+# search; the one stepped in at `k`, now at `start`; the text's `length` when
+# the list was made; and the group's own resume, None until a step in it
+# finds it flat.
 
 
-def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple]:
-    """For `tree`, printed as `text`: (the tree to rewrite next, rule, its
-    text, snapshot text, focus), the same for the focus the step before gave
-    as for None. The snapshot differs from the text only by the `+` head
-    marker of a fraction-mode sign step."""
+def _next_step(tree: Node, text: str, mode: str, focus: Optional[tuple]) -> Optional[tuple | list]:
+    """For `tree`, printed as `text`: the step `_search` takes, the same for
+    the focus the step before gave as for None; or for a tree `_is_flat`
+    accepts, the (index path, bracket offset) of each of its groups, a list,
+    for `_flat_trace` to fold the rest of the trace on its operands. None at
+    a literal, on which no flat walk runs."""
     if tree.__class__ is not Chain and _is_operand(tree):
         return None
-
     fraction = mode == FRACTION
-    walk = None
-    if focus is not None and len(focus) != 2:
-        if focus:
-            step = _group_step(tree, text, fraction, focus)
-            if step is not None:
-                return step
-            focus = None
-        # (): the walk's tree, which its step left flat, though maybe with no fraction
-        elif (walk := _flat_walk(tree)) is None:
-            focus = None
-    if focus is None:
-        groups = []
-        flat = _is_flat(tree, groups)
-        if flat is _WITH_FRACTIONS:  # a group beside a fraction literal is left to the scan
-            walk = not groups and _flat_walk(tree)
-        elif flat and not groups:
-            focus = (0, 0)
-        elif flat and not fraction:  # a fraction-mode group is left to the scan
-            regions = [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text))), None]
-            return _group_step(tree, text, fraction, (regions, 0, regions[0][1], len(text), None))
     if focus:
-        found, focus = _head_pair(tree, None, 0, *focus)
-        new, text = _binop(text, found, None)
-        return new, R_BINOP, text, text, focus
+        step = _group_step(tree, text, fraction, focus)
+        if step is not None:
+            return step
+    # (): the walk's tree, which its step left flat, though maybe with no fraction
+    elif focus is not None and (walk := _flat_walk(tree)) is not None:
+        return _search(tree, text, fraction, walk)
+    groups = []
+    flat = _is_flat(tree, groups)
+    if flat is _WITH_FRACTIONS:  # a group beside a fraction literal is left to the scan
+        return _search(tree, text, fraction, not groups and _flat_walk(tree))
+    if flat and not (fraction and groups):  # a fraction-mode group is left to the scan
+        return [*zip(groups, map(re.Match.start, re.finditer(r"[(\[]", text)))]
+    return _search(tree, text, fraction)
+
+
+def _search(tree: Node, text: str, fraction: bool, walk: Optional[tuple] = None) -> Optional[tuple]:
+    """The step a search of the whole tree takes from `tree`, printed as
+    `text`, or None at a literal: (the tree to rewrite next, rule, its text,
+    snapshot text, focus). The snapshot differs from the text only by the
+    `+` head marker of a fraction-mode sign step. `walk`, what `_flat_walk`
+    found, stands for the scan, and its step's focus is ()."""
+    if tree.__class__ is not Chain and _is_operand(tree):
+        return None
     chains, percent, leaves, whole = walk or _scan(tree, fraction)
     focus = () if walk else None
 
@@ -482,7 +480,7 @@ def _is_flat(tree: Node, groups: Optional[list] = None) -> bool | str:
 def _flat_walk(tree: Node) -> Optional[tuple]:
     """What `_scan` returns for a tree `_is_flat` calls flat given a list, with
     no group, in one walk of its terms, listing only a product with a sign pair,
-    the first. None for a tree without a fraction literal: `_head_pair` steps it."""
+    the first. None for a tree without a fraction literal: `trace` folds it."""
     recip = binop = frac = None
     fractions = False
     sums = tree.__class__ is Chain and tree.ops[0] in "+-"
@@ -528,10 +526,10 @@ def _flat_walk(tree: Node) -> Optional[tuple]:
 
 
 def _head_pair(tree: Chain, link: Optional[tuple], start: int, i: int, offset: int) -> tuple:
-    """The binop candidate of the flat `tree` at `link`, whose text starts at
-    `start`, searched from its operand `i` at text offset `offset`, and where
-    the search resumes after it, since a binop leaves a flat tree flat:
-    (candidate, (operand index, text offset))."""
+    """The binop candidate of the flat `tree`, a group's content, at `link`,
+    whose text starts at `start`, searched from its operand `i` at text
+    offset `offset`, and where the search resumes after it, since a binop
+    leaves a flat tree flat: (candidate, (operand index, text offset))."""
     sums = tree.ops[0] in "+-"
     operands = tree.operands if sums else (tree,)
     for i in range(i, len(operands)):
@@ -595,7 +593,7 @@ def _group_step(tree: Node, text: str, fraction: bool, focus: tuple) -> Optional
         # The group became `node`. A group outside any other leaves the rest
         # as they were, to its right, as far from the text's end as before.
         k += 1  # a group at the root was the only one
-        if k == len(regions) or regions[k] is None or _new_sign_pair(node, link, fraction):
+        if k == len(regions) or _new_sign_pair(node, link, fraction):
             return None
         node, link = _resolve(tree, regions[k][0])
         start = regions[k][1] + len(text) - length
@@ -702,12 +700,13 @@ def direct_eval(e: Node, mode: str = "standard") -> Number:
 
 
 def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTrace:
-    """Iterate next_step to a literal, and `_flat_trace` once a step leaves
-    a flat tree, with or without groups. `text`, if given, must be the text `e`
-    was parsed from, which the printer gives back exactly: it is the first
-    snapshot, without a print of `e`. Every rule consumes a node or an
-    operator, each of which prints as at least one character, so four steps
-    per character bound any trace; past that, NonTerminating."""
+    """Iterate `_next_step` to a literal, and from the first tree it finds
+    flat, with or without groups, fold the rest in `_flat_trace`. `text`, if
+    given, must be the text `e` was parsed from, which the printer gives back
+    exactly: it is the first snapshot, without a print of `e`. Every rule
+    consumes a node or an operator, each of which prints as at least one
+    character, so four steps per character bound any trace; past that,
+    NonTerminating."""
     global _ambiguous
     _ambiguous = False
     if text is None:
@@ -718,10 +717,11 @@ def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTr
     tree, focus = e, None
     while True:
         try:
-            if focus and tree.__class__ is Chain and (len(focus) == 2 or focus[0][-1] is None):
-                tree, focus = _flat_trace(tree, focus, snapshots, rules), None
-                text = snapshots[-1]
             step = _next_step(tree, text, mode, focus)
+            if step.__class__ is list:  # the groups of a flat tree
+                tree, text = _flat_trace(tree, text, step, snapshots, rules)
+                focus = None
+                continue
         except DivByZero as err:
             raise DivByZero(f"{err.detail} (step {len(rules)})") from None
         if step is None:
@@ -733,73 +733,67 @@ def trace(e: Node, mode: str = "standard", text: Optional[str] = None) -> StepTr
         rules.append(rule)
 
 
-def _flat_trace(tree: Chain, focus: tuple, snapshots: list, rules: list) -> Node:
-    """The rest of a trace from the flat `tree`, printed as the last snapshot,
-    with the flat focus or the group focus of a flat tree its last step gave:
-    the steps `_next_step` takes, with no tree built, to the literal it
-    returns. Each group left, left to right, folds into one literal at its
-    text offset, as `_group_step` steps it; the last pair drops the brackets,
-    unless its literal is negative and does not start the text, which keeps
-    them for an ungroup step of its own. Then the tree folds as `_fold_flat`
-    folds it. A group's negative result in a product with another signed
-    literal is a sign pair for the whole-tree search: the tree of the lists is
-    returned there. Every step consumes an operator or a group, so none meets
-    the step bound."""
-    if len(focus) == 5:
+def _flat_trace(tree: Chain, text: str, groups: list, snapshots: list,
+                rules: list) -> tuple[Node, str]:
+    """The rest of a trace from the flat `tree`, printed as `text`, given the
+    (index path, bracket offset) of each of its groups: the steps the
+    whole-tree search takes, with no tree built, to the literal they end in,
+    and its text. Each group, left to right, folds into one literal at its
+    text offset; the last pair drops the brackets, unless its literal is
+    negative and does not start the text, which keeps them for an ungroup
+    step of its own. Then the tree folds as `_fold_flat` folds it. A group's
+    negative result in a product with another signed literal is a sign pair
+    for the whole-tree search: the tree of the lists is returned there. Every
+    step consumes an operator or a group, so none meets the step bound."""
+    if groups:
         sums = tree.ops[0] in "+-"
         ops, terms = (tree.ops, list(tree.operands)) if sums else ("", [tree])
-        regions, k, start, length, _ = focus
-        while regions[k] is not None:
-            i, *j = regions[k][0] if sums else (0, *regions[k][0])
-            x = lit = terms[i]
-            if j:  # a factor of the product `x`
-                lit = x.operands[j[0]]
-            if lit.__class__ is Group:  # else the step before left its literal
-                lit = lit.inner
-                if lit.__class__ is Chain:
-                    lit = _fold_flat(lit, start + 1, snapshots, rules)
-                text = snapshots[-1]
-                text = text[:start] + lit.text + text[start + len(lit.text) + 2:]
-                if lit.text[0] != "-" or not start:  # the brackets go with the last pair
-                    snapshots[-1] = text
-                else:
-                    snapshots.append(text)
-                    rules.append(R_UNGROUP)
+        length = len(text)
+        for path, start in groups:
+            start += len(text) - length  # what folded to its left is shorter now
+            i, *j = path if sums else (0, *path)
+            x = terms[i]
+            lit, text = _fold_flat((x.operands[j[0]] if j else x).inner, start + 1,
+                                   text, snapshots, rules)
+            text = text[:start] + lit.text + text[start + len(lit.text) + 2:]
+            if lit.text[0] != "-" or not start:  # the brackets go with the last pair
+                snapshots[-1] = text
+            else:
+                snapshots.append(text)
+                rules.append(R_UNGROUP)
             if j:
-                operands = x.operands[:j[0]] + (lit,) + x.operands[j[0] + 1:]
-                terms[i] = Chain(x.ops, operands)
+                terms[i] = Chain(x.ops, x.operands[:j[0]] + (lit,) + x.operands[j[0] + 1:])
                 if lit.text[0] == "-" and not _is_flat(terms[i], []):
-                    return chain(ops, terms)
+                    return chain(ops, terms), text
             else:
                 terms[i] = lit
-            k += 1
-            if regions[k] is not None:
-                start = regions[k][1] + len(snapshots[-1]) - length
         tree = chain(ops, terms)
-    return _fold_flat(tree, 0, snapshots, rules)
+    return _fold_flat(tree, 0, text, snapshots, rules)
 
 
-def _fold_flat(tree: Chain, offset: int, snapshots: list, rules: list) -> Lit:
+def _fold_flat(tree: Chain, offset: int, text: str, snapshots: list,
+               rules: list) -> tuple[Lit, str]:
     """Fold the flat `tree` of plain literals, whose text starts at `offset`
-    in the last snapshot, into one literal, which it returns: the steps
-    `_head_pair` and `_binop` take. A binop leaves a flat tree flat, so each
+    in `text`, into one literal: the steps the whole-tree search takes, and
+    (the literal, the last text). A binop leaves a flat tree flat, so each
     product in turn folds, left to right, and then the sum does."""
     if tree.ops[0] in "*/":
-        return _fold(tree.ops, tree.operands, offset, snapshots, rules)
+        return _fold(tree.ops, tree.operands, offset, text, snapshots, rules)
     terms = list(tree.operands)
     at = offset
     for k, x in enumerate(terms):
         if x.__class__ is Chain:  # a product, whose head pair is at `at`
-            x = terms[k] = _fold(x.ops, x.operands, at, snapshots, rules)
+            x, text = _fold(x.ops, x.operands, at, text, snapshots, rules)
+            terms[k] = x
         at += len(x.text) + 1
-    return _fold(tree.ops, terms, offset, snapshots, rules)
+    return _fold(tree.ops, terms, offset, text, snapshots, rules)
 
 
-def _fold(ops: str, operands, offset: int, snapshots: list, rules: list) -> Lit:
+def _fold(ops: str, operands, offset: int, text: str, snapshots: list,
+          rules: list) -> tuple[Lit, str]:
     """Step the head pair of the chain `ops`, `operands` of plain literals,
-    whose text starts at `offset` in the last snapshot, until it is one
-    literal, which it returns."""
-    text = snapshots[-1]
+    whose text starts at `offset` in `text`, until it is one literal: (the
+    literal, the last text)."""
     a = operands[0]
     for op, b in zip(ops, operands[1:]):
         end = offset + len(a.text) + 1 + len(b.text)
@@ -811,7 +805,7 @@ def _fold(ops: str, operands, offset: int, snapshots: list, rules: list) -> Lit:
         text = text[:offset] + a.text + text[end:]
         snapshots.append(text)
         rules.append(R_BINOP)
-    return a
+    return a, text
 
 
 def render_trace(t: StepTrace) -> str:

@@ -324,41 +324,47 @@ _near_flat = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(_near_flat, st.sampled_from(("standard", "fraction")))
 def test_flat_shortcut_agrees_with_the_scan(text, mode):
-    # the binop a flat tree takes without a scan is the one the scan finds,
-    # and no other rule could fire first; at each later step the walk resumed
-    # where the step before left it finds what a full walk finds. The groups
+    # in a tree `trace` folds, no rule but binop could fire, and the groups
     # the flat walk finds in standard mode are the scan's leaves, where it
-    # steps first.
+    # steps first. In a group of flat content the binop taken without a scan
+    # is the one the scan finds, and at each later step the search resumed
+    # where the step before left it finds what a full search finds.
     try:
         tree = parse(text, mode)
     except ExprSyntaxError:
         return
     groups = []
-    if mode == "standard" and steps._is_flat(tree, groups):
-        chains, percent, leaves, _ = steps._scan(tree, False)
+    if steps._is_flat(tree, groups) is True and (mode == "standard" or not groups):
+        chains, percent, leaves, whole = steps._scan(tree, mode == "fraction")
         assert all(len(chain) < 3 for chain in chains) and percent is None
+        assert whole.recip is None and whole.frac is None
         brackets = [i for i, c in enumerate(text) if c in "(["]
         assert [(steps._path(r.link), r.start, r.depth) for r in leaves] == [
             (path, start, 0) for path, start in zip(groups, brackets)]
         assert len(groups) == len(brackets)
-    found = steps._is_flat(tree) and steps._head_pair(tree, None, 0, 0, 0)
+    if mode == "fraction":  # a fraction-mode group resumes no search
+        return
+    tree = parse(f"1+({text})")
+    group = tree.operands[1]
+    link = (None, tree, 1)
+    found = steps._is_flat(group.inner) and steps._head_pair(group.inner, (link, group, 0), 3, 0, 3)
     while found:
-        assert steps._is_flat(tree)
+        assert steps._is_flat(group.inner)
         candidate, resume = found
-        chains, percent, leaves, whole = steps._scan(tree, mode == "fraction")
-        assert all(len(chain) < 3 for chain in chains)
-        assert percent is None and not leaves and whole.recip is None and whole.frac is None
-        link, node, *rest = whole.binop
-        assert (node, rest) == (candidate[1], list(candidate[2:]))
-        assert (link and link[1:]) == (candidate[0] and candidate[0][1:])
+        chains, percent, (leaf,), _ = steps._scan(group, False, link, 2)
+        assert all(len(chain) < 3 for chain in chains) and percent is None
+        assert leaf.recip is None and leaf.frac is None
+        assert leaf.binop[1:] == candidate[1:] and leaf.binop[0][1:] == candidate[0][1:]
         try:
-            tree = steps._binop(print_expr(tree), candidate, None)[0]
+            tree = steps._binop(print_expr(tree), candidate, group)[0]
         except MathError:
             return
-        if not isinstance(tree, Chain):
+        group = tree.operands[1]
+        if group.__class__ is not Group or group.inner.__class__ is not Chain:
             return
-        found = steps._head_pair(tree, None, 0, *resume)
-        assert found == steps._head_pair(tree, None, 0, 0, 0)
+        link = (None, tree, 1)
+        found = steps._head_pair(group.inner, (link, group, 0), 3, *resume)
+        assert found == steps._head_pair(group.inner, (link, group, 0), 3, 0, 3)
 
 
 # Grammar-shaped text with the corners of the pinned corpus: nested `(`/`[`
@@ -403,14 +409,12 @@ def _step_or_error(tree, text, mode, focus):
 
 
 def _whole_tree_step(tree, text, mode):
-    """The step a search of the whole tree takes: no flat walk stands in for
-    the scan."""
-    is_flat = steps._is_flat
-    steps._is_flat = lambda tree, groups=None: None
+    """The step a search of the whole tree takes, the step of `next_step`,
+    with its text and snapshot: no flat walk stands in for the scan."""
     try:
-        return _step_or_error(tree, text, mode, None)
-    finally:
-        steps._is_flat = is_flat
+        return steps._search(tree, text, mode == "fraction")
+    except StepmathError as err:
+        return type(err), str(err)
 
 
 def _has_product_in_a_product(tree):
@@ -420,13 +424,17 @@ def _has_product_in_a_product(tree):
 
 
 def _assert_focused_steps_are_whole_tree_steps(tree, text, mode):
-    # at every step of a trace, the step the focus leads to is the one a
-    # search of the whole tree takes; and no `*/` chain is an operand of a
-    # `*/` chain, so a group's result is a factor of its parent chain only
+    # at every step of a trace up to a tree `trace` folds, the step the focus
+    # leads to is the one a search of the whole tree takes; and no `*/` chain
+    # is an operand of a `*/` chain, so a group's result is a factor of its
+    # parent chain only
     focus = None
     for _ in range(4 * len(text) + 4):
         assert not _has_product_in_a_product(tree), text
         step = _step_or_error(tree, text, mode, focus)
+        if step.__class__ is list:  # the fold, which `_traced == _stepwise` checks
+            assert steps._is_flat(tree, []) is True, text
+            return
         fresh = _whole_tree_step(tree, text, mode)
         if step is None or len(step) == 2:
             assert step == fresh
@@ -466,6 +474,10 @@ def test_focused_step_is_the_whole_tree_step(case):
     except StepmathError:
         return
     _assert_focused_steps_are_whole_tree_steps(tree, text, mode)
+    # and the trace is the whole-tree search's, snapshot by snapshot, also
+    # where it folds a tree a step left flat: after a whole-tree step, after
+    # a scan leaf's last group, and once the walk of its terms gives out
+    assert _traced(tree, mode, text) == _stepwise(tree, mode)
 
 
 def test_focused_steps_of_long_bracketed_chains_are_whole_tree_steps():
@@ -473,12 +485,16 @@ def test_focused_steps_of_long_bracketed_chains_are_whole_tree_steps():
     rng = random.Random(21)
     for _ in range(40):
         text = chain_text(rng, rng.choice((25, 50, 100, 200, 300)), bracketed=True)
-        _assert_focused_steps_are_whole_tree_steps(parse(text), text, "standard")
+        tree = parse(text)
+        _assert_focused_steps_are_whole_tree_steps(tree, text, "standard")
+        assert _traced(tree, "standard", text) == _stepwise(tree, "standard")
 
 
 def test_focused_steps_of_the_pinned_corpus_are_whole_tree_steps():
     for text, mode in _corpus():
-        _assert_focused_steps_are_whole_tree_steps(parse(text, mode), text, mode)
+        tree = parse(text, mode)
+        _assert_focused_steps_are_whole_tree_steps(tree, text, mode)
+        assert _traced(tree, mode, text) == _stepwise(tree, mode)
 
 
 _REGION_FIELDS = attrgetter("start", "end", "recip", "binop", "frac", "node", "link")
@@ -493,7 +509,7 @@ def _assert_group_scans_are_the_whole_tree_leaves(tree, text, mode):
             _, _, leaves, _ = steps._scan(region.node, fraction, region.link, region.start)
             assert [_REGION_FIELDS(r) for r in leaves] == [_REGION_FIELDS(region)], text
         step = _step_or_error(tree, text, mode, focus)
-        if step is None or len(step) == 2:
+        if not isinstance(step, tuple) or len(step) == 2:  # the end, the fold or an error
             return
         tree, _, text, _, focus = step
 
@@ -554,7 +570,7 @@ def test_fraction_steps_of_a_lone_literal_and_of_records_are_whole_tree_steps():
 
 # Standard-mode trees built by hand with fraction literals, which the parser
 # makes in fraction mode alone, with their traces: the walk of their terms or
-# the scan steps them, not the head-pair search of plain literals, so a
+# the scan steps them, not the fold of plain literals, so a
 # reciprocal and a simplify step are not skipped, and a fraction's bracket is
 # not taken for a group's
 _HAND_BUILT = [
@@ -731,7 +747,7 @@ def _stepwise(tree, mode):
     steps._ambiguous = False
     texts, rules = [print_expr(tree)], []
     try:
-        while (step := steps._next_step(tree, print_expr(tree), mode, None)) is not None:
+        while (step := steps._search(tree, print_expr(tree), mode == "fraction")) is not None:
             tree, rule, _, snapshot, _ = step
             texts.append(snapshot)
             rules.append(rule)
@@ -792,10 +808,13 @@ def _grouped_chain(draw):
 @example("1+(3/0)", "standard")
 @example("1+(2*3/0)", "standard")
 @example("(99999999.5*999999999)+1", "standard")
+# a fraction-mode sign step marks the head `+` in its snapshot, not its text,
+# from which the fold starts
+@example("9*-4*-4", "fraction")
 def test_a_flat_trace_is_the_stepwise_trace(text, mode):
-    # the steps a flat tree takes on its operands, once its first step leaves
-    # it flat or steps in its first group, are the ones `next_step` takes on
-    # its trees, errors included
+    # the steps a flat tree takes on its operands, from the first tree of its
+    # trace that the flat walk accepts, are the ones `next_step` takes on its
+    # trees, errors included
     try:
         tree = parse(text, mode)
     except StepmathError:
@@ -812,8 +831,8 @@ def test_flat_traces_of_long_chains_are_stepwise_traces():
 
 
 def test_a_flat_trace_rebuilds_no_tree(monkeypatch):
-    # after its first step a flat chain's trace builds no tree, nor does one
-    # with flat groups: rebuilding a tree per step calls `_binop` and
+    # a flat chain's trace builds no tree, nor does one with flat groups, not
+    # even for its first step: rebuilding a tree per step calls `_binop` and
     # `_replace` 999 and 300 times for the flat chain here, and 268 times
     # each for the group steps of the bracketed one
     calls = {"_binop": 0, "_replace": 0}
@@ -833,4 +852,4 @@ def test_a_flat_trace_rebuilds_no_tree(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         t = trace(tree, "standard", text)
         assert t.final == direct_eval(tree) and len(t.rules) == 999
-        assert calls["_binop"] <= 1 and calls["_replace"] <= 1, bracketed
+        assert calls == {"_binop": 0, "_replace": 0}, bracketed
